@@ -79,9 +79,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-beats", type=int,
                    default=_env("window-beats", 60, int),
                    help="beats per window (default 60)")
-    p.add_argument("--channel", default=_env("channel", "ECG"),
+    p.add_argument("--channel", default=_env("channel", None),
                    help="signal label substring or integer index "
-                        "(default ECG)")
+                        "(default ECG; a single-signal WFDB record's "
+                        "only signal)")
     p.add_argument("--ahi-cutoff", type=float,
                    default=_env("ahi-cutoff", 15.0, float),
                    help="AHI stratum boundary (default 15)")
@@ -387,7 +388,7 @@ def cmd_qc(args: argparse.Namespace) -> int:
         try:
             if entry.fmt == "rr":
                 from .record_io import parse_rr_csv
-                peaks, _ = parse_rr_csv(Path(entry.path).read_text())
+                peaks, _ = parse_rr_csv(pipeline._read_text(entry.path))
                 windows = pipeline.quality.window_partition(
                     peaks, config.window_beats)
                 qualities = [

@@ -1,9 +1,13 @@
 """Hot numeric kernels with two interchangeable backends.
 
 Every kernel exists twice: a loop form compiled with numba's ``@njit``
-and a vectorized (or plain-Python, where the algorithm is inherently
-sequential) numpy form. Both compute bit-identical results; the test
-suite asserts this. The active backend is picked at import time:
+and a vectorized numpy form. The inherently sequential kernels have no
+vectorized form: the numpy backend runs their loop form in the
+interpreter, ``refractory_pick`` over its array and ``pt_decide`` over
+memoryviews of its arrays, which the interpreter indexes several times
+faster than the arrays themselves. Both backends compute bit-identical
+results; the test suite asserts this. The active backend is picked at
+import time:
 
 * numba is used when importable, unless ``AFSCREEN_NUMBA`` is set to
   ``0``/``false``/``no`` in the environment;
@@ -154,50 +158,63 @@ def _pt_decide_loop(cand, peaki, peakf, slope,
     search-back pass rescues beats missed during a gap longer than 1.66x
     the recent mean RR, and candidates close to the previous beat with
     under half its slope are rejected as T waves.
+
+    The four per-candidate sequences may be arrays or memoryviews.
     """
-    n = cand.shape[0]
+    n = len(cand)
     accept = np.zeros(n, np.bool_)
-    rr_buf = np.zeros(8, np.float64)
+    # The last 8 RR intervals are whole sample counts, so their running
+    # sum is exact and equals a fresh sum of the buffer.
+    rr_buf = np.zeros(8, np.int64)
+    rr_sum = 0
     rr_n = 0
     rr_pos = 0
-    last_qrs = np.int64(-2 ** 62)
+    # Search-back fires past 1.66x the mean RR; never before an RR exists.
+    sb_limit = np.inf
+    last_qrs = -2 ** 62
     last_slope = 0.0
     last_acc_k = -1
     for k in range(n):
         c = cand[k]
-        thri = max(npki + 0.25 * (spki - npki), floor_i)
-        thrf = max(npkf + 0.25 * (spkf - npkf), floor_f)
+        thri = npki + 0.25 * (spki - npki)
+        if thri < floor_i:
+            thri = floor_i
+        thrf = npkf + 0.25 * (spkf - npkf)
+        if thrf < floor_f:
+            thrf = floor_f
 
-        if rr_n > 0 and last_acc_k >= 0:
-            s = 0.0
-            for q in range(rr_n):
-                s += rr_buf[q]
-            rr_mean = s / rr_n
-            if c - last_qrs > 1.66 * rr_mean:
-                best = -1
-                best_v = 0.0
-                for m in range(last_acc_k + 1, k):
-                    if accept[m]:
-                        continue
-                    if cand[m] - last_qrs < n_refractory:
-                        continue
-                    if peaki[m] > 0.5 * thri and peakf[m] > 0.5 * thrf:
-                        if best < 0 or peaki[m] > best_v:
-                            best = m
-                            best_v = peaki[m]
-                if best >= 0:
-                    accept[best] = True
-                    spki = 0.25 * peaki[best] + 0.75 * spki
-                    spkf = 0.25 * peakf[best] + 0.75 * spkf
-                    rr_buf[rr_pos] = cand[best] - last_qrs
-                    rr_pos = (rr_pos + 1) % 8
-                    if rr_n < 8:
-                        rr_n += 1
-                    last_qrs = cand[best]
-                    last_slope = slope[best]
-                    last_acc_k = best
-                    thri = max(npki + 0.25 * (spki - npki), floor_i)
-                    thrf = max(npkf + 0.25 * (spkf - npkf), floor_f)
+        if c - last_qrs > sb_limit:
+            best = -1
+            best_v = 0.0
+            for m in range(last_acc_k + 1, k):
+                if accept[m]:
+                    continue
+                if cand[m] - last_qrs < n_refractory:
+                    continue
+                if peaki[m] > 0.5 * thri and peakf[m] > 0.5 * thrf:
+                    if best < 0 or peaki[m] > best_v:
+                        best = m
+                        best_v = peaki[m]
+            if best >= 0:
+                accept[best] = True
+                spki = 0.25 * peaki[best] + 0.75 * spki
+                spkf = 0.25 * peakf[best] + 0.75 * spkf
+                rr = cand[best] - last_qrs
+                rr_sum += rr - int(rr_buf[rr_pos])
+                rr_buf[rr_pos] = rr
+                rr_pos = (rr_pos + 1) % 8
+                if rr_n < 8:
+                    rr_n += 1
+                sb_limit = 1.66 * (rr_sum / rr_n)
+                last_qrs = cand[best]
+                last_slope = slope[best]
+                last_acc_k = best
+                thri = npki + 0.25 * (spki - npki)
+                if thri < floor_i:
+                    thri = floor_i
+                thrf = npkf + 0.25 * (spkf - npkf)
+                if thrf < floor_f:
+                    thrf = floor_f
 
         if last_acc_k >= 0 and c - last_qrs < n_refractory:
             continue
@@ -213,10 +230,13 @@ def _pt_decide_loop(cand, peaki, peakf, slope,
             spki = 0.125 * peaki[k] + 0.875 * spki
             spkf = 0.125 * peakf[k] + 0.875 * spkf
             if last_acc_k >= 0:
-                rr_buf[rr_pos] = c - last_qrs
+                rr = c - last_qrs
+                rr_sum += rr - int(rr_buf[rr_pos])
+                rr_buf[rr_pos] = rr
                 rr_pos = (rr_pos + 1) % 8
                 if rr_n < 8:
                     rr_n += 1
+                sb_limit = 1.66 * (rr_sum / rr_n)
             last_qrs = c
             last_slope = slope[k]
             last_acc_k = k
@@ -224,6 +244,22 @@ def _pt_decide_loop(cand, peaki, peakf, slope,
             npki = 0.125 * peaki[k] + 0.875 * npki
             npkf = 0.125 * peakf[k] + 0.875 * npkf
     return accept
+
+
+def _pt_decide_views(cand, peaki, peakf, slope,
+                     spki, npki, spkf, npkf,
+                     floor_i, floor_f,
+                     n_refractory, n_twave):
+    # Indexing a memoryview yields a Python int or float, which the
+    # interpreter handles several times faster than a numpy scalar;
+    # unlike a list copy, a view keeps no Python object per candidate
+    # alive. The values, and so every comparison, are the same.
+    return _pt_decide_loop(
+        memoryview(cand), memoryview(peaki), memoryview(peakf),
+        memoryview(slope),
+        float(spki), float(npki), float(spkf), float(npkf),
+        float(floor_i), float(floor_f),
+        int(n_refractory), int(n_twave))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +325,7 @@ NUMPY_IMPL = {
     "greedy_match_count": _greedy_match_numpy,
     "trailing_max": _trailing_max_numpy,
     "refractory_pick": _refractory_pick_loop,
-    "pt_decide": _pt_decide_loop,
+    "pt_decide": _pt_decide_views,
 }
 
 NUMBA_IMPL = None

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import quality
-from .errors import AfscreenError, ConfigurationError
+from .errors import AfscreenError, ConfigurationError, ParseError
 from .features import featurize
 from .forest import ForestModel, LabeledWindow, label_windows, predict_proba
 from .qrs import RPeakSeries, detect_reference, detect_test
@@ -55,7 +55,9 @@ class PipelineConfig:
     min_reference_peaks: int = quality.MIN_REFERENCE_PEAKS
     max_exclusion_rate: float = quality.MAX_EXCLUSION_RATE
     window_beats: int = quality.WINDOW_BEATS
-    channel: str | int = "ECG"
+    # None: "ECG" for EDF; for WFDB the only signal of a single-signal
+    # record, else "ECG" (the parsers' own defaults).
+    channel: str | int | None = None
     ahi_cutoff: float = 15.0
     ni_margin: float = 0.03
     ni_alpha: float = 0.05
@@ -158,15 +160,26 @@ def metas_from_entries(entries: list[ManifestEntry]) -> dict[str, PatientMeta]:
     return {e.patient_id: e.meta for e in entries}
 
 
+def _read_text(path: str | Path) -> str:
+    """A text input's content; undecodable bytes raise ParseError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not a text file: {e.reason}",
+                         offset=e.start) from None
+
+
 def _load_record(entry: ManifestEntry,
                  config: PipelineConfig) -> EcgRecord:
     if entry.fmt == "edf":
         record = parse_edf(Path(entry.path).read_bytes(),
-                           channel=config.channel)
+                           channel="ECG" if config.channel is None
+                           else config.channel)
     elif entry.fmt == "wfdb":
         head = Path(entry.path)
         dat = head.with_suffix(".dat")
-        record = parse_wfdb(head.read_text(), dat.read_bytes())
+        record = parse_wfdb(_read_text(head), dat.read_bytes(),
+                            channel=config.channel)
     else:
         raise ConfigurationError(f"not a signal format: {entry.fmt}")
     record.patient_id = entry.patient_id
@@ -185,7 +198,7 @@ def _load_annotations(entry: ManifestEntry
         raise ConfigurationError(
             f"patient {entry.patient_id}: training needs rhythm "
             f"annotations, but the manifest row names none")
-    peaks, annotations = parse_rr_csv(Path(ann_path).read_text())
+    peaks, annotations = parse_rr_csv(_read_text(ann_path))
     if annotations is None:
         raise ConfigurationError(
             f"patient {entry.patient_id}: {ann_path} has no rhythm column")
@@ -257,7 +270,7 @@ def process_rr(peaks: RPeakSeries, model: ForestModel,
 def process_entry(entry: ManifestEntry, model: ForestModel,
                   config: PipelineConfig) -> PatientResult:
     if entry.fmt == "rr":
-        peaks, _ = parse_rr_csv(Path(entry.path).read_text())
+        peaks, _ = parse_rr_csv(_read_text(entry.path))
         return process_rr(peaks, model, config, patient_id=entry.patient_id)
     record = _load_record(entry, config)
     return process_patient(record, model, config)

@@ -118,6 +118,42 @@ def _bandpass(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarray:
     return sosfiltfilt(sos, x)
 
 
+def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
+    # Mean over [i-n+1, i], shortened at the start; needs len(x) >= n.
+    # Overwrites x with its running sum.
+    csum = np.cumsum(x, out=x)
+    out = np.empty_like(x)
+    out[:n] = csum[:n] / np.arange(1, n + 1)
+    np.subtract(csum[n:], csum[:-n], out=out[n:])
+    out[n:] /= n
+    return out
+
+
+def _trailing_abs_max(x: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    # max |x| over [i-n+1, i] for each i in `at`, the window cut at the
+    # start: kernels.trailing_max(np.abs(x), n)[at] without computing it
+    # at every sample.
+    out = np.abs(x[at])
+    for k in range(1, n):
+        np.maximum(out, np.abs(x[np.maximum(at - k, 0)]), out=out)
+    return out
+
+
+def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
+               n_refine: int) -> np.ndarray:
+    # For each beat index c: the band-passed maximum over [c-n_mwi, c],
+    # then the maximum within +-n_refine of that. Window indices are
+    # clipped to the record, which repeats an edge sample but never
+    # moves the first of tied maxima to another sample.
+    rows = np.arange(beats.shape[0])
+    last = bp.shape[0] - 1
+    idx = np.clip(beats[:, None] + np.arange(-n_mwi, 1), 0, last)
+    prelim = idx[rows, bp[idx].argmax(axis=1)]
+    idx = np.clip(prelim[:, None] + np.arange(-n_refine, n_refine + 1),
+                  0, last)
+    return idx[rows, bp[idx].argmax(axis=1)]
+
+
 def detect_reference(record: EcgRecord) -> RPeakSeries:
     """Integrate-and-threshold reference detector (see module docstring)."""
     _check_record(record)
@@ -132,13 +168,9 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     deriv = np.zeros_like(bp)
     deriv[2:-2] = (fs / 8.0) * (2.0 * (bp[3:-1] - bp[1:-3])
                                 + (bp[4:] - bp[:-4]))
-    squared = deriv * deriv
 
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
-    csum = np.concatenate([[0.0], np.cumsum(squared)])
-    idx = np.arange(squared.shape[0])
-    lo_idx = np.maximum(idx - n_mwi + 1, 0)
-    mwi = (csum[idx + 1] - csum[lo_idx]) / (idx - lo_idx + 1)
+    mwi = _trailing_mean(deriv * deriv, n_mwi)
 
     cand = _local_maxima(mwi)
     if cand.shape[0] == 0:
@@ -147,21 +179,18 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # Per-candidate context over the trailing integration window: the
     # band-passed peak that produced the integration peak and the
     # steepest local slope (for the T-wave test).
-    abs_bp = np.abs(bp)
-    abs_deriv = np.abs(deriv)
-    trail_bp = kernels.trailing_max(abs_bp, n_mwi + 1)
-    trail_slope = kernels.trailing_max(abs_deriv, n_mwi + 1)
     peaki = mwi[cand]
-    peakf = trail_bp[cand]
-    slope = trail_slope[cand]
+    peakf = _trailing_abs_max(bp, cand, n_mwi + 1)
+    slope = _trailing_abs_max(deriv, cand, n_mwi + 1)
 
     n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
+    abs_learn = np.abs(bp[:n_learn])
     spki = float(np.max(mwi[:n_learn]))
     npki = 0.5 * float(np.mean(mwi[:n_learn]))
-    spkf = float(np.max(abs_bp[:n_learn]))
-    npkf = 0.5 * float(np.mean(abs_bp[:n_learn]))
+    spkf = float(np.max(abs_learn))
+    npkf = 0.5 * float(np.mean(abs_learn))
     floor_i = THRESHOLD_FLOOR_FRACTION * float(np.max(mwi))
-    floor_f = THRESHOLD_FLOOR_FRACTION * float(np.max(abs_bp))
+    floor_f = THRESHOLD_FLOOR_FRACTION * float(np.max(np.abs(bp)))
 
     n_ref = _samples_for(REFRACTORY_REFERENCE_S, fs)
     n_twave = _samples_for(TWAVE_WINDOW_S, fs)
@@ -169,18 +198,11 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
                                spki, npki, spkf, npkf,
                                floor_i, floor_f, n_ref, n_twave)
 
-    n_refine = _samples_for(REFINE_WINDOW_S, fs)
-    fiducials = []
-    for c in cand[np.asarray(accept)]:
-        lo = max(int(c) - n_mwi, 0)
-        prelim = lo + int(np.argmax(bp[lo:int(c) + 1]))
-        lo2 = max(prelim - n_refine, 0)
-        hi2 = min(prelim + n_refine + 1, bp.shape[0])
-        fiducials.append(lo2 + int(np.argmax(bp[lo2:hi2])))
-
-    if not fiducials:
+    acc = cand[np.asarray(accept)]
+    if acc.shape[0] == 0:
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
-    fid = np.unique(np.asarray(fiducials, dtype=np.int64))
+    n_refine = _samples_for(REFINE_WINDOW_S, fs)
+    fid = np.unique(_fiducials(bp, acc, n_mwi, n_refine))
     keep = kernels.refractory_pick(fid, np.int64(n_ref))
     times = fid[np.asarray(keep)] / fs
     return RPeakSeries(times=times, source=REFERENCE)

@@ -550,11 +550,11 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
 def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     """Parse ``t_seconds[,rhythm]`` rows into peaks and episodes.
 
-    Beat times must be strictly increasing; a violation raises
-    OrderingError naming the 1-based row. When the rhythm column is
-    present, consecutive runs of one label become episodes spanning the
-    first to the last beat of the run (single-beat runs bound no RR
-    interval and are dropped).
+    Beat times must be finite and strictly increasing; a violation
+    raises ParseError or OrderingError naming the 1-based row. When the
+    rhythm column is present, consecutive runs of one label become
+    episodes spanning the first to the last beat of the run (single-beat
+    runs bound no RR interval and are dropped).
     """
     times: list[float] = []
     rhythms: list[str] | None = None
@@ -570,6 +570,9 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
         except ValueError:
             raise ParseError(
                 f"non-numeric beat time {parts[0]!r} at row {row}") from None
+        if not math.isfinite(t):
+            raise ParseError(
+                f"non-finite beat time {parts[0]!r} at row {row}")
         if times and t <= times[-1]:
             raise OrderingError(
                 f"beat time {t} at row {row} does not increase past "

@@ -13,8 +13,9 @@ Three rhythm programs drive the RR generator:
 The waveform renderer places a 1 mV Gaussian QRS (sigma 7.5 ms, so the
 bulk spans ~30 ms) at each beat, plus a 0.1 mV P bump 180 ms before and
 a 0.15 mV T bump 280 ms after it, with optional additive white noise.
-The signal-to-noise ratio is referenced to the QRS peak amplitude:
-noise sigma = 1 mV * 10^(-snr_db/20).
+The signal-to-noise ratio is a power ratio against the rendered
+waveform: noise sigma = waveform RMS * 10^(-snr_db/20), so 0 dB means
+noise power equals signal power.
 
 Everything is a pure function of its arguments; the same seed yields
 byte-identical output.

@@ -225,6 +225,30 @@ def test_qc_ledger_carries_errors(tmp_path):
     assert body[1].startswith("p9,error,,FileNotFoundError")
 
 
+def test_undecodable_entry_lands_in_errors_csv(cohort, tmp_path):
+    (tmp_path / "bin.csv").write_bytes(bytes(range(256)) * 4)
+    (tmp_path / "m.csv").write_text(
+        f"path,format,patient_id\n{cohort / 'a0.csv'},rr,a0\n"
+        "bin.csv,rr,pbin\n")
+    code = main(["predict", "--manifest", str(tmp_path / "m.csv"),
+                 "--model", str(cohort / "model.json"),
+                 "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                 *SMALL])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.json")) == \
+        ["a0.json"]
+    errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+    assert len(errors) == 2 and errors[1].startswith("pbin,ParseError: ")
+
+    code = main(["qc", "--manifest", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "qc.csv"), *SMALL])
+    assert code == 0
+    body = [r for r in (tmp_path / "qc.csv").read_text().split("\n")
+            if r and not r.startswith("#")]
+    assert [r.split(",")[:2] for r in body[1:]] == \
+        [["a0", "accepted"], ["pbin", "error"]]
+
+
 # ---------------------------------------------------------------------------
 # flags, environment, exit codes
 

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from afscreen import synth
-from afscreen.errors import ConfigurationError
+from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
+                             ParseError)
 from afscreen.features import FEATURE_NAMES
 from afscreen.forest import ForestModel
 from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                cohort_csv, collect_training_windows,
-                               metas_from_entries, process_patient,
-                               process_rr, read_manifest, result_to_dict,
-                               run_cohort)
-from afscreen.record_io import write_edf
+                               metas_from_entries, process_entry,
+                               process_patient, process_rr, read_manifest,
+                               result_to_dict, run_cohort)
+from afscreen.record_io import encode_212, write_edf
 
 from conftest import make_series
 
@@ -252,6 +253,84 @@ def test_run_cohort_worker_count_invariant(tmp_path):
     a = run_cohort(entries, AVNN_STUMP, PipelineConfig(), workers=1)
     b = run_cohort(entries, AVNN_STUMP, PipelineConfig(), workers=3)
     assert a == b
+
+
+BINARY = bytes(range(256)) * 8  # not valid UTF-8 from byte 0x80 on
+
+
+@pytest.mark.parametrize("fmt", ["rr", "wfdb"])
+def test_run_cohort_ledgers_undecodable_file(tmp_path, fmt):
+    write_rr_file(tmp_path / "good.csv", [0.85] * 17)
+    bad = tmp_path / ("bad.csv" if fmt == "rr" else "bad.hea")
+    bad.write_bytes(BINARY)
+    (tmp_path / "bad.dat").write_bytes(BINARY)
+    entries = [
+        ManifestEntry(path=str(tmp_path / "good.csv"), fmt="rr",
+                      patient_id="pgood"),
+        ManifestEntry(path=str(bad), fmt=fmt, patient_id="pbad"),
+    ]
+    results, report = run_cohort(entries, AVNN_STUMP, PipelineConfig(),
+                                 workers=1)
+    assert [r.patient_id for r in results] == ["pgood"]
+    assert len(report.errors) == 1
+    pid, message = report.errors[0]
+    assert pid == "pbad"
+    assert message.startswith("ParseError: ") and str(bad) in message
+
+
+def test_collect_training_windows_undecodable_annotations(tmp_path):
+    (tmp_path / "bad.csv").write_bytes(BINARY)
+    entry = ManifestEntry(path=str(tmp_path / "bad.csv"), fmt="rr",
+                          patient_id="pbad")
+    with pytest.raises(ParseError):
+        collect_training_windows([entry], PipelineConfig())
+
+
+def write_two_signal_wfdb(tmp_path, record):
+    """RESP (flat) then ECG, interleaved in one format-212 file."""
+    ecg = np.clip(np.round(record.samples * 200.0), -2048, 2047)
+    frames = np.stack([np.zeros_like(ecg), ecg], axis=1).ravel()
+    (tmp_path / "two.dat").write_bytes(encode_212(frames))
+    n = ecg.shape[0]
+    (tmp_path / "two.hea").write_text(
+        f"two 2 {record.fs:g} {n}\n"
+        "two.dat 212 200 12 0 0 0 0 RESP belt\n"
+        "two.dat 212 200 12 0 0 0 0 ECG lead II\n")
+    return ManifestEntry(path=str(tmp_path / "two.hea"), fmt="wfdb",
+                         patient_id="two")
+
+
+@pytest.mark.parametrize("description", [" MLII", ""])
+def test_single_signal_wfdb_needs_no_channel(tmp_path, nsr_record,
+                                             description):
+    # The description column is optional; without --channel the only
+    # signal is screened whatever it is called.
+    ecg = np.clip(np.round(nsr_record.samples * 200.0), -2048, 2047)
+    (tmp_path / "one.dat").write_bytes(encode_212(ecg))
+    (tmp_path / "one.hea").write_text(
+        f"one 1 {nsr_record.fs:g} {ecg.shape[0]}\n"
+        f"one.dat 212 200 12 0 0 0 0{description}\n")
+    entry = ManifestEntry(path=str(tmp_path / "one.hea"), fmt="wfdb",
+                          patient_id="one")
+    result = process_entry(entry, AVNN_STUMP, PipelineConfig())
+    assert result.qc.n_peaks_reference > 100
+    assert process_entry(entry, AVNN_STUMP, PipelineConfig(channel=0)) \
+        == result
+    with pytest.raises(ChannelNotFoundError):
+        process_entry(entry, AVNN_STUMP, PipelineConfig(channel="ECG"))
+
+
+def test_wfdb_entry_honours_channel(tmp_path, nsr_record):
+    entry = write_two_signal_wfdb(tmp_path, nsr_record)
+    peaks = {}
+    for channel in (None, "ECG", "resp", 0, 1):
+        result = process_entry(entry, AVNN_STUMP,
+                               PipelineConfig(channel=channel))
+        peaks[channel] = result.qc.n_peaks_reference
+    assert peaks[None] == peaks["ECG"] == peaks[1] > 100
+    assert peaks["resp"] == peaks[0] == 0
+    with pytest.raises(ChannelNotFoundError):
+        process_entry(entry, AVNN_STUMP, PipelineConfig(channel="PPG"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from afscreen import quality, synth
+from afscreen import kernels, qrs, quality, synth
 from afscreen.errors import ContractViolationError, UnsupportedRateError
 from afscreen.qrs import (RPeakSeries, detect_reference, detect_test,
                           REFRACTORY_REFERENCE_S, REFRACTORY_TEST_S)
@@ -174,3 +174,110 @@ def test_series_between_is_inclusive():
 def test_series_requires_strict_increase():
     with pytest.raises(ContractViolationError):
         RPeakSeries(times=np.array([1.0, 1.0, 2.0]), source="reference")
+
+
+# ---------------------------------------------------------------------------
+# integration and fiducial refinement against plain loops
+# ---------------------------------------------------------------------------
+
+def oracle_trailing_mean(x, n):
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        lo = max(i - n + 1, 0)
+        out[i] = (csum[i + 1] - csum[lo]) / (i - lo + 1)
+    return out
+
+
+def oracle_fiducials(bp, beats, n_mwi, n_refine):
+    fiducials = []
+    for c in beats:
+        lo = max(int(c) - n_mwi, 0)
+        prelim = lo + int(np.argmax(bp[lo:int(c) + 1]))
+        lo2 = max(prelim - n_refine, 0)
+        hi2 = min(prelim + n_refine + 1, bp.shape[0])
+        fiducials.append(lo2 + int(np.argmax(bp[lo2:hi2])))
+    return np.asarray(fiducials, dtype=np.int64)
+
+
+def edge_record(fs=128.0):
+    """Flat-topped beats every 110 samples, the first peaking within
+    n_mwi samples of the start and the last within n_refine of the end,
+    over noise on a 1/64 grid, so equal samples are common."""
+    n = int(10 * fs)
+    rng = np.random.default_rng(3)
+    x = rng.integers(-4, 5, size=n) / 64.0
+    pulse = np.array([0.25, 0.625, 1.0, 1.0, 1.0, 0.625, 0.25])
+    for top in list(range(3, n - 100, 110)) + [n - 5]:
+        lo = max(top - 2, 0)
+        seg = pulse[lo - (top - 2):][:n - lo]
+        x[lo:lo + seg.shape[0]] = seg
+    return EcgRecord(patient_id="edges", samples=x, fs=fs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 57])
+def test_trailing_mean_matches_loop(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=500) ** 2
+    assert np.array_equal(qrs._trailing_mean(x.copy(), n),
+                          oracle_trailing_mean(x, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 21, 57])
+def test_trailing_abs_max_matches_full_length_kernel(n):
+    # signed values on a coarse grid tie often; positions cover the
+    # start, where the window is cut, and the last sample
+    rng = np.random.default_rng(n)
+    x = rng.integers(-6, 7, size=400) / 4.0
+    at = np.unique(np.concatenate([[0, 1, n - 1, 399],
+                                   rng.choice(400, size=60)]))
+    want = kernels.trailing_max(np.abs(x), n)[at]
+    assert np.array_equal(qrs._trailing_abs_max(x, at, n), want)
+
+
+@pytest.mark.parametrize("n_mwi,n_refine", [(20, 7), (38, 13), (3, 3)])
+def test_fiducials_match_loop(n_mwi, n_refine):
+    # values on a coarse grid tie often; beats cover both record edges
+    rng = np.random.default_rng(n_mwi)
+    for trial in range(40):
+        bp = rng.integers(-3, 4, size=int(rng.integers(60, 300))) / 4.0
+        beats = np.sort(rng.choice(bp.shape[0], size=12, replace=False))
+        beats[:2] = [0, int(rng.integers(1, n_mwi))]
+        beats[-1] = bp.shape[0] - 1
+        beats = np.unique(beats)
+        assert np.array_equal(qrs._fiducials(bp, beats, n_mwi, n_refine),
+                              oracle_fiducials(bp, beats, n_mwi, n_refine))
+
+
+@pytest.mark.parametrize("identity_filter", [True, False])
+def test_detect_reference_matches_loop_oracles_at_edges(monkeypatch,
+                                                        identity_filter):
+    # With the band-pass replaced by the identity, the band-passed signal
+    # is the record itself, flat tops and all.
+    if identity_filter:
+        monkeypatch.setattr(qrs, "sosfiltfilt", lambda sos, x: x.copy())
+    rec = edge_record()
+    got = detect_reference(rec).times
+
+    seen = {}
+
+    def spy_fiducials(bp, beats, n_mwi, n_refine):
+        seen.update(bp=bp, beats=beats)
+        return oracle_fiducials(bp, beats, n_mwi, n_refine)
+
+    monkeypatch.setattr(qrs, "_trailing_mean", oracle_trailing_mean)
+    monkeypatch.setattr(qrs, "_fiducials", spy_fiducials)
+    want = detect_reference(rec).times
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # the windows were cut at both edges
+    n = rec.samples.shape[0]
+    n_mwi = qrs._samples_for(qrs.MWI_WINDOW_S, rec.fs)
+    n_refine = qrs._samples_for(qrs.REFINE_WINDOW_S, rec.fs)
+    fid = np.rint(want * rec.fs).astype(np.int64)
+    assert seen["beats"][0] < n_mwi
+    assert fid[0] < n_mwi and fid[-1] > n - 1 - n_refine
+    if identity_filter:
+        # and first-of-tied maxima decided the fiducials
+        bp = seen["bp"]
+        assert np.any(bp[fid] == bp[fid + 1])

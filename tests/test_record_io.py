@@ -292,6 +292,16 @@ def test_parse_rr_csv_bad_float():
     assert "row 2" in str(err.value)
 
 
+@pytest.mark.parametrize("text,row", [
+    ("0\n1\ninf\n", 3), ("nan\n1.0\n", 1), ("0.5\n-inf,AF\n", 2),
+    ("0.5\n1.0\n1e400\n", 3)])
+def test_parse_rr_csv_rejects_non_finite_times(text, row):
+    with pytest.raises(ParseError) as err:
+        parse_rr_csv(text)
+    assert f"at row {row}" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_parse_rr_csv_rhythm_column_episodes():
     text = "0.0,OTHER\n0.8,AF\n1.6,AF\n2.4,AF\n3.2,OTHER\n4.0,OTHER\n"
     peaks, ann = parse_rr_csv(text)
