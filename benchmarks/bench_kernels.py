@@ -4,7 +4,8 @@ Runs every hot kernel on workloads shaped like a night-long recording
 (8 h at 128 Hz, 60-beat windows) under both the compiled and the
 vectorized/plain backends, and prints best-of-N wall times. The numba
 column includes a warmup call so JIT compilation is not billed to the
-measurement.
+measurement. A last row times the batched featurizer on the night's
+RR matrix against one single-window call per window.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--hours H]
 """
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from afscreen import kernels
+from afscreen import features, kernels
 
 
 def _bench(fn, args, repeat: int) -> float:
@@ -102,6 +103,18 @@ def main() -> int:
         else:
             ratio = f"{'':>10}"
         print(f"{name:<{name_w}}{cells}{ratio}  {desc}")
+
+    # one night's windows, as pipeline._finish featurizes them
+    n = int(args.hours * 3600.0 / 0.8) // 60
+    rr = rng.uniform(300.0, 2000.0, size=(n, 59))
+    bsqi = np.ones(n)
+    batched = _bench(features.feature_matrix, (rr, bsqi), args.repeat)
+    single = _bench(lambda: [features.feature_matrix(rr[i:i + 1],
+                                                     bsqi[i:i + 1])
+                             for i in range(n)], (), args.repeat)
+    print(f"\n{'feature_matrix':<{name_w}}{batched * 1e3:>10.2f}ms batched, "
+          f"{single * 1e3:.2f}ms as {n} one-window calls "
+          f"({single / batched:.1f}x)  {n} windows x 59 RR")
     return 0
 
 

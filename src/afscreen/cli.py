@@ -362,10 +362,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
                      af_sd=args.af_sd, ectopy_k=args.ectopy_k)
     record, peaks, annotations = synth_record(spec,
                                               patient_id=args.patient_id)
+    edf = write_edf(record)  # rejects a header it cannot encode
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     edf_path = out_dir / f"{args.patient_id}.edf"
-    edf_path.write_bytes(write_edf(record))
+    edf_path.write_bytes(edf)
     rr_path = out_dir / f"{args.patient_id}.rr.csv"
     rr_path.write_text(write_rr_csv(peaks, annotations))
     print(f"wrote {edf_path} ({record.duration_s:.0f} s at "

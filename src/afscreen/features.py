@@ -1,4 +1,4 @@
-"""Nine-feature summary of a 60-beat window.
+"""Nine-feature summary of 60-beat windows.
 
 The features, in their fixed declared order:
 
@@ -21,6 +21,14 @@ The Lorenz plot scatters successive RR-difference pairs
 (delta rr_i, delta rr_{i-1}) on a uniform 40 ms grid spanning
 +-600 ms per axis; out-of-range points clip to the border bins.
 59 RR intervals give 58 differences and 57 plot points.
+
+One implementation computes all nine: feature_matrix takes n windows
+as an (n, 59) RR matrix plus their bsqi and returns an (n, 9) matrix.
+It works through fixed chunks of 32 windows, so its temporaries, the
+largest of which are the (32, 58, 58) COSEn comparisons, do not grow
+with the recording's length. featurize_windows feeds it a list of
+windows; featurize, cosen, lorenz_features and simple_stats are
+one-window calls into it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractViolationError
 
 COSEN_R_MS = 30.0
@@ -41,6 +48,10 @@ LORENZ_BIN_MS = 40.0
 LORENZ_HALF_EXTENT_MS = 600.0
 LORENZ_NBINS = 30
 _ORIGIN_BIN = int(LORENZ_HALF_EXTENT_MS // LORENZ_BIN_MS)  # = 15
+N_RR = 59  # RR intervals in a 60-beat window
+# Windows per pass of feature_matrix: bounds its (k, 58, 58) comparison
+# temporaries to about 0.9 MB, whatever the recording length.
+_CHUNK = 32
 
 FEATURE_NAMES = ("bsqi", "cosen", "afe", "orc", "ire", "pace",
                  "avnn", "minrr", "medhr")
@@ -106,70 +117,159 @@ class FeatureVector:
         return cls(**kwargs)
 
 
+def _shape_error(shape: tuple) -> ContractViolationError:
+    return ContractViolationError(
+        f"expected {N_RR} RR intervals, got shape {shape}")
+
+
 def _check_rr(rr: np.ndarray) -> np.ndarray:
     rr = np.ascontiguousarray(rr, dtype=np.float64)
-    if rr.ndim != 1 or rr.shape[0] != 59:
+    if rr.ndim != 1 or rr.shape[0] != N_RR:
+        raise _shape_error(rr.shape)
+    return rr
+
+
+def _pair_counts(m: np.ndarray) -> np.ndarray:
+    # Ordered pairs i != j per window: all matches minus the diagonal.
+    # The diagonal is counted rather than assumed, because |x - x| <= r
+    # fails for an infinite x or a negative r.
+    return (np.count_nonzero(m, axis=(1, 2))
+            - np.count_nonzero(np.diagonal(m, axis1=1, axis2=2), axis=1))
+
+
+def _cosen_rows(rr: np.ndarray, mean_rr: np.ndarray, r: float) -> list:
+    # Template pairs for m=1 sit at positions 0..57, so the length-2
+    # extension always exists. |a - b| == |b - a| exactly, so each
+    # comparison matrix is symmetric and its ordered-pair count is twice
+    # the i < j count.
+    y = rr[:, :-1]
+    d = y[:, :, None] - y[:, None, :]
+    m1 = np.abs(d, out=d) <= r
+    np.subtract(rr[:, 1:, None], rr[:, None, 1:], out=d)
+    m2 = np.abs(d, out=d) <= r
+    m2 &= m1
+    out = []
+    for b_ord, a_ord, mean in zip(_pair_counts(m1).tolist(),
+                                  _pair_counts(m2).tolist(),
+                                  mean_rr.tolist()):
+        # zero counts take the 0.5 correction; math.log, not np.log, so
+        # each value is the scalar formula's to the last bit
+        b = float(b_ord) if b_ord > 0 else 0.5
+        a = float(a_ord) if a_ord > 0 else 0.5
+        sampen = math.log(b) - math.log(a)
+        out.append(sampen + math.log(2.0 * r) - math.log(mean))
+    return out
+
+
+def _lorenz_rows(rr: np.ndarray) -> np.ndarray:
+    k = rr.shape[0]
+    nb = LORENZ_NBINS
+    dr = np.diff(rr, axis=1)
+    ix = np.floor((dr[:, 1:] + LORENZ_HALF_EXTENT_MS)
+                  / LORENZ_BIN_MS).astype(np.int64)
+    iy = np.floor((dr[:, :-1] + LORENZ_HALF_EXTENT_MS)
+                  / LORENZ_BIN_MS).astype(np.int64)
+    np.clip(ix, 0, nb - 1, out=ix)
+    np.clip(iy, 0, nb - 1, out=iy)
+    key = np.arange(k)[:, None] * (nb * nb) + ix * nb + iy
+    hist = np.bincount(key.ravel(), minlength=k * nb * nb).reshape(k, nb, nb)
+    o = _ORIGIN_BIN
+    orc = hist[:, o, o]
+    nonempty = hist > 0
+    in_origin = (orc > 0).astype(np.int64)
+    ire = np.count_nonzero(nonempty, axis=(1, 2)) - in_origin
+    # Quadrants by bin index: bins at index >= o sit on the non-negative
+    # side of the axis (the origin bin spans [0, bin_width) on each axis).
+    q1 = np.count_nonzero(nonempty[:, o:, o:], axis=(1, 2)) - in_origin
+    q2 = np.count_nonzero(nonempty[:, :o, o:], axis=(1, 2))
+    q3 = np.count_nonzero(nonempty[:, :o, :o], axis=(1, 2))
+    q4 = np.count_nonzero(nonempty[:, o:, :o], axis=(1, 2))
+    pace = np.maximum(0, (q2 + q4) - (q1 + q3))
+    afe = ire - orc - 2 * pace
+    return np.stack([afe, orc, ire, pace], axis=1)
+
+
+def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
+                   ) -> np.ndarray:
+    """The nine features of n windows, one row each in declared order.
+
+    rr is an (n, 59) matrix of RR intervals in ms, bsqi the n windows'
+    quality scores; r is COSEn's tolerance in the units of rr. Rows are
+    computed 32 windows at a time, so the working memory does not grow
+    with n.
+    """
+    rr = np.ascontiguousarray(rr, dtype=np.float64)
+    if rr.ndim != 2:
         raise ContractViolationError(
-            f"expected 59 RR intervals, got shape {rr.shape}")
+            f"expected an (n, {N_RR}) RR matrix, got shape {rr.shape}")
+    if rr.shape[1] != N_RR:
+        raise _shape_error(rr.shape[1:])
     if not np.all(rr > 0):
         raise ContractViolationError("RR intervals must be positive")
-    return rr
+    bsqi = np.asarray(bsqi, dtype=np.float64)
+    if bsqi.shape != rr.shape[:1]:
+        raise ContractViolationError(
+            f"expected {rr.shape[0]} bsqi values, got shape {bsqi.shape}")
+    out = np.empty((rr.shape[0], len(FEATURE_NAMES)))
+    out[:, 0] = bsqi
+    for lo in range(0, rr.shape[0], _CHUNK):
+        chunk = rr[lo:lo + _CHUNK]
+        rows = out[lo:lo + _CHUNK]
+        mean_rr = np.mean(chunk, axis=1)
+        rows[:, 1] = _cosen_rows(chunk, mean_rr, r)
+        rows[:, 2:6] = _lorenz_rows(chunk)
+        rows[:, 6] = mean_rr
+        rows[:, 7] = np.min(chunk, axis=1)
+        # the median of 59 values is the sorted middle
+        rows[:, 8] = 60000.0 / np.sort(chunk, axis=1)[:, (N_RR - 1) // 2]
+    return out
+
+
+def featurize_windows(windows: list[BeatWindow],
+                      min_bsqi: float = 0.8) -> np.ndarray:
+    """feature_matrix of quality-gated windows; row i is windows[i]'s.
+
+    Every window must pass the bsqi gate and hold 60 beats; the first
+    that does not raises, as featurize would.
+    """
+    for w in windows:
+        if w.bsqi < min_bsqi:
+            raise ContractViolationError(
+                f"window {w.window_index} has bsqi {w.bsqi:.3f} below "
+                f"the {min_bsqi} gate; featurize only included windows")
+        if w.rr.shape != (N_RR,):
+            raise _shape_error(w.rr.shape)
+    # reshape: no windows give shape (0,), not (0, 59)
+    rr = np.array([w.rr for w in windows]).reshape(len(windows), N_RR)
+    return feature_matrix(rr, [w.bsqi for w in windows])
+
+
+def _one_window(rr: np.ndarray, r: float = COSEN_R_MS) -> FeatureVector:
+    return FeatureVector.from_array(
+        feature_matrix(_check_rr(rr)[None, :], [1.0], r)[0].tolist())
 
 
 def cosen(rr: np.ndarray, r: float = COSEN_R_MS) -> float:
     """Coefficient of sample entropy; r in the units of rr."""
-    rr = _check_rr(rr)
-    b_pairs, a_pairs = kernels.sampen_pair_counts(rr, r)
-    # ordered-pair counts (i != j); zero counts take the 0.5 correction
-    b = 2.0 * b_pairs if b_pairs > 0 else 0.5
-    a = 2.0 * a_pairs if a_pairs > 0 else 0.5
-    sampen = math.log(b) - math.log(a)
-    return sampen + math.log(2.0 * r) - math.log(float(np.mean(rr)))
+    return _one_window(rr, r).cosen
 
 
 def lorenz_features(rr: np.ndarray) -> tuple[int, int, int, int]:
     """(afe, orc, ire, pace) from the binned Lorenz plot of delta-RR."""
-    rr = _check_rr(rr)
-    dr = np.diff(rr)
-    hist = kernels.lorenz_hist(dr, LORENZ_BIN_MS, LORENZ_HALF_EXTENT_MS,
-                               LORENZ_NBINS)
-    o = _ORIGIN_BIN
-    orc = int(hist[o, o])
-    nonempty = hist > 0
-    ire = int(np.count_nonzero(nonempty)) - (1 if orc > 0 else 0)
-    # Quadrants by bin index: bins at index >= o sit on the non-negative
-    # side of the axis (the origin bin spans [0, bin_width) on each axis).
-    q1 = int(np.count_nonzero(nonempty[o:, o:])) - (1 if orc > 0 else 0)
-    q2 = int(np.count_nonzero(nonempty[:o, o:]))
-    q3 = int(np.count_nonzero(nonempty[:o, :o]))
-    q4 = int(np.count_nonzero(nonempty[o:, :o]))
-    pace = max(0, (q2 + q4) - (q1 + q3))
-    afe = ire - orc - 2 * pace
-    return afe, orc, ire, pace
+    vec = _one_window(rr)
+    return vec.afe, vec.orc, vec.ire, vec.pace
 
 
 def simple_stats(rr: np.ndarray) -> tuple[float, float, float]:
     """(avnn, minrr, medhr); the median of 59 values is the sorted middle."""
-    rr = _check_rr(rr)
-    avnn = float(np.mean(rr))
-    minrr = float(np.min(rr))
-    median = float(np.sort(rr)[(rr.shape[0] - 1) // 2])
-    return avnn, minrr, 60000.0 / median
+    vec = _one_window(rr)
+    return vec.avnn, vec.minrr, vec.medhr
 
 
 def featurize(window: BeatWindow, min_bsqi: float = 0.8) -> FeatureVector:
     """Assemble the nine features for a quality-gated window."""
-    if window.bsqi < min_bsqi:
-        raise ContractViolationError(
-            f"window {window.window_index} has bsqi {window.bsqi:.3f} below "
-            f"the {min_bsqi} gate; featurize only included windows")
-    rr = _check_rr(window.rr)
-    c = cosen(rr)
-    afe, orc, ire, pace = lorenz_features(rr)
-    avnn, minrr, medhr = simple_stats(rr)
-    return FeatureVector(bsqi=float(window.bsqi), cosen=c, afe=afe, orc=orc,
-                         ire=ire, pace=pace, avnn=avnn, minrr=minrr,
-                         medhr=medhr)
+    return FeatureVector.from_array(
+        featurize_windows([window], min_bsqi)[0].tolist())
 
 
 def feature_matrix_csv(rows: "list[tuple[str, int, FeatureVector]]") -> str:

@@ -38,7 +38,7 @@ from .features import (
     BeatWindow,
     FeatureVector,
     feature_order_checksum,
-    featurize,
+    featurize_windows,
 )
 from .record_io import AF, NON_AF, RhythmAnnotations
 
@@ -84,16 +84,20 @@ def label_windows(windows: list[BeatWindow],
     the count of skips is returned alongside the labeled windows.
     """
     span_start, span_end = annotations.span
-    labeled: list[LabeledWindow] = []
+    kept: list[BeatWindow] = []
+    labels: list[str] = []
     skipped = 0
     for w in windows:
         if w.t_end <= span_start or w.t_start >= span_end:
             skipped += 1
             continue
         af_s = annotations.af_overlap_s(w.t_start, w.t_end)
-        label = AF if af_s >= 0.5 * (w.t_end - w.t_start) else NON_AF
-        labeled.append(LabeledWindow(features=featurize(w, min_bsqi),
-                                     label=label, patient_id=patient_id))
+        labels.append(AF if af_s >= 0.5 * (w.t_end - w.t_start) else NON_AF)
+        kept.append(w)
+    X = featurize_windows(kept, min_bsqi)
+    labeled = [LabeledWindow(features=FeatureVector.from_array(row),
+                             label=label, patient_id=patient_id)
+               for row, label in zip(X.tolist(), labels)]
     return labeled, skipped
 
 

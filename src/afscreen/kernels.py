@@ -13,6 +13,11 @@ import time:
   ``0``/``false``/``no`` in the environment;
 * otherwise the numpy implementations are bound.
 
+The window features no longer run through a kernel: ``features``
+computes them for many windows at once in numpy. ``sampen_pair_counts``
+and ``lorenz_hist`` remain as the one-window forms the tests check
+against their brute-force definitions.
+
 ``benchmarks/bench_kernels.py`` times the two backends side by side.
 """
 

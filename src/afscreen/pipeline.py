@@ -2,9 +2,11 @@
 
 One patient flows through: reference detection -> test detection ->
 60-beat windowing -> per-window bsqi -> recording-level QC -> features
--> forest inference -> AF burden. The AF burden (afb) is the percentage
-of *included* windows classified AF; excluded recordings carry no afb.
-A patient is flagged prominent-AF iff afb >= the 20% threshold.
+-> forest inference -> AF burden. The included windows of an accepted
+recording are featurized as one matrix and scored by one forest call.
+The AF burden (afb) is the percentage of *included* windows classified
+AF; excluded recordings carry no afb. A patient is flagged prominent-AF
+iff afb >= the 20% threshold.
 
 Recordings can also enter as plain RR series (beat times on file); the
 dual-detector agreement step then has nothing to compare, so every
@@ -28,8 +30,10 @@ from pathlib import Path
 
 from . import quality
 from .errors import AfscreenError, ConfigurationError, ParseError
-from .features import featurize
-from .forest import ForestModel, LabeledWindow, label_windows, predict_proba
+# pipeline.featurize stays importable: perfbench's tracer tests bind it here
+from .features import featurize, featurize_windows  # noqa: F401
+from .forest import (ForestModel, LabeledWindow, label_windows,
+                     predict_proba_many)
 from .qrs import RPeakSeries, detect_reference, detect_test
 from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
 from .record_io import (
@@ -218,9 +222,13 @@ def _finish(patient_id: str, qc: RecordingQC,
 
     per_window = []
     n_af = 0
+    probas = iter(())
+    if qc.status == ACCEPTED:
+        X = featurize_windows(included, config.bsqi_threshold)
+        probas = iter(predict_proba_many(model, X).tolist())
     for w, q in zip(windows, qualities):
         if qc.status == ACCEPTED and q.included:
-            proba = predict_proba(model, featurize(w, config.bsqi_threshold))
+            proba = next(probas)
             label = AF if proba > 0.5 else NON_AF
             n_af += label == AF
             per_window.append((w.window_index, float(q.bsqi), proba, label))

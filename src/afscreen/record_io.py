@@ -49,7 +49,6 @@ EDF_DIGITAL_MAX = 32767
 class PatientMeta:
     """Per-patient context carried alongside the signal."""
 
-    age: float | None = None
     ahi: float | None = None
     reference_af_label: str = UNKNOWN
 
@@ -313,7 +312,8 @@ def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
     8-character ASCII header fields, and then re-parsed before samples
     are quantized, so a parse/write cycle of the produced bytes
     reproduces the sample payload bit-exactly. Header timestamps are
-    fixed placeholders; output depends only on the record.
+    fixed placeholders; output depends only on the record. A header
+    field that is not ASCII or too wide raises ConfigurationError.
     """
     samples = record.samples
     lo = float(samples.min())
@@ -353,6 +353,9 @@ def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
     payload = digital.astype("<i2").tobytes()
 
     def pad(text: str, width: int) -> bytes:
+        if not text.isascii():
+            raise ConfigurationError(
+                f"EDF field value {text!r} is not ASCII")
         b = text.encode("ascii")
         if len(b) > width:
             raise ConfigurationError(

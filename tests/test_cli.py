@@ -214,6 +214,17 @@ def test_synth_rejects_bad_program(tmp_path, capsys):
     assert "NSR-600" in capsys.readouterr().err
 
 
+def test_synth_rejects_non_ascii_patient_id(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--out-dir", str(out), "--patient-id", "p\u00e9",
+                 "--program", "NSR:60"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not ASCII" in err
+    assert not out.exists()
+
+
 def test_qc_ledger_carries_errors(tmp_path):
     (tmp_path / "m.csv").write_text(
         "path,format,patient_id\nabsent.csv,rr,p9\n")

@@ -306,3 +306,79 @@ def test_feature_matrix_csv_lossless():
     second = [float(v) for v in lines[2].split(",")[2:]]
     np.testing.assert_array_equal(
         np.array(second), rows[1][2].to_array())
+
+
+# ---------------------------------------------------------------------------
+# batched features
+
+
+def oracle_feature_row(rr, bsqi):
+    """Plain-loop copy of the per-window feature code that feature_matrix
+    replaced; np.mean is kept for the mean so every bit matches."""
+    x = rr.tolist()
+    b = a = 0
+    for i in range(58):
+        for j in range(i + 1, 58):
+            if abs(x[i] - x[j]) <= 30.0:
+                b += 1
+                if abs(x[i + 1] - x[j + 1]) <= 30.0:
+                    a += 1
+    mean = float(np.mean(rr))
+    bb = 2.0 * b if b > 0 else 0.5
+    aa = 2.0 * a if a > 0 else 0.5
+    sampen = math.log(bb) - math.log(aa)
+    c = sampen + math.log(2.0 * 30.0) - math.log(mean)
+
+    dr = [x[k + 1] - x[k] for k in range(58)]
+    hist = np.zeros((30, 30), dtype=np.int64)
+    for k in range(57):
+        ix = min(max(int(np.floor((dr[k + 1] + 600.0) / 40.0)), 0), 29)
+        iy = min(max(int(np.floor((dr[k] + 600.0) / 40.0)), 0), 29)
+        hist[ix, iy] += 1
+    o = 15
+    orc = int(hist[o, o])
+    nonempty = hist > 0
+    ire = int(np.count_nonzero(nonempty)) - (1 if orc > 0 else 0)
+    q1 = int(np.count_nonzero(nonempty[o:, o:])) - (1 if orc > 0 else 0)
+    q2 = int(np.count_nonzero(nonempty[:o, o:]))
+    q3 = int(np.count_nonzero(nonempty[:o, :o]))
+    q4 = int(np.count_nonzero(nonempty[o:, :o]))
+    pace = max(0, (q2 + q4) - (q1 + q3))
+    afe = ire - orc - 2 * pace
+
+    median = sorted(x)[29]
+    return np.array([bsqi, c, afe, orc, ire, pace, mean, min(x),
+                     60000.0 / median], dtype=np.float64)
+
+
+BATCH_KINDS = ("random", "grid", "edges", "saturated", "constant")
+
+
+def batch_of(kind, n, rng):
+    if kind == "random":
+        return rng.uniform(300.0, 1800.0, size=(n, 59))
+    if kind == "grid":
+        # 1/128 s sampling grid over a narrow range: many exact ties
+        return rng.integers(90, 110, size=(n, 59)) * (1000.0 / 128.0)
+    if kind == "edges":
+        # 10 ms grid: differences land exactly on the 30 ms tolerance and
+        # on the 40 ms Lorenz bin edges
+        return rng.integers(70, 90, size=(n, 59)) * 10.0
+    if kind == "saturated":
+        rows = [SATURATED_RR[::-1] if i % 2 else SATURATED_RR
+                for i in range(n)]
+        return np.array(rows).reshape(n, 59) + 0.125 * np.arange(n)[:, None]
+    return np.repeat(400.0 + 7.8125 * np.arange(n)[:, None], 59, axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_batched_features_match_per_window_oracle(kind, n):
+    rng = np.random.default_rng(10 * n + BATCH_KINDS.index(kind))
+    rr = batch_of(kind, n, rng)
+    bsqi = rng.uniform(0.8, 1.0, size=n)
+    got = features.feature_matrix(rr, bsqi)
+    want = np.array([oracle_feature_row(rr[i], bsqi[i]) for i in range(n)])
+    assert got.shape == (n, len(FEATURE_NAMES))
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  want.reshape(n, 9).view(np.int64))

@@ -428,3 +428,40 @@ def test_pipeline_config_validation():
         PipelineConfig(afb_threshold_pct=101.0)
     with pytest.raises(ConfigurationError):
         PipelineConfig(max_exclusion_rate=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched window scoring
+
+
+def test_finish_scores_each_accepted_patient_in_one_call(monkeypatch):
+    from afscreen import pipeline
+
+    calls = []
+    real = pipeline.predict_proba_many
+
+    def counting(model, X):
+        calls.append(X.shape)
+        return real(model, X)
+
+    monkeypatch.setattr(pipeline, "predict_proba_many", counting)
+    accepted = process_rr(rr_series([0.6] * 5 + [0.85] * 15), AVNN_STUMP,
+                          PipelineConfig(), patient_id="ok")
+    assert accepted.qc.status == "accepted"
+    assert calls == [(20, len(FEATURE_NAMES))]
+    assert accepted.afb == 25.0
+
+    calls.clear()
+    short = process_rr(rr_series([0.8] * 15), AVNN_STUMP, PipelineConfig())
+    assert short.qc.status == "too_few_peaks"
+    assert calls == []
+
+
+def test_wrong_window_width_lands_every_patient_in_the_ledger(tmp_path):
+    results, report = run_cohort(cohort_entries(tmp_path), AVNN_STUMP,
+                                 PipelineConfig(window_beats=30), workers=1)
+    assert results == []
+    width = "ContractViolationError: expected 59 RR intervals, got shape (29,)"
+    errors = dict(report.errors)
+    assert (errors["paf"], errors["pnsr"]) == (width, width)
+    assert errors["plost"].startswith("FileNotFoundError")
