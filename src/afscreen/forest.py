@@ -4,14 +4,19 @@ Twenty depth-3 trees by default. Each tree sees a bootstrap resample of
 the training windows; each node draws floor(sqrt(9)) = 3 candidate
 features without replacement and takes the split minimizing weighted
 Gini impurity over midpoints between consecutive distinct feature
-values. Leaves store class counts; a tree votes the majority class of
-the reached leaf (leaf tie -> nonAF); the forest's probability is the
-fraction of trees voting AF, and the hard label is AF iff that fraction
-exceeds 0.5 (exactly 0.5 -> nonAF).
+values; of equally good splits it takes the first drawn feature, then
+that feature's lowest boundary. Leaves store class counts; a tree votes
+the majority class of the reached leaf (leaf tie -> nonAF); the forest's
+probability is the fraction of trees voting AF, and the hard label is AF
+iff that fraction exceeds 0.5 (exactly 0.5 -> nonAF).
 
 Per-tree RNG streams are derived from (seed, tree_index), so training
-is deterministic and independent of tree scheduling. Cross-validation
-folds group by patient so no patient spans a fold boundary.
+is deterministic and independent of tree scheduling, and a forest of n
+trees is the first n trees of any larger forest of the same depth.
+Cross-validation folds group by patient so no patient spans a fold
+boundary; each fold fits one forest per grid depth, with that depth's
+largest tree count, and scores the smaller grid points from its first
+trees.
 
 Models serialize to versioned JSON carrying a checksum of the declared
 feature order; loading against a different feature declaration fails.
@@ -101,39 +106,39 @@ def label_windows(windows: list[BeatWindow],
     return labeled, skipped
 
 
-def _gini_pair(c0: int, c1: int) -> float:
-    n = c0 + c1
-    return 1.0 - (c0 * c0 + c1 * c1) / (n * n)
-
-
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 feats: np.ndarray):
+    """First (feature, threshold) minimizing the weighted Gini impurity.
+
+    All boundaries of the drawn features are scored in one pass. Ties
+    go to the first drawn feature, then to its lowest boundary.
+    """
     n = idx.shape[0]
-    best_gini = math.inf
-    best = None
-    for f in feats:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="mergesort")
-        sv = vals[order]
-        sy = y[idx][order]
-        cum1 = np.cumsum(sy)
-        total1 = int(cum1[-1])
-        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-        for b in boundaries:
-            nl = int(b) + 1
-            nr = n - nl
-            l1 = int(cum1[b])
-            g = (nl * _gini_pair(nl - l1, l1)
-                 + nr * _gini_pair(nr - (total1 - l1), total1 - l1)) / n
-            if g < best_gini:
-                thr = 0.5 * (sv[b] + sv[b + 1])
-                if thr >= sv[b + 1]:
-                    # adjacent floats can round the midpoint up; keep the
-                    # threshold strictly below the right value
-                    thr = float(sv[b])
-                best_gini = g
-                best = (int(f), float(thr))
-    return best
+    vals = X[np.ix_(idx, feats)]
+    order = np.argsort(vals, axis=0, kind="mergesort")
+    sv = np.take_along_axis(vals, order, axis=0)
+    cum1 = np.cumsum(y[idx][order], axis=0)
+    # boundary b puts sorted rows 0..b left; integer counts, so every
+    # float below is the correctly rounded value of the same expression
+    l1 = cum1[:-1]
+    r1 = cum1[-1] - l1
+    nl = np.arange(1, n, dtype=np.int64)[:, None]
+    nr = n - nl
+    l0 = nl - l1
+    r0 = nr - r1
+    g = (nl * (1.0 - (l0 * l0 + l1 * l1) / (nl * nl))
+         + nr * (1.0 - (r0 * r0 + r1 * r1) / (nr * nr))) / n
+    g = np.where(sv[:-1] < sv[1:], g, np.inf)
+    k = int(np.argmin(g.T))
+    j, b = divmod(k, n - 1)
+    if g[b, j] == np.inf:
+        return None
+    thr = 0.5 * (sv[b, j] + sv[b + 1, j])
+    if thr >= sv[b + 1, j]:
+        # adjacent floats can round the midpoint up; keep the threshold
+        # strictly below the right value
+        thr = sv[b, j]
+    return int(feats[j]), float(thr)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
@@ -241,8 +246,16 @@ def cross_validate(data: list[LabeledWindow],
 
     Ties on mean AUROC prefer fewer trees, then shallower depth. Folds
     with a single-class train or validation side are skipped for that
-    grid point.
+    grid point. Rows follow the grid's order, duplicates included. A
+    grid point of n trees is scored from the first n trees of its
+    depth's largest forest, whose tree t depends only on (data, seed,
+    t, depth).
     """
+    if k < 2:
+        raise ConfigurationError(f"grouped CV needs at least 2 folds, got {k}")
+    if any(n_est < 1 or depth < 1 for n_est, depth in grid):
+        raise ConfigurationError(
+            "n_estimators and max_depth must be positive")
     patients = sorted({d.patient_id for d in data})
     if len(patients) < k:
         raise ConfigurationError(
@@ -254,24 +267,35 @@ def cross_validate(data: list[LabeledWindow],
     X, y = _data_matrix(data)
     folds = np.array([fold_of[d.patient_id] for d in data])
 
+    counts_at: dict[int, set[int]] = {}
+    for n_est, depth in grid:
+        counts_at.setdefault(depth, set()).add(n_est)
+    aucs: dict[tuple[int, int], list[float]] = {
+        (n_est, depth): [] for n_est, depth in grid}
+    for j in range(k):
+        tr = folds != j
+        va = ~tr
+        if not va.any() or y[tr].min() == y[tr].max():
+            continue
+        sub = [d for d, m in zip(data, tr) if m]
+        X_va, y_va = X[va], y[va].tolist()
+        for depth, counts in counts_at.items():
+            model = train(sub, n_estimators=max(counts), max_depth=depth,
+                          seed=seed)
+            votes = np.cumsum([_tree_vote_many(t, X_va)
+                               for t in model.trees], axis=0)
+            for n_est in counts:
+                # the division predict_proba_many makes for n_est trees
+                proba = votes[n_est - 1] / n_est
+                auc, _ = stats.auroc(list(zip(proba.tolist(), y_va)))
+                if auc is not None:
+                    aucs[n_est, depth].append(auc)
+
     rows = []
     for n_est, depth in grid:
-        aucs = []
-        for j in range(k):
-            tr = folds != j
-            va = ~tr
-            if not va.any() or y[tr].min() == y[tr].max():
-                continue
-            sub = [d for d, m in zip(data, tr) if m]
-            model = train(sub, n_estimators=n_est, max_depth=depth,
-                          seed=seed)
-            proba = predict_proba_many(model, X[va])
-            auc, _ = stats.auroc(list(zip(proba.tolist(),
-                                          y[va].tolist())))
-            if auc is not None:
-                aucs.append(auc)
-        mean_auc = sum(aucs) / len(aucs) if aucs else None
-        rows.append((n_est, depth, mean_auc, len(aucs)))
+        point = aucs[n_est, depth]
+        mean_auc = sum(point) / len(point) if point else None
+        rows.append((n_est, depth, mean_auc, len(point)))
 
     scored = [r for r in rows if r[2] is not None]
     if not scored:

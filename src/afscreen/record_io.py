@@ -555,9 +555,11 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
 
     Beat times must be finite and strictly increasing; a violation
     raises ParseError or OrderingError naming the 1-based row. When the
-    rhythm column is present, consecutive runs of one label become
-    episodes spanning the first to the last beat of the run (single-beat
-    runs bound no RR interval and are dropped).
+    rhythm column is present, a label reading ``AF`` in any case, after
+    stripping spaces, marks AF; every other label (``N``, ``OTHER``,
+    ``AFL``, ...) marks non-AF rhythm. Consecutive runs of one rhythm
+    become episodes spanning the first to the last beat of the run
+    (single-beat runs bound no RR interval and are dropped).
     """
     times: list[float] = []
     rhythms: list[str] | None = None
@@ -587,7 +589,7 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
                         f"rhythm column appears first at row {row}; it must "
                         f"be present on every row or none")
                 rhythms = []
-            rhythms.append(AF if parts[1] == AF else OTHER)
+            rhythms.append(AF if parts[1].upper() == AF else OTHER)
         elif rhythms is not None:
             raise ParseError(f"missing rhythm label at row {row}")
         times.append(t)

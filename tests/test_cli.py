@@ -88,6 +88,19 @@ def test_train_rejects_bad_grid(cohort, capsys):
     assert not (cohort / "m2.json").exists()
 
 
+@pytest.mark.parametrize("folds", ["0", "1", "-3"])
+def test_train_rejects_fewer_than_two_folds(cohort, tmp_path, capsys, folds):
+    out = tmp_path / "m.json"
+    code = main(["train", "--manifest", str(cohort / "train.csv"),
+                 "--out", str(out), "--grid", "5x2", "--cv-folds", folds,
+                 *SMALL])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "folds" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -1,11 +1,12 @@
 """Forest training, prediction, selection, and model serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from afscreen import forest
+from afscreen import forest, stats
 from afscreen.errors import (CompatibilityError, ConfigurationError,
                              ContractViolationError, DegenerateModelError,
                              ParseError)
@@ -198,6 +199,104 @@ def test_majority_fraction_is_exact():
 
 
 # ---------------------------------------------------------------------------
+# split search against a per-boundary loop
+
+
+def _gini_pair_oracle(c0, c1):
+    n = c0 + c1
+    return 1.0 - (c0 * c0 + c1 * c1) / (n * n)
+
+
+def best_split_oracle(X, y, idx, feats):
+    """One feature and one boundary at a time; strict < keeps the first."""
+    n = idx.shape[0]
+    best_gini = math.inf
+    best = None
+    for f in feats:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="mergesort")
+        sv = vals[order]
+        sy = y[idx][order]
+        cum1 = np.cumsum(sy)
+        total1 = int(cum1[-1])
+        for b in np.flatnonzero(sv[:-1] < sv[1:]):
+            nl = int(b) + 1
+            nr = n - nl
+            l1 = int(cum1[b])
+            g = (nl * _gini_pair_oracle(nl - l1, l1)
+                 + nr * _gini_pair_oracle(nr - (total1 - l1),
+                                          total1 - l1)) / n
+            if g < best_gini:
+                thr = 0.5 * (sv[b] + sv[b + 1])
+                if thr >= sv[b + 1]:
+                    thr = float(sv[b])
+                best_gini = g
+                best = (int(f), float(thr))
+    return best
+
+
+def split_cases():
+    rng = np.random.default_rng(11)
+    for case in range(600):
+        n_rows = int(rng.integers(2, 80))
+        # few distinct values: many duplicates and exact Gini ties
+        X = rng.integers(0, int(rng.integers(1, 6)),
+                         size=(n_rows, 9)).astype(np.float64)
+        if case % 3 == 0:
+            X[:, 4] = 7.0  # a constant feature
+        if case % 5 == 0:
+            X[:, 6] = X[:, 2]  # equal columns tie across features
+        y = rng.integers(0, 2, size=n_rows)
+        n = int(rng.integers(2, 2 * n_rows + 1))
+        idx = rng.integers(0, n_rows, size=n)  # a bootstrap: repeated rows
+        feats = rng.choice(9, size=3, replace=False)
+        yield X, y, idx, feats
+    # n = 2, split and unsplittable
+    X = np.array([[0.0] * 9, [1.0] * 9])
+    yield X, np.array([0, 1]), np.array([0, 1]), np.array([3, 0, 8])
+    yield X, np.array([0, 1]), np.array([1, 1]), np.array([3, 0, 8])
+    # an all-constant node
+    yield (np.full((5, 9), 2.5), np.array([0, 1, 0, 1, 1]), np.arange(5),
+           np.array([1, 2, 3]))
+
+
+def test_best_split_matches_boundary_loop():
+    outcomes = set()
+    for X, y, idx, feats in split_cases():
+        got = forest._best_split(X, y, idx, feats)
+        assert got == best_split_oracle(X, y, idx, feats)
+        if got is not None:
+            assert type(got[0]) is int and type(got[1]) is float
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_best_split_ties_pick_first_feature_then_lowest_boundary():
+    # columns 2 and 6 are equal; boundaries 0.5 and 2.5 tie on Gini
+    X = np.zeros((4, 9))
+    X[:, 2] = X[:, 6] = [0.0, 1.0, 2.0, 3.0]
+    y = np.array([0, 1, 1, 0])
+    idx = np.arange(4)
+    for feats in ([6, 2, 0], [2, 6, 0], [0, 6, 2]):
+        feats = np.array(feats)
+        got = forest._best_split(X, y, idx, feats)
+        assert got == best_split_oracle(X, y, idx, feats)
+        assert got == (int(feats[feats != 0][0]), 0.5)
+
+
+def test_best_split_keeps_threshold_below_adjacent_float():
+    lo = np.nextafter(1.0, 2.0)  # odd last mantissa bit
+    hi = np.nextafter(lo, 2.0)
+    assert 0.5 * (lo + hi) == hi  # the midpoint rounds up
+    X = np.zeros((4, 9))
+    X[:, 5] = [lo, lo, hi, hi]
+    y = np.array([0, 0, 1, 1])
+    feats = np.array([5, 0, 1])
+    got = forest._best_split(X, y, np.arange(4), feats)
+    assert got == best_split_oracle(X, y, np.arange(4), feats) == (5, lo)
+
+
+# ---------------------------------------------------------------------------
 # window labeling
 
 
@@ -308,6 +407,88 @@ def test_cv_skips_single_class_validation_folds():
     n_est, depth, auc, folds_used = result.rows[0]
     assert folds_used == 4
     assert auc is not None
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_cv_rejects_fewer_than_two_folds(k):
+    with pytest.raises(ConfigurationError, match="at least 2 folds"):
+        cross_validate(separable_set(), k=k)
+
+
+def test_cv_rejects_non_positive_grid_point():
+    # depth 2 still fits 10 trees; the 0-tree point must not be scored
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        cross_validate(separable_set(), grid=((10, 2), (0, 2)))
+
+
+def noisy_set(seed=5, n_patients=5, per_patient=14):
+    """Overlapping classes on a 0.1 grid, so validation AUROCs differ
+    between grid points; patient "solo" holds AF windows only."""
+    rng = np.random.default_rng(seed)
+    data = []
+    for p in range(n_patients):
+        for _ in range(per_patient):
+            x = np.round(rng.normal(size=9), 1)
+            label = AF if x[1] + x[6] + rng.normal(0, 1.0) > 0 else NON_AF
+            data.append(LabeledWindow(features=FeatureVector.from_array(x),
+                                      label=label, patient_id=f"p{p}"))
+    for _ in range(6):
+        x = np.round(rng.normal(0.5, 1.0, size=9), 1)
+        data.append(LabeledWindow(features=FeatureVector.from_array(x),
+                                  label=AF, patient_id="solo"))
+    return data
+
+
+def cross_validate_oracle(data, grid, k, seed):
+    """Rows of a grid search that fits every grid point on its own."""
+    patients = sorted({d.patient_id for d in data})
+    order = np.random.default_rng(seed).permutation(len(patients))
+    fold_of = {patients[int(p)]: i % k for i, p in enumerate(order)}
+    X = np.stack([d.features.to_array() for d in data])
+    y = np.array([d.label == AF for d in data], dtype=np.int64)
+    folds = np.array([fold_of[d.patient_id] for d in data])
+    rows = []
+    for n_est, depth in grid:
+        aucs = []
+        for j in range(k):
+            tr = folds != j
+            va = ~tr
+            if not va.any() or y[tr].min() == y[tr].max():
+                continue
+            sub = [d for d, m in zip(data, tr) if m]
+            model = train(sub, n_estimators=n_est, max_depth=depth,
+                          seed=seed)
+            proba = predict_proba_many(model, X[va])
+            auc, _ = stats.auroc(list(zip(proba.tolist(),
+                                          y[va].tolist())))
+            if auc is not None:
+                aucs.append(auc)
+        mean_auc = sum(aucs) / len(aucs) if aucs else None
+        rows.append((n_est, depth, mean_auc, len(aucs)))
+    return rows
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_fewer_trees_are_a_prefix_of_more(depth):
+    data = noisy_set()
+    assert (train(data, n_estimators=50, max_depth=depth, seed=3).trees[:10]
+            == train(data, n_estimators=10, max_depth=depth, seed=3).trees)
+
+
+@pytest.mark.parametrize("k,seed", [(6, 0), (3, 2)])
+def test_cv_rows_match_per_grid_point_fits(k, seed):
+    data = noisy_set()
+    # unsorted, with a duplicate point and a depth seen once
+    grid = ((20, 3), (10, 2), (50, 3), (10, 2), (5, 3), (20, 1))
+    result = cross_validate(data, grid=grid, k=k, seed=seed)
+    want = cross_validate_oracle(data, grid, k, seed)
+    assert result.rows == want
+    assert len({r[2] for r in want}) > 2
+    best = min(want, key=lambda r: (-r[2], r[0], r[1]))
+    assert (result.n_estimators, result.max_depth) == best[:2]
+    if k == 6:
+        # the fold of "solo" has a single-class validation side
+        assert all(r[3] == 5 for r in want)
 
 
 def test_cv_deterministic_given_seed():

@@ -309,6 +309,14 @@ def test_parse_rr_csv_rhythm_column_episodes():
     assert ann.episodes == [(0.8, 2.4, AF), (3.2, 4.0, OTHER)]
 
 
+def test_parse_rr_csv_rhythm_label_af_in_any_case():
+    text = ("0.0,N\n0.8,N\n1.6,af\n2.4,Af\n3.2, aF \n4.0,N\n4.8,N\n"
+            "5.6,AFL\n6.4,AFL\n")
+    _, ann = parse_rr_csv(text)
+    assert ann.episodes == [(0.0, 0.8, OTHER), (1.6, 3.2, AF),
+                            (4.0, 6.4, OTHER)]
+
+
 def test_parse_rr_csv_single_beat_runs_dropped():
     text = "0.0,AF\n1.0,OTHER\n2.0,AF\n3.0,AF\n"
     _, ann = parse_rr_csv(text)
