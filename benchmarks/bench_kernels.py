@@ -38,8 +38,6 @@ def workloads(hours: float, rng: np.random.Generator) -> dict:
 
     rr = rng.uniform(300.0, 2000.0, size=(n_windows, 59))
     dr = np.diff(rr, axis=1)
-    times = np.cumsum(rng.uniform(0.5, 1.2, size=n_beats))
-    jitter = rng.uniform(-0.05, 0.05, size=n_beats)
     envelope = np.abs(rng.normal(0.0, 1.0, size=n_samples))
     cand = np.flatnonzero(rng.random(n_samples) < 0.02).astype(np.int64)
     peaki = np.abs(rng.normal(1.0, 0.5, size=cand.shape[0]))
@@ -52,12 +50,6 @@ def workloads(hours: float, rng: np.random.Generator) -> dict:
         "lorenz_hist": (
             f"{n_windows} windows x 58 dRR",
             lambda impl: [impl(dr[i], 40.0, 600.0, 30)
-                          for i in range(n_windows)]),
-        "greedy_match_count": (
-            f"{n_windows} window pairs x ~60 beats",
-            lambda impl: [impl(times[i * 60:(i + 1) * 60],
-                               times[i * 60:(i + 1) * 60]
-                               + jitter[i * 60:(i + 1) * 60], 0.15)
                           for i in range(n_windows)]),
         "trailing_max": (
             f"{n_samples} samples, 150 ms window",
@@ -72,13 +64,13 @@ def workloads(hours: float, rng: np.random.Generator) -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="timing repetitions, best is reported (default 3)")
     ap.add_argument("--hours", type=float, default=8.0,
                     help="recording length the workloads mimic (default 8)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     backends = {"numpy": kernels.NUMPY_IMPL}
     if kernels.NUMBA_IMPL is not None:

@@ -34,11 +34,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, forest, pipeline, stats
+from . import __version__, forest, pipeline, quality, stats
 from .errors import AfscreenError, ConfigurationError
 from .qrs import detect_reference, detect_test
-from .quality import ACCEPTED
-from .record_io import AF, write_edf, write_rr_csv
+from .record_io import parse_rr_csv, write_edf, write_rr_csv
 from .synth import SynthSpec, synth_record
 
 VERSION = f"afscreen-{__version__}"
@@ -175,17 +174,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from(args)
     run_config = _run_config("train", args, config)
     entries = pipeline.read_manifest(args.manifest)
-    labeled, skipped = pipeline.collect_training_windows(entries, config)
+    X, y, groups, skipped = pipeline.collect_training_windows(entries,
+                                                              config)
     if skipped:
         print(f"note: {skipped} windows outside annotated spans were "
               f"skipped", file=sys.stderr)
-    if not labeled:
+    if not len(y):
         raise ConfigurationError("no labeled training windows")
 
     grid = _parse_grid(args.grid) if args.grid else forest.DEFAULT_GRID
-    cv = forest.cross_validate(labeled, grid=grid, k=args.cv_folds,
+    cv = forest.cross_validate(X, y, groups, grid=grid, k=args.cv_folds,
                                seed=args.seed)
-    model = forest.train(labeled, n_estimators=cv.n_estimators,
+    model = forest.train(X, y, n_estimators=cv.n_estimators,
                          max_depth=cv.max_depth, seed=args.seed)
 
     payload = json.loads(forest.save_model(model))
@@ -208,8 +208,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         else out.with_suffix(out.suffix + ".cv.csv")
     _write_text(report_path, buf.getvalue())
 
-    print(f"trained on {len(labeled)} windows from "
-          f"{len({w.patient_id for w in labeled})} patients; "
+    print(f"trained on {len(y)} windows from "
+          f"{len(set(groups.tolist()))} patients; "
           f"selected {cv.n_estimators} trees, depth {cv.max_depth}")
     print(f"model: {out}")
     print(f"cv report: {report_path}")
@@ -388,35 +388,22 @@ def cmd_qc(args: argparse.Namespace) -> int:
     for entry in entries:
         try:
             if entry.fmt == "rr":
-                from .record_io import parse_rr_csv
-                peaks, _ = parse_rr_csv(pipeline._read_text(entry.path))
-                windows = pipeline.quality.window_partition(
-                    peaks, config.window_beats)
-                qualities = [
-                    pipeline.quality.WindowQuality(
-                        window_index=w.window_index, bsqi=1.0, included=True)
-                    for w in windows]
-                ref = peaks
+                ref, _ = parse_rr_csv(pipeline._read_text(entry.path))
+                test = None
             else:
                 record = pipeline._load_record(entry, config)
                 ref = detect_reference(record)
                 test = detect_test(record)
-                windows = pipeline.quality.window_partition(
-                    ref, config.window_beats)
-                _, qualities = pipeline.quality.score_windows(
-                    windows, test, config.bsqi_threshold,
-                    config.match_tolerance_s)
-                if args.dump_detector:
-                    picked = ref if args.dump_detector == "reference" \
-                        else test
-                    dump_dir = Path(args.dump_dir or args.out).parent \
-                        if not args.dump_dir else Path(args.dump_dir)
-                    _write_text(
-                        dump_dir / f"{entry.patient_id}.peaks.csv",
-                        "".join(f"{float(t)!r}\n" for t in picked.times))
-            qc = pipeline.quality.qc_recording(
-                ref, qualities, config.min_reference_peaks,
-                config.max_exclusion_rate)
+            _, _, included = pipeline._score(ref, test, config)
+            if test is not None and args.dump_detector:
+                picked = ref if args.dump_detector == "reference" else test
+                dump_dir = Path(args.dump_dir) if args.dump_dir \
+                    else Path(args.out).parent
+                _write_text(dump_dir / f"{entry.patient_id}.peaks.csv",
+                            "".join(f"{float(t)!r}\n" for t in picked.times))
+            qc = quality.qc_recording(ref, included,
+                                      config.min_reference_peaks,
+                                      config.max_exclusion_rate)
             rows.append((entry.patient_id, qc))
         except (AfscreenError, OSError) as e:
             errors.append((entry.patient_id, f"{type(e).__name__}: {e}"))

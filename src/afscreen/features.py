@@ -26,18 +26,16 @@ One implementation computes all nine: feature_matrix takes n windows
 as an (n, 59) RR matrix plus their bsqi and returns an (n, 9) matrix.
 It works through fixed chunks of 32 windows, so its temporaries, the
 largest of which are the (32, 58, 58) COSEn comparisons, do not grow
-with the recording's length. featurize_windows feeds it a list of
-windows; featurize, cosen, lorenz_features and simple_stats are
-one-window calls into it.
+with the recording's length. featurize is the batched entry point of
+the pipeline: it gates the windows on bsqi and width, then calls
+feature_matrix. cosen, lorenz_features and simple_stats are one-window
+calls into it.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,61 +58,6 @@ FEATURE_NAMES = ("bsqi", "cosen", "afe", "orc", "ire", "pace",
 def feature_order_checksum() -> str:
     """Fingerprint of the declared feature order, stored in model files."""
     return hashlib.sha256(",".join(FEATURE_NAMES).encode()).hexdigest()
-
-
-@dataclass
-class BeatWindow:
-    """One run of 60 consecutive reference peaks."""
-
-    times: np.ndarray
-    window_index: int
-    bsqi: float = 1.0
-    rr: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1 or self.times.shape[0] < 2:
-            raise ContractViolationError("a window needs at least 2 peaks")
-        self.rr = np.diff(self.times) * 1000.0
-        if not np.all(self.rr > 0):
-            raise ContractViolationError("window peaks must strictly increase")
-
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-
-@dataclass
-class FeatureVector:
-    bsqi: float
-    cosen: float
-    afe: int
-    orc: int
-    ire: int
-    pace: int
-    avnn: float
-    minrr: float
-    medhr: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES],
-                        dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        values = list(values)
-        if len(values) != len(FEATURE_NAMES):
-            raise ContractViolationError(
-                f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
-        kwargs = {}
-        for name, v in zip(FEATURE_NAMES, values):
-            kwargs[name] = int(v) if name in ("afe", "orc", "ire", "pace") \
-                else float(v)
-        return cls(**kwargs)
 
 
 def _shape_error(shape: tuple) -> ContractViolationError:
@@ -225,64 +168,42 @@ def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
     return out
 
 
-def featurize_windows(windows: list[BeatWindow],
-                      min_bsqi: float = 0.8) -> np.ndarray:
-    """feature_matrix of quality-gated windows; row i is windows[i]'s.
+def featurize(rr: np.ndarray, bsqi, min_bsqi: float = 0.8) -> np.ndarray:
+    """feature_matrix of quality-gated windows, one row per RR row.
 
     Every window must pass the bsqi gate and hold 60 beats; the first
-    that does not raises, as featurize would.
+    that does not raises.
     """
-    for w in windows:
-        if w.bsqi < min_bsqi:
-            raise ContractViolationError(
-                f"window {w.window_index} has bsqi {w.bsqi:.3f} below "
-                f"the {min_bsqi} gate; featurize only included windows")
-        if w.rr.shape != (N_RR,):
-            raise _shape_error(w.rr.shape)
-    # reshape: no windows give shape (0,), not (0, 59)
-    rr = np.array([w.rr for w in windows]).reshape(len(windows), N_RR)
-    return feature_matrix(rr, [w.bsqi for w in windows])
+    rr = np.asarray(rr, dtype=np.float64)
+    bsqi = np.asarray(bsqi, dtype=np.float64)
+    if rr.shape[0] == 0 == bsqi.shape[0]:
+        # no windows: nothing to gate, whatever their width
+        return np.empty((0, len(FEATURE_NAMES)))
+    low = bsqi < min_bsqi
+    if rr.shape[1:] != (N_RR,) and not low[:1].any():
+        raise _shape_error(rr.shape[1:])
+    if low.any():
+        i = int(np.argmax(low))
+        raise ContractViolationError(
+            f"window {i} has bsqi {bsqi[i]:.3f} below the {min_bsqi} "
+            f"gate; featurize only included windows")
+    return feature_matrix(rr, bsqi)
 
 
-def _one_window(rr: np.ndarray, r: float = COSEN_R_MS) -> FeatureVector:
-    return FeatureVector.from_array(
-        feature_matrix(_check_rr(rr)[None, :], [1.0], r)[0].tolist())
+def _one_window(rr: np.ndarray, r: float = COSEN_R_MS) -> list:
+    return feature_matrix(_check_rr(rr)[None, :], [1.0], r)[0].tolist()
 
 
 def cosen(rr: np.ndarray, r: float = COSEN_R_MS) -> float:
     """Coefficient of sample entropy; r in the units of rr."""
-    return _one_window(rr, r).cosen
+    return _one_window(rr, r)[1]
 
 
 def lorenz_features(rr: np.ndarray) -> tuple[int, int, int, int]:
     """(afe, orc, ire, pace) from the binned Lorenz plot of delta-RR."""
-    vec = _one_window(rr)
-    return vec.afe, vec.orc, vec.ire, vec.pace
+    return tuple(int(v) for v in _one_window(rr)[2:6])
 
 
 def simple_stats(rr: np.ndarray) -> tuple[float, float, float]:
     """(avnn, minrr, medhr); the median of 59 values is the sorted middle."""
-    vec = _one_window(rr)
-    return vec.avnn, vec.minrr, vec.medhr
-
-
-def featurize(window: BeatWindow, min_bsqi: float = 0.8) -> FeatureVector:
-    """Assemble the nine features for a quality-gated window."""
-    return FeatureVector.from_array(
-        featurize_windows([window], min_bsqi)[0].tolist())
-
-
-def feature_matrix_csv(rows: "list[tuple[str, int, FeatureVector]]") -> str:
-    """Serialize (patient_id, window_index, vector) rows as CSV.
-
-    Header is patient_id, window_index, then the nine feature names in
-    declared order. Floats use repr so the export is lossless.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["patient_id", "window_index", *FEATURE_NAMES])
-    for patient_id, window_index, vec in rows:
-        values = [repr(float(v)) if isinstance(v, float) else str(v)
-                  for v in (getattr(vec, name) for name in FEATURE_NAMES)]
-        writer.writerow([patient_id, window_index, *values])
-    return out.getvalue()
+    return tuple(_one_window(rr)[6:9])

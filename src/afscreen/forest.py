@@ -7,8 +7,12 @@ Gini impurity over midpoints between consecutive distinct feature
 values; of equally good splits it takes the first drawn feature, then
 that feature's lowest boundary. Leaves store class counts; a tree votes
 the majority class of the reached leaf (leaf tie -> nonAF); the forest's
-probability is the fraction of trees voting AF, and the hard label is AF
-iff that fraction exceeds 0.5 (exactly 0.5 -> nonAF).
+probability is the fraction of trees voting AF; the pipeline labels a
+window AF iff that fraction exceeds 0.5 (exactly 0.5 -> nonAF).
+
+Training data is three aligned arrays: X, the (n, 9) feature matrix;
+y, the labels (1 = AF, 0 = nonAF); and groups, each window's patient
+id. label_windows makes one recording's X and y.
 
 Per-tree RNG streams are derived from (seed, tree_index), so training
 is deterministic and independent of tree scheduling, and a forest of n
@@ -38,14 +42,8 @@ from .errors import (
     DegenerateModelError,
     ParseError,
 )
-from .features import (
-    FEATURE_NAMES,
-    BeatWindow,
-    FeatureVector,
-    feature_order_checksum,
-    featurize_windows,
-)
-from .record_io import AF, NON_AF, RhythmAnnotations
+from .features import FEATURE_NAMES, feature_order_checksum, featurize
+from .record_io import RhythmAnnotations
 
 MODEL_FORMAT_VERSION = 1
 MODEL_KIND = "af-window-forest"
@@ -53,18 +51,6 @@ DEFAULT_N_ESTIMATORS = 20
 DEFAULT_MAX_DEPTH = 3
 # brackets the defaults: tree counts {10, 20, 50} x depths {2, 3, 5}
 DEFAULT_GRID = tuple((n, d) for n in (10, 20, 50) for d in (2, 3, 5))
-
-
-@dataclass
-class LabeledWindow:
-    features: FeatureVector
-    label: str
-    patient_id: str
-
-    def __post_init__(self) -> None:
-        if self.label not in (AF, NON_AF):
-            raise ContractViolationError(
-                f"label must be {AF!r} or {NON_AF!r}, got {self.label!r}")
 
 
 @dataclass
@@ -77,33 +63,28 @@ class ForestModel:
     feature_checksum: str = field(default_factory=feature_order_checksum)
 
 
-def label_windows(windows: list[BeatWindow],
+def label_windows(times: np.ndarray, bsqi: np.ndarray,
                   annotations: RhythmAnnotations,
-                  patient_id: str = "",
                   min_bsqi: float = 0.8,
-                  ) -> tuple[list[LabeledWindow], int]:
-    """Label quality-gated windows against rhythm episodes.
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Features and rhythm labels of quality-gated windows.
 
-    A window is AF iff at least half of its time span lies inside AF
-    episodes. Windows entirely outside the annotated span are skipped;
-    the count of skips is returned alongside the labeled windows.
+    times holds one window of beat times per row, bsqi their scores. A
+    window is AF (1) iff at least half of its time span lies inside AF
+    episodes, else nonAF (0). Windows entirely outside the annotated
+    span are skipped. Returns (X, y, number skipped).
     """
     span_start, span_end = annotations.span
-    kept: list[BeatWindow] = []
-    labels: list[str] = []
-    skipped = 0
-    for w in windows:
-        if w.t_end <= span_start or w.t_start >= span_end:
-            skipped += 1
-            continue
-        af_s = annotations.af_overlap_s(w.t_start, w.t_end)
-        labels.append(AF if af_s >= 0.5 * (w.t_end - w.t_start) else NON_AF)
-        kept.append(w)
-    X = featurize_windows(kept, min_bsqi)
-    labeled = [LabeledWindow(features=FeatureVector.from_array(row),
-                             label=label, patient_id=patient_id)
-               for row, label in zip(X.tolist(), labels)]
-    return labeled, skipped
+    t_start = times[:, 0]
+    t_end = times[:, -1]
+    keep = (t_end > span_start) & (t_start < span_end)
+    y = np.array([annotations.af_overlap_s(t0, t1) >= 0.5 * (t1 - t0)
+                  for t0, t1 in zip(t_start[keep].tolist(),
+                                    t_end[keep].tolist())],
+                 dtype=np.int64)
+    X = featurize(np.diff(times[keep], axis=1) * 1000.0, bsqi[keep],
+                  min_bsqi)
+    return X, y, int(keep.shape[0] - np.count_nonzero(keep))
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
@@ -161,23 +142,28 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     }
 
 
-def _data_matrix(data: list[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([d.features.to_array() for d in data])
-    y = np.array([1 if d.label == AF else 0 for d in data], dtype=np.int64)
-    return X, y
-
-
-def train(data: list[LabeledWindow],
+def train(X: np.ndarray, y: np.ndarray,
           n_estimators: int = DEFAULT_N_ESTIMATORS,
           max_depth: int = DEFAULT_MAX_DEPTH,
           seed: int = 0) -> ForestModel:
-    """Fit the forest; deterministic given (data order, seed)."""
+    """Fit the forest on rows X with labels y (1 = AF, 0 = nonAF).
+
+    Deterministic given (row order, seed).
+    """
     if n_estimators < 1 or max_depth < 1:
         raise ConfigurationError(
             "n_estimators and max_depth must be positive")
-    if not data:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.shape[0] == 0:
         raise DegenerateModelError("no training windows")
-    X, y = _data_matrix(data)
+    if X.shape != (y.shape[0], len(FEATURE_NAMES)):
+        raise ContractViolationError(
+            f"expected an (n, {len(FEATURE_NAMES)}) feature matrix and n "
+            f"labels, got {X.shape} and {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ContractViolationError("labels must be 1 (AF) or 0 (nonAF)")
+    y = y.astype(np.int64)
     if not np.all(np.isfinite(X)):
         raise ContractViolationError("training features must be finite")
     if y.min() == y.max():
@@ -219,19 +205,6 @@ def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
     return votes / len(model.trees)
 
 
-def predict_proba(model: ForestModel,
-                  features: FeatureVector | np.ndarray) -> float:
-    if isinstance(features, FeatureVector):
-        features = features.to_array()
-    return float(predict_proba_many(model, np.asarray(features)[None, :])[0])
-
-
-def predict_label(model: ForestModel,
-                  features: FeatureVector | np.ndarray) -> str:
-    # exact 0.5 stays nonAF
-    return AF if predict_proba(model, features) > 0.5 else NON_AF
-
-
 @dataclass
 class CvResult:
     n_estimators: int
@@ -239,10 +212,12 @@ class CvResult:
     rows: list  # (n_estimators, max_depth, mean_auroc or None, folds_used)
 
 
-def cross_validate(data: list[LabeledWindow],
+def cross_validate(X: np.ndarray, y: np.ndarray, groups,
                    grid=DEFAULT_GRID, k: int = 5,
                    seed: int = 0) -> CvResult:
     """Patient-grouped k-fold selection of (n_estimators, max_depth).
+
+    groups holds each row's patient id; a patient's rows share a fold.
 
     Ties on mean AUROC prefer fewer trees, then shallower depth. Folds
     with a single-class train or validation side are skipped for that
@@ -256,16 +231,18 @@ def cross_validate(data: list[LabeledWindow],
     if any(n_est < 1 or depth < 1 for n_est, depth in grid):
         raise ConfigurationError(
             "n_estimators and max_depth must be positive")
-    patients = sorted({d.patient_id for d in data})
+    patients, patient_of = np.unique(np.asarray(groups),
+                                     return_inverse=True)
     if len(patients) < k:
         raise ConfigurationError(
             f"grouped {k}-fold CV needs at least {k} patients, "
             f"got {len(patients)}")
-    order = np.random.default_rng(seed).permutation(len(patients))
-    fold_of = {patients[int(p)]: i % k for i, p in enumerate(order)}
-
-    X, y = _data_matrix(data)
-    folds = np.array([fold_of[d.patient_id] for d in data])
+    fold_of = np.empty(len(patients), dtype=np.int64)
+    fold_of[np.random.default_rng(seed).permutation(len(patients))] = \
+        np.arange(len(patients)) % k
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    folds = fold_of[patient_of]
 
     counts_at: dict[int, set[int]] = {}
     for n_est, depth in grid:
@@ -277,11 +254,10 @@ def cross_validate(data: list[LabeledWindow],
         va = ~tr
         if not va.any() or y[tr].min() == y[tr].max():
             continue
-        sub = [d for d, m in zip(data, tr) if m]
         X_va, y_va = X[va], y[va].tolist()
         for depth, counts in counts_at.items():
-            model = train(sub, n_estimators=max(counts), max_depth=depth,
-                          seed=seed)
+            model = train(X[tr], y[tr], n_estimators=max(counts),
+                          max_depth=depth, seed=seed)
             votes = np.cumsum([_tree_vote_many(t, X_va)
                                for t in model.trees], axis=0)
             for n_est in counts:
@@ -332,6 +308,16 @@ def _check_tree(node) -> None:
     for key in ("f", "thr", "l", "r"):
         if key not in node:
             raise ParseError(f"split node missing {key!r}")
+    f, thr = node["f"], node["thr"]
+    if type(f) is not int or not 0 <= f < len(FEATURE_NAMES):
+        raise ParseError(f"split feature {f!r} is not an index below "
+                         f"{len(FEATURE_NAMES)}")
+    try:
+        finite = type(thr) in (int, float) and math.isfinite(thr)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ParseError(f"split threshold {thr!r} is not a finite number")
     _check_tree(node["l"])
     _check_tree(node["r"])
 
@@ -364,9 +350,13 @@ def load_model(data: bytes | str) -> ForestModel:
         raise ParseError("model file holds no trees")
     for tree in trees:
         _check_tree(tree)
+    names = payload.get("feature_names")
+    if names != list(FEATURE_NAMES):
+        raise ParseError(f"model feature_names {names!r} are not the "
+                         f"declared {list(FEATURE_NAMES)!r}")
     return ForestModel(trees=trees,
                        n_estimators=payload["n_estimators"],
                        max_depth=payload["max_depth"],
                        seed=payload["seed"],
-                       feature_names=tuple(payload["feature_names"]),
+                       feature_names=FEATURE_NAMES,
                        feature_checksum=checksum)

@@ -1,5 +1,10 @@
 """Hot numeric kernels with two interchangeable backends.
 
+Five kernels: the detectors' ``pt_decide``, ``trailing_max`` and
+``refractory_pick``, and the one-window feature counts
+``sampen_pair_counts`` and ``lorenz_hist``. The bSQI beat matching is
+not a kernel: ``quality`` matches all of a night's windows in one pass.
+
 Every kernel exists twice: a loop form compiled with numba's ``@njit``
 and a vectorized numpy form. The inherently sequential kernels have no
 vectorized form: the numpy backend runs their loop form in the
@@ -70,54 +75,6 @@ def _lorenz_hist_loop(dr, width, half_extent, nbins):
             iy = nbins - 1
         h[ix, iy] += 1
     return h
-
-
-def _greedy_match_loop(a, b, tol):
-    # Greedy one-to-one matching by proximity: all candidate pairs
-    # within +-tol, taken closest-first. Secondary sort key a_i + b_j
-    # makes the order invariant under swapping the two series.
-    na = a.shape[0]
-    nb = b.shape[0]
-    count = 0
-    j0 = 0
-    for i in range(na):
-        while j0 < nb and b[j0] < a[i] - tol:
-            j0 += 1
-        j = j0
-        while j < nb and b[j] <= a[i] + tol:
-            count += 1
-            j += 1
-    ci = np.empty(count, np.int64)
-    cj = np.empty(count, np.int64)
-    cd = np.empty(count, np.float64)
-    cs = np.empty(count, np.float64)
-    k = 0
-    j0 = 0
-    for i in range(na):
-        while j0 < nb and b[j0] < a[i] - tol:
-            j0 += 1
-        j = j0
-        while j < nb and b[j] <= a[i] + tol:
-            ci[k] = i
-            cj[k] = j
-            cd[k] = abs(a[i] - b[j])
-            cs[k] = a[i] + b[j]
-            k += 1
-            j += 1
-    o1 = np.argsort(cs, kind="mergesort")
-    o2 = np.argsort(cd[o1], kind="mergesort")
-    a_used = np.zeros(na, np.bool_)
-    b_used = np.zeros(nb, np.bool_)
-    matched = 0
-    for m in range(count):
-        idx = o1[o2[m]]
-        i = ci[idx]
-        j = cj[idx]
-        if not a_used[i] and not b_used[j]:
-            a_used[i] = True
-            b_used[j] = True
-            matched += 1
-    return matched
 
 
 def _trailing_max_loop(x, n):
@@ -291,32 +248,6 @@ def _lorenz_hist_numpy(dr, width, half_extent, nbins):
     return h
 
 
-def _greedy_match_numpy(a, b, tol):
-    na = a.shape[0]
-    nb = b.shape[0]
-    lo = np.searchsorted(b, a - tol, side="left")
-    hi = np.searchsorted(b, a + tol, side="right")
-    counts = hi - lo
-    if counts.sum() == 0:
-        return 0
-    ci = np.repeat(np.arange(na), counts)
-    cj = np.concatenate([np.arange(l, h) for l, h in zip(lo, hi) if h > l])
-    cd = np.abs(a[ci] - b[cj])
-    cs = a[ci] + b[cj]
-    order = np.lexsort((cs, cd))
-    a_used = np.zeros(na, np.bool_)
-    b_used = np.zeros(nb, np.bool_)
-    matched = 0
-    for idx in order:
-        i = ci[idx]
-        j = cj[idx]
-        if not a_used[i] and not b_used[j]:
-            a_used[i] = True
-            b_used[j] = True
-            matched += 1
-    return matched
-
-
 def _trailing_max_numpy(x, n):
     # positive origin pulls the window toward earlier samples; (n-1)//2
     # is the largest legal shift and yields the window [i-n+1, i]
@@ -327,7 +258,6 @@ def _trailing_max_numpy(x, n):
 NUMPY_IMPL = {
     "sampen_pair_counts": _sampen_counts_numpy,
     "lorenz_hist": _lorenz_hist_numpy,
-    "greedy_match_count": _greedy_match_numpy,
     "trailing_max": _trailing_max_numpy,
     "refractory_pick": _refractory_pick_loop,
     "pt_decide": _pt_decide_views,
@@ -345,7 +275,6 @@ if _numba_wanted():
         NUMBA_IMPL = {
             "sampen_pair_counts": njit(cache=True)(_sampen_counts_loop),
             "lorenz_hist": njit(cache=True)(_lorenz_hist_loop),
-            "greedy_match_count": njit(cache=True)(_greedy_match_loop),
             "trailing_max": njit(cache=True)(_trailing_max_loop),
             "refractory_pick": njit(cache=True)(_refractory_pick_loop),
             "pt_decide": njit(cache=True)(_pt_decide_loop),
@@ -356,7 +285,6 @@ _ACTIVE = NUMBA_IMPL if NUMBA_IMPL is not None else NUMPY_IMPL
 
 sampen_pair_counts = _ACTIVE["sampen_pair_counts"]
 lorenz_hist = _ACTIVE["lorenz_hist"]
-greedy_match_count = _ACTIVE["greedy_match_count"]
 trailing_max = _ACTIVE["trailing_max"]
 refractory_pick = _ACTIVE["refractory_pick"]
 pt_decide = _ACTIVE["pt_decide"]

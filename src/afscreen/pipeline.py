@@ -2,8 +2,11 @@
 
 One patient flows through: reference detection -> test detection ->
 60-beat windowing -> per-window bsqi -> recording-level QC -> features
--> forest inference -> AF burden. The included windows of an accepted
-recording are featurized as one matrix and scored by one forest call.
+-> forest inference -> AF burden. One scoring helper, _score, turns a
+recording's peaks into its windows as arrays: the (n, 60) beat times,
+each window's bsqi and the inclusion verdicts. predict, qc and train all
+go through it. The included windows of an accepted recording are
+featurized as one matrix and scored by one forest call.
 The AF burden (afb) is the percentage of *included* windows classified
 AF; excluded recordings carry no afb. A patient is flagged prominent-AF
 iff afb >= the 20% threshold.
@@ -28,12 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import quality
 from .errors import AfscreenError, ConfigurationError, ParseError
-# pipeline.featurize stays importable: perfbench's tracer tests bind it here
-from .features import featurize, featurize_windows  # noqa: F401
-from .forest import (ForestModel, LabeledWindow, label_windows,
-                     predict_proba_many)
+from .features import FEATURE_NAMES, featurize
+from .forest import ForestModel, label_windows, predict_proba_many
 from .qrs import RPeakSeries, detect_reference, detect_test
 from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
 from .record_io import (
@@ -209,42 +212,59 @@ def _load_annotations(entry: ManifestEntry
     return peaks, annotations
 
 
-def _finish(patient_id: str, qc: RecordingQC,
-            windows, qualities, model: ForestModel,
-            config: PipelineConfig) -> PatientResult:
-    included = [w for w, q in zip(windows, qualities) if q.included]
-    if qc.status == ACCEPTED and not included:
+def _score(ref: RPeakSeries, test: RPeakSeries | None,
+           config: PipelineConfig,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, bsqi, included) of the reference peaks' windows.
+
+    times is the (n, beats) view of the windows' peak times. An RR
+    series has no test detector (test None): its windows all score 1.0.
+    """
+    times = quality.window_partition(ref, config.window_beats)
+    if test is None:
+        bsqi = np.ones(times.shape[0])
+    else:
+        bsqi = quality.window_bsqi(times, test, config.match_tolerance_s)
+    return times, bsqi, bsqi >= config.bsqi_threshold
+
+
+def _finish(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
+            model: ForestModel, config: PipelineConfig) -> PatientResult:
+    times, bsqi, included = _score(ref, test, config)
+    qc = quality.qc_recording(ref, included, config.min_reference_peaks,
+                              config.max_exclusion_rate)
+    n_included = int(np.count_nonzero(included))
+    if qc.status == ACCEPTED and not n_included:
         # nothing survived the gate; report the recording as excluded
         # rather than pretending a burden of zero
         qc = RecordingQC(n_peaks_reference=qc.n_peaks_reference,
                          exclusion_rate=qc.exclusion_rate,
                          status=TOO_FEW_PEAKS)
-
+    proba = [None] * times.shape[0]
+    if qc.status == ACCEPTED:
+        X = featurize(np.diff(times[included], axis=1) * 1000.0,
+                      bsqi[included], config.bsqi_threshold)
+        for i, p in zip(np.flatnonzero(included).tolist(),
+                        predict_proba_many(model, X).tolist()):
+            proba[i] = p
     per_window = []
     n_af = 0
-    probas = iter(())
-    if qc.status == ACCEPTED:
-        X = featurize_windows(included, config.bsqi_threshold)
-        probas = iter(predict_proba_many(model, X).tolist())
-    for w, q in zip(windows, qualities):
-        if qc.status == ACCEPTED and q.included:
-            proba = next(probas)
-            label = AF if proba > 0.5 else NON_AF
-            n_af += label == AF
-            per_window.append((w.window_index, float(q.bsqi), proba, label))
-        else:
-            per_window.append((w.window_index, float(q.bsqi), None, None))
+    for i, (q, p) in enumerate(zip(bsqi.tolist(), proba)):
+        # exactly 0.5 stays nonAF
+        label = None if p is None else AF if p > 0.5 else NON_AF
+        n_af += label == AF
+        per_window.append((i, q, p, label))
 
     if qc.status != ACCEPTED:
         return PatientResult(patient_id=patient_id, qc=qc,
-                             n_windows_total=len(windows),
-                             n_windows_included=len(included),
+                             n_windows_total=len(per_window),
+                             n_windows_included=n_included,
                              afb=None, prominent_af=None,
                              per_window=per_window)
-    afb = (100.0 * n_af) / len(included)
+    afb = (100.0 * n_af) / n_included
     return PatientResult(patient_id=patient_id, qc=qc,
-                         n_windows_total=len(windows),
-                         n_windows_included=len(included),
+                         n_windows_total=len(per_window),
+                         n_windows_included=n_included,
                          afb=afb,
                          prominent_af=afb >= config.afb_threshold_pct,
                          per_window=per_window)
@@ -255,24 +275,14 @@ def process_patient(record: EcgRecord, model: ForestModel,
     """Run the full signal path for one recording."""
     ref = detect_reference(record)
     test = detect_test(record)
-    windows = quality.window_partition(ref, config.window_beats)
-    windows, qualities = quality.score_windows(
-        windows, test, config.bsqi_threshold, config.match_tolerance_s)
-    qc = quality.qc_recording(ref, qualities, config.min_reference_peaks,
-                              config.max_exclusion_rate)
-    return _finish(record.patient_id, qc, windows, qualities, model, config)
+    return _finish(record.patient_id, ref, test, model, config)
 
 
 def process_rr(peaks: RPeakSeries, model: ForestModel,
                config: PipelineConfig,
                patient_id: str = "") -> PatientResult:
     """Run the pipeline on an RR series; bsqi is 1.0 throughout."""
-    windows = quality.window_partition(peaks, config.window_beats)
-    qualities = [quality.WindowQuality(window_index=w.window_index, bsqi=1.0,
-                                       included=True) for w in windows]
-    qc = quality.qc_recording(peaks, qualities, config.min_reference_peaks,
-                              config.max_exclusion_rate)
-    return _finish(patient_id, qc, windows, qualities, model, config)
+    return _finish(patient_id, peaks, None, model, config)
 
 
 def process_entry(entry: ManifestEntry, model: ForestModel,
@@ -320,36 +330,38 @@ def run_cohort(entries: list[ManifestEntry], model: ForestModel,
 
 def collect_training_windows(entries: list[ManifestEntry],
                              config: PipelineConfig,
-                             ) -> tuple[list[LabeledWindow], int]:
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        int]:
     """Assemble quality-gated, rhythm-labeled windows for training.
 
     RR entries use their own rhythm column; signal entries run both
     detectors and need an annotations sidecar named in the manifest.
-    Returns the labeled windows plus the count of windows skipped for
-    lying outside their recording's annotated span.
+    Returns (X, y, groups), the features, labels (1 = AF) and patient
+    ids of the windows in manifest order, plus the count of windows
+    skipped for lying outside their recording's annotated span.
     """
-    labeled: list[LabeledWindow] = []
+    Xs = [np.empty((0, len(FEATURE_NAMES)))]
+    ys = [np.empty(0, dtype=np.int64)]
+    groups: list[str] = []
     skipped_total = 0
     for entry in entries:
         if entry.fmt == "rr":
-            peaks, annotations = _load_annotations(entry)
-            windows = quality.window_partition(peaks, config.window_beats)
+            ref, annotations = _load_annotations(entry)
+            test = None
         else:
             _, annotations = _load_annotations(entry)
             record = _load_record(entry, config)
             ref = detect_reference(record)
             test = detect_test(record)
-            windows = quality.window_partition(ref, config.window_beats)
-            windows, qualities = quality.score_windows(
-                windows, test, config.bsqi_threshold,
-                config.match_tolerance_s)
-            windows = [w for w, q in zip(windows, qualities) if q.included]
-        got, skipped = label_windows(windows, annotations,
-                                     patient_id=entry.patient_id,
-                                     min_bsqi=config.bsqi_threshold)
-        labeled.extend(got)
+        times, bsqi, included = _score(ref, test, config)
+        X, y, skipped = label_windows(times[included], bsqi[included],
+                                      annotations, config.bsqi_threshold)
+        Xs.append(X)
+        ys.append(y)
+        groups += [entry.patient_id] * len(y)
         skipped_total += skipped
-    return labeled, skipped_total
+    return (np.concatenate(Xs), np.concatenate(ys),
+            np.array(groups, dtype=str), skipped_total)
 
 
 def result_to_dict(result: PatientResult) -> dict:

@@ -6,7 +6,15 @@ time span: greedy one-to-one matching within +-150 ms, scored as
     bsqi = n_matched / (n_reference + n_test - n_matched)
 
 Windows tile the reference peak series in runs of exactly 60 beats (a
-trailing remainder is dropped). A window is included iff bsqi >= 0.8.
+trailing remainder is dropped): window_partition returns them as an
+(n, 60) view of the peak times, one row per window. A window's test
+segment is every test peak within its span, ends included. Windows are
+disjoint in both peak sets, so window_bsqi matches all of them in one
+pass: every candidate pair (reference beat, test peak of the same
+window within the tolerance) is taken closest first, ties by the pair's
+time sum, and each window gets the count its own matching would give.
+A window is included iff bsqi >= 0.8.
+
 A recording is excluded when it has fewer than 1,000 reference peaks,
 or when more than 75% of its windows fall below the bsqi threshold
 (strict inequality: exactly 75% excluded is still accepted).
@@ -18,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractViolationError
-from .features import BeatWindow
 from .qrs import RPeakSeries
 
 BSQI_THRESHOLD = 0.8
@@ -35,13 +41,6 @@ TOO_NOISY = "too_noisy"
 
 
 @dataclass
-class WindowQuality:
-    window_index: int
-    bsqi: float
-    included: bool
-
-
-@dataclass
 class RecordingQC:
     n_peaks_reference: int
     exclusion_rate: float
@@ -51,6 +50,37 @@ class RecordingQC:
         if self.status not in (ACCEPTED, TOO_FEW_PEAKS, TOO_NOISY):
             raise ContractViolationError(
                 f"unknown QC status {self.status!r}")
+
+
+def _matched(ref: np.ndarray, test: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, tolerance_s: float) -> np.ndarray:
+    """Greedy match count of each row of ref against test[lo:hi].
+
+    The rows' segments must not overlap. Candidate pairs are taken
+    closest first, ties by the smaller time sum, then by reference and
+    test index; the sum key makes the order invariant under swapping
+    the two series.
+    """
+    n, k = ref.shape
+    a = ref.ravel()
+    window = np.repeat(np.arange(n), k)
+    c_lo = np.maximum(np.searchsorted(test, a - tolerance_s, side="left"),
+                      lo[window])
+    c_hi = np.minimum(np.searchsorted(test, a + tolerance_s, side="right"),
+                      hi[window])
+    counts = np.maximum(c_hi - c_lo, 0)
+    # beat i's candidates are the consecutive test[c_lo[i]:c_hi[i]]
+    ci = np.repeat(np.arange(a.shape[0]), counts)
+    cj = np.arange(ci.shape[0]) - np.repeat(np.cumsum(counts) - counts
+                                            - c_lo, counts)
+    order = np.lexsort((a[ci] + test[cj], np.abs(a[ci] - test[cj])))
+    ref_used = bytearray(a.shape[0])
+    test_used = bytearray(test.shape[0])
+    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
+        if not ref_used[i] and not test_used[j]:
+            ref_used[i] = test_used[j] = 1
+    return np.frombuffer(ref_used, dtype=np.uint8).reshape(n, k).sum(
+        axis=1, dtype=np.int64)
 
 
 def bsqi(ref_times: np.ndarray, test_times: np.ndarray,
@@ -66,54 +96,44 @@ def bsqi(ref_times: np.ndarray, test_times: np.ndarray,
     if n_ref + n_test == 0:
         raise ContractViolationError(
             "bsqi is undefined for two empty segments")
-    if n_ref == 0 or n_test == 0:
-        return 0.0
-    matched = int(kernels.greedy_match_count(ref, test, tolerance_s))
+    matched = int(_matched(ref[None, :], test, np.array([0]),
+                           np.array([n_test]), tolerance_s)[0])
     return matched / (n_ref + n_test - matched)
 
 
 def window_partition(peaks: RPeakSeries,
-                     beats: int = WINDOW_BEATS) -> list[BeatWindow]:
-    """Tile the reference peaks into consecutive windows of `beats` peaks."""
+                     beats: int = WINDOW_BEATS) -> np.ndarray:
+    """Tile the reference peaks into consecutive windows of `beats` peaks.
+
+    Returns an (n, beats) view of the peak times, one row per window.
+    """
     if beats < 2:
         raise ContractViolationError("windows need at least 2 beats")
-    times = peaks.times
-    n_windows = times.shape[0] // beats
-    return [BeatWindow(times=times[i * beats:(i + 1) * beats],
-                       window_index=i)
-            for i in range(n_windows)]
+    n_windows = peaks.times.shape[0] // beats
+    return peaks.times[:n_windows * beats].reshape(n_windows, beats)
 
 
-def score_windows(windows: list[BeatWindow], test_peaks: RPeakSeries,
-                  threshold: float = BSQI_THRESHOLD,
-                  tolerance_s: float = MATCH_TOLERANCE_S,
-                  ) -> tuple[list[BeatWindow], list[WindowQuality]]:
-    """Score each window's bsqi against the test detector's peaks.
-
-    The test segment for a window is everything the test detector found
-    within the window's time span (inclusive). Returns windows with
-    their bsqi stamped, alongside the quality verdicts.
-    """
-    scored: list[BeatWindow] = []
-    qualities: list[WindowQuality] = []
-    for w in windows:
-        seg = test_peaks.between(w.t_start, w.t_end)
-        q = bsqi(w.times, seg, tolerance_s)
-        scored.append(BeatWindow(times=w.times, window_index=w.window_index,
-                                 bsqi=q))
-        qualities.append(WindowQuality(window_index=w.window_index, bsqi=q,
-                                       included=q >= threshold))
-    return scored, qualities
+def window_bsqi(windows: np.ndarray, test_peaks: RPeakSeries,
+                tolerance_s: float = MATCH_TOLERANCE_S) -> np.ndarray:
+    """Each window's bsqi against the test peaks within its span."""
+    test = test_peaks.times
+    lo = np.searchsorted(test, windows[:, 0], side="left")
+    hi = np.searchsorted(test, windows[:, -1], side="right")
+    matched = _matched(windows, test, lo, hi, tolerance_s)
+    return matched / (windows.shape[1] + (hi - lo) - matched)
 
 
-def qc_recording(peaks: RPeakSeries, window_qualities: list[WindowQuality],
+def qc_recording(peaks: RPeakSeries, included: np.ndarray,
                  min_peaks: int = MIN_REFERENCE_PEAKS,
                  max_exclusion_rate: float = MAX_EXCLUSION_RATE,
                  ) -> RecordingQC:
-    """Apply the two recording-level rules, peak count first."""
+    """Apply the two recording-level rules, peak count first.
+
+    included holds one verdict per window.
+    """
     n_peaks = len(peaks)
-    total = len(window_qualities)
-    excluded = sum(1 for q in window_qualities if not q.included)
+    total = len(included)
+    excluded = total - int(np.count_nonzero(included))
     rate = excluded / total if total else 0.0
     if n_peaks < min_peaks:
         status = TOO_FEW_PEAKS

@@ -1,7 +1,7 @@
-"""Shared fixtures: synthetic recordings and a small trained model.
+"""Shared fixtures: synthetic recordings and peak series.
 
 Everything here is seeded and deterministic. Session scope keeps the
-expensive pieces (signal rendering, model training) to one run.
+expensive piece, signal rendering, to one run.
 """
 
 from __future__ import annotations
@@ -9,46 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from afscreen import features, forest, quality, synth
+from afscreen import synth
 from afscreen.qrs import RPeakSeries
-from afscreen.record_io import AF, NON_AF
 
 
 def make_series(times) -> RPeakSeries:
     return RPeakSeries(times=np.asarray(times, dtype=np.float64),
                        source="reference")
-
-
-def rr_windows(program, seed, n_windows=None):
-    """Quality-passed 60-beat windows from a generated RR series."""
-    spec = synth.SynthSpec(rhythm_program=program, seed=seed)
-    peaks, _ = synth.gen_rr(spec)
-    windows = quality.window_partition(peaks)
-    return windows if n_windows is None else windows[:n_windows]
-
-
-def labeled_set(seed: int, n_patients: int = 8) -> list[forest.LabeledWindow]:
-    """Balanced AF/NSR window set spread across synthetic patients."""
-    data: list[forest.LabeledWindow] = []
-    for i in range(n_patients):
-        rhythm = "AF" if i % 2 == 0 else "NSR"
-        label = AF if rhythm == "AF" else NON_AF
-        for w in rr_windows([(900.0, rhythm)], seed=seed + i, n_windows=15):
-            data.append(forest.LabeledWindow(features=features.featurize(w),
-                                             label=label,
-                                             patient_id=f"pt{i}"))
-    return data
-
-
-@pytest.fixture(scope="session")
-def small_training_set() -> list[forest.LabeledWindow]:
-    return labeled_set(seed=100)
-
-
-@pytest.fixture(scope="session")
-def small_model(small_training_set) -> forest.ForestModel:
-    return forest.train(small_training_set, n_estimators=20, max_depth=3,
-                        seed=0)
 
 
 @pytest.fixture(scope="session")

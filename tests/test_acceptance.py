@@ -25,7 +25,7 @@ from afscreen.features import (LORENZ_BIN_MS, LORENZ_HALF_EXTENT_MS,
 from afscreen.pipeline import PipelineConfig
 from afscreen.qrs import detect_reference
 from afscreen.quality import (ACCEPTED, TOO_FEW_PEAKS, TOO_NOISY,
-                              WindowQuality, qc_recording)
+                              qc_recording)
 from afscreen.record_io import AF, NON_AF, write_rr_csv
 from afscreen.stats import ConfusionCounts, metrics, noninferiority_ppv
 from afscreen.synth import SynthSpec, gen_rr, synth_record
@@ -231,14 +231,17 @@ def _train_cohort_model() -> forest.ForestModel:
         "tr_e0": ([(1200.0, "ECTOPY")], 16),
         "tr_e1": ([(1200.0, "ECTOPY")], 17),
     }
-    labeled: list[forest.LabeledWindow] = []
-    for pid, (program, seed) in programs.items():
+    Xs, ys = [], []
+    for program, seed in programs.values():
         peaks, annotations = gen_rr(SynthSpec(rhythm_program=program,
                                               seed=seed))
         windows = quality.window_partition(peaks)
-        got, _ = forest.label_windows(windows, annotations, patient_id=pid)
-        labeled.extend(got)
-    return forest.train(labeled, n_estimators=20, max_depth=3, seed=0)
+        X, y, _ = forest.label_windows(windows, np.ones(len(windows)),
+                                       annotations)
+        Xs.append(X)
+        ys.append(y)
+    return forest.train(np.concatenate(Xs), np.concatenate(ys),
+                        n_estimators=20, max_depth=3, seed=0)
 
 
 def test_synthetic_screening_cohort():
@@ -296,8 +299,7 @@ def test_exclusion_rule_boundaries():
     enough = make_series(np.arange(6000) * 0.8)
 
     def qualities(n_bad):
-        return [WindowQuality(window_index=i, bsqi=0.0 if i < n_bad else 1.0,
-                              included=i >= n_bad) for i in range(100)]
+        return np.arange(100) >= n_bad
 
     assert qc_recording(enough, qualities(76), 1000, 0.75).status == TOO_NOISY
     assert qc_recording(enough, qualities(75), 1000, 0.75).status == ACCEPTED
@@ -386,14 +388,13 @@ def test_archived_database_benchmark():
         pytest.skip("archive manifests not found")
 
     config = PipelineConfig()
-    labeled, _ = pipeline.collect_training_windows(
+    X, y, _, _ = pipeline.collect_training_windows(
         pipeline.read_manifest(train_m), config)
-    model = forest.train(labeled, n_estimators=20, max_depth=3, seed=0)
+    model = forest.train(X, y, n_estimators=20, max_depth=3, seed=0)
 
-    held, _ = pipeline.collect_training_windows(
+    X, y, _, _ = pipeline.collect_training_windows(
         pipeline.read_manifest(test_m), config)
-    X = np.array([w.features.to_array() for w in held])
     proba = forest.predict_proba_many(model, X)
-    auc, _ = stats.auroc(zip(proba, [w.label for w in held]))
+    auc, _ = stats.auroc(zip(proba.tolist(), y.tolist()))
     assert auc is not None
     assert auc >= 0.95

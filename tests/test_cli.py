@@ -154,6 +154,23 @@ def test_predict_missing_model_writes_nothing(cohort, tmp_path, capsys):
     assert not (tmp_path / "empty").exists()
 
 
+@pytest.mark.parametrize("split", [{"f": 99}, {"f": -1}, {"thr": "x"}])
+def test_predict_rejects_model_it_cannot_evaluate(cohort, tmp_path, capsys,
+                                                  split):
+    payload = json.loads((cohort / "model.json").read_text())
+    payload["trees"][0] = {"f": 0, "thr": 0.5, "l": {"leaf": [1, 0]},
+                           "r": {"leaf": [0, 1]}, **split}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["predict", "--manifest", str(cohort / "screen.csv"),
+                 "--model", str(bad), "--out-dir", str(tmp_path / "out"),
+                 *SMALL])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: split ")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -7,8 +7,7 @@ import pytest
 
 from afscreen import features
 from afscreen.errors import ContractViolationError
-from afscreen.features import (BeatWindow, FEATURE_NAMES, FeatureVector,
-                               cosen, feature_matrix_csv, featurize,
+from afscreen.features import (FEATURE_NAMES, cosen, featurize,
                                lorenz_features, simple_stats)
 
 
@@ -48,9 +47,14 @@ def oracle_lorenz(rr):
     return ire - orc - 2 * pace, orc, ire, pace
 
 
-def window_from_rr(rr_ms, bsqi=1.0, index=0):
-    times = np.concatenate([[10.0], 10.0 + np.cumsum(rr_ms) / 1000.0])
-    return BeatWindow(times=times, window_index=index, bsqi=bsqi)
+def featurize_times(times, bsqi=1.0):
+    """featurize one window of beat times, as the pipeline does."""
+    times = np.asarray(times, dtype=np.float64)[None, :]
+    return featurize(np.diff(times, axis=1) * 1000.0, [bsqi])[0]
+
+
+def window_from_rr(rr_ms):
+    return np.concatenate([[10.0], 10.0 + np.cumsum(rr_ms) / 1000.0])
 
 
 # A window built to light up every Lorenz bin it touches exactly once:
@@ -231,32 +235,30 @@ def test_simple_stats_permutation_invariant(seed):
 def test_featurize_constant_window():
     # 750 ms is exact in binary, so the times carry no rounding fuzz and
     # every delta-RR is exactly zero
-    window = BeatWindow(times=10.0 + np.arange(60) * 0.75, window_index=0)
-    vec = featurize(window)
+    vec = featurize_times(10.0 + np.arange(60) * 0.75)
     want = np.array([1.0, math.log(60.0 / 750.0), -57.0, 57.0, 0.0, 0.0,
                      750.0, 750.0, 80.0])
-    np.testing.assert_allclose(vec.to_array(), want, atol=1e-9)
+    np.testing.assert_allclose(vec, want, atol=1e-9)
 
 
 def test_featurize_carries_bsqi():
-    vec = featurize(window_from_rr(np.full(59, 800.0), bsqi=0.85))
-    assert vec.bsqi == 0.85
+    vec = featurize_times(window_from_rr(np.full(59, 800.0)), bsqi=0.85)
+    assert vec[0] == 0.85
 
 
 def test_featurize_rejects_gated_window():
     with pytest.raises(ContractViolationError):
-        featurize(window_from_rr(np.full(59, 800.0), bsqi=0.79))
+        featurize_times(window_from_rr(np.full(59, 800.0)), bsqi=0.79)
 
 
 def test_featurize_accepts_threshold_exactly():
-    vec = featurize(window_from_rr(np.full(59, 800.0), bsqi=0.8))
-    assert vec.bsqi == 0.8
+    vec = featurize_times(window_from_rr(np.full(59, 800.0)), bsqi=0.8)
+    assert vec[0] == 0.8
 
 
 def test_featurize_rejects_wrong_beat_count():
-    window = window_from_rr(np.full(50, 800.0))
     with pytest.raises(ContractViolationError):
-        featurize(window)
+        featurize_times(window_from_rr(np.full(50, 800.0)))
 
 
 def test_featurize_times_only_enter_through_rr():
@@ -265,47 +267,34 @@ def test_featurize_times_only_enter_through_rr():
     rng = np.random.default_rng(5)
     rr_s = rng.integers(20, 45, size=59) / 32.0
     times = np.concatenate([[0.0], np.cumsum(rr_s)])
-    a = featurize(BeatWindow(times=times, window_index=0))
-    b = featurize(BeatWindow(times=times + 3600.0, window_index=0))
-    np.testing.assert_allclose(a.to_array(), b.to_array(), atol=0)
+    a = featurize_times(times)
+    b = featurize_times(times + 3600.0)
+    np.testing.assert_allclose(a, b, atol=0)
+
+
+def test_featurize_gates_in_window_order():
+    rr = np.full((4, 59), 800.0)
+    with pytest.raises(ContractViolationError, match="window 2 has bsqi "
+                                                     "0.700 below"):
+        featurize(rr, [0.9, 1.0, 0.7, 0.1])
+    # the first window fails on its width before a later one on bsqi
+    with pytest.raises(ContractViolationError, match="got shape"):
+        featurize(np.full((2, 50), 800.0), [0.9, 0.1])
+    with pytest.raises(ContractViolationError, match="window 0 has bsqi"):
+        featurize(np.full((2, 50), 800.0), [0.1, 0.9])
+
+
+def test_featurize_no_windows():
+    # no windows give no rows, whatever the width
+    for width in (59, 49):
+        assert featurize(np.empty((0, width)), []).shape == \
+            (0, len(FEATURE_NAMES))
 
 
 def test_feature_order_is_fixed():
     assert FEATURE_NAMES == ("bsqi", "cosen", "afe", "orc", "ire", "pace",
                              "avnn", "minrr", "medhr")
     assert len(features.feature_order_checksum()) == 64
-
-
-def test_vector_array_round_trip():
-    vec = FeatureVector(bsqi=0.9, cosen=-1.5, afe=3, orc=10, ire=21, pace=4,
-                        avnn=812.5, minrr=401.0, medhr=74.0)
-    back = FeatureVector.from_array(vec.to_array())
-    assert back == vec
-    assert isinstance(back.afe, int)
-    assert isinstance(back.avnn, float)
-
-
-def test_vector_from_array_rejects_wrong_length():
-    with pytest.raises(ContractViolationError):
-        FeatureVector.from_array([1.0] * 8)
-
-
-def test_feature_matrix_csv_lossless():
-    rows = [("p1", 0, featurize(window_from_rr(np.full(59, 800.0)))),
-            ("p2", 3, featurize(window_from_rr(SATURATED_RR + 0.125)))]
-    text = feature_matrix_csv(rows)
-    lines = text.split("\n")
-    assert lines[0] == "patient_id,window_index," + ",".join(FEATURE_NAMES)
-    assert lines[-1] == ""
-    first = lines[1].split(",")
-    assert first[0] == "p1"
-    assert first[1] == "0"
-    parsed = [float(v) for v in first[2:]]
-    np.testing.assert_array_equal(
-        np.array(parsed), rows[0][2].to_array())
-    second = [float(v) for v in lines[2].split(",")[2:]]
-    np.testing.assert_array_equal(
-        np.array(second), rows[1][2].to_array())
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,7 @@ def test_batched_features_match_per_window_oracle(kind, n):
     rng = np.random.default_rng(10 * n + BATCH_KINDS.index(kind))
     rr = batch_of(kind, n, rng)
     bsqi = rng.uniform(0.8, 1.0, size=n)
-    got = features.feature_matrix(rr, bsqi)
+    got = featurize(rr, bsqi)
     want = np.array([oracle_feature_row(rr[i], bsqi[i]) for i in range(n)])
     assert got.shape == (n, len(FEATURE_NAMES))
     np.testing.assert_array_equal(got.view(np.int64),

@@ -10,18 +10,18 @@ from afscreen import forest, stats
 from afscreen.errors import (CompatibilityError, ConfigurationError,
                              ContractViolationError, DegenerateModelError,
                              ParseError)
-from afscreen.features import FEATURE_NAMES, BeatWindow, FeatureVector
-from afscreen.forest import (ForestModel, LabeledWindow, cross_validate,
-                             label_windows, load_model, predict_label,
-                             predict_proba, predict_proba_many, save_model,
+from afscreen.features import FEATURE_NAMES
+from afscreen.forest import (ForestModel, cross_validate, label_windows,
+                             load_model, predict_proba_many, save_model,
                              train)
-from afscreen.record_io import AF, NON_AF, OTHER, RhythmAnnotations
+from afscreen.record_io import AF, OTHER, RhythmAnnotations
 
 
 def fv(bsqi=1.0, cosen=-2.6, afe=-57, orc=57, ire=0, pace=0,
        avnn=800.0, minrr=700.0, medhr=75.0):
-    return FeatureVector(bsqi=bsqi, cosen=cosen, afe=afe, orc=orc, ire=ire,
-                         pace=pace, avnn=avnn, minrr=minrr, medhr=medhr)
+    """One feature row in declared order."""
+    return np.array([bsqi, cosen, afe, orc, ire, pace, avnn, minrr, medhr],
+                    dtype=np.float64)
 
 
 def af_vector(rng):
@@ -38,16 +38,20 @@ def nsr_vector(rng):
               minrr=720 + rng.normal(0, 20), medhr=74 + rng.normal(0, 4))
 
 
+def proba(model, x):
+    return float(predict_proba_many(model, x[None, :])[0])
+
+
 def separable_set(n_per_class=30, n_patients=6, seed=0):
+    """(X, y, groups) of alternating AF and nonAF rows."""
     rng = np.random.default_rng(seed)
-    data = []
+    rows, y, groups = [], [], []
     for i in range(n_per_class):
         pid = f"p{i % n_patients}"
-        data.append(LabeledWindow(features=af_vector(rng), label=AF,
-                                  patient_id=pid))
-        data.append(LabeledWindow(features=nsr_vector(rng), label=NON_AF,
-                                  patient_id=pid))
-    return data
+        rows += [af_vector(rng), nsr_vector(rng)]
+        y += [1, 0]
+        groups += [pid, pid]
+    return np.array(rows), np.array(y), np.array(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -55,35 +59,37 @@ def separable_set(n_per_class=30, n_patients=6, seed=0):
 
 
 def test_separable_classes_are_learned():
-    data = separable_set()
-    model = train(data, seed=0)
+    X, y, _ = separable_set()
+    model = train(X, y, seed=0)
     rng = np.random.default_rng(99)
     for _ in range(20):
-        assert predict_label(model, af_vector(rng)) == AF
-        assert predict_label(model, nsr_vector(rng)) == NON_AF
+        assert proba(model, af_vector(rng)) > 0.5
+        assert proba(model, nsr_vector(rng)) <= 0.5
 
 
 def test_proba_saturates_on_clean_classes():
-    model = train(separable_set(), seed=0)
+    X, y, _ = separable_set()
+    model = train(X, y, seed=0)
     rng = np.random.default_rng(7)
-    assert predict_proba(model, af_vector(rng)) > 0.9
-    assert predict_proba(model, nsr_vector(rng)) < 0.1
+    assert proba(model, af_vector(rng)) > 0.9
+    assert proba(model, nsr_vector(rng)) < 0.1
 
 
 def test_training_is_deterministic():
-    data = separable_set()
-    a = save_model(train(data, seed=3))
-    b = save_model(train(data, seed=3))
+    X, y, _ = separable_set()
+    a = save_model(train(X, y, seed=3))
+    b = save_model(train(X, y, seed=3))
     assert a == b
 
 
 def test_seed_changes_the_forest():
-    data = separable_set()
-    assert save_model(train(data, seed=0)) != save_model(train(data, seed=1))
+    X, y, _ = separable_set()
+    assert save_model(train(X, y, seed=0)) != save_model(train(X, y, seed=1))
 
 
 def test_forest_shape_follows_arguments():
-    model = train(separable_set(), n_estimators=7, max_depth=2, seed=0)
+    X, y, _ = separable_set()
+    model = train(X, y, n_estimators=7, max_depth=2, seed=0)
     assert len(model.trees) == 7
 
     def depth(node):
@@ -97,62 +103,72 @@ def test_forest_shape_follows_arguments():
 def test_monotone_feature_transform_preserves_votes():
     # cubing every feature keeps all value orderings, so each tree picks
     # the same point partition and votes identically on the training set
-    data = separable_set()
-    X = np.stack([d.features.to_array() for d in data])
-    cubed = [LabeledWindow(features=FeatureVector.from_array(
-                 d.features.to_array() ** 3),
-             label=d.label, patient_id=d.patient_id) for d in data]
-    a = predict_proba_many(train(data, seed=5), X)
-    b = predict_proba_many(train(cubed, seed=5), X ** 3)
+    X, y, _ = separable_set()
+    a = predict_proba_many(train(X, y, seed=5), X)
+    b = predict_proba_many(train(X ** 3, y, seed=5), X ** 3)
     np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_labels_still_give_valid_probabilities(seed):
     rng = np.random.default_rng(seed)
-    data = [LabeledWindow(
-        features=af_vector(rng) if rng.random() < 0.5 else nsr_vector(rng),
-        label=AF if rng.random() < 0.5 else NON_AF,
-        patient_id=f"p{rng.integers(0, 5)}")
-        for _ in range(40)]
-    if len({d.label for d in data}) < 2:
+    rows, y = [], []
+    for _ in range(40):
+        rows.append(af_vector(rng) if rng.random() < 0.5
+                    else nsr_vector(rng))
+        y.append(1 if rng.random() < 0.5 else 0)
+    if len(set(y)) < 2:
         pytest.skip("degenerate draw")
-    proba = predict_proba_many(train(data, seed=seed),
-                               np.stack([d.features.to_array()
-                                         for d in data]))
-    assert np.all((proba >= 0.0) & (proba <= 1.0))
+    X = np.array(rows)
+    p = predict_proba_many(train(X, np.array(y), seed=seed), X)
+    assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_train_rejects_empty():
     with pytest.raises(DegenerateModelError):
-        train([])
+        train(np.empty((0, 9)), np.empty(0, dtype=np.int64))
 
 
 def test_train_rejects_single_class():
     rng = np.random.default_rng(0)
-    data = [LabeledWindow(features=af_vector(rng), label=AF, patient_id="p")
-            for _ in range(10)]
+    X = np.array([af_vector(rng) for _ in range(10)])
     with pytest.raises(DegenerateModelError):
-        train(data)
+        train(X, np.ones(10, dtype=np.int64))
 
 
 def test_train_rejects_bad_hyperparameters():
-    data = separable_set()
+    X, y, _ = separable_set()
     with pytest.raises(ConfigurationError):
-        train(data, n_estimators=0)
+        train(X, y, n_estimators=0)
     with pytest.raises(ConfigurationError):
-        train(data, max_depth=0)
+        train(X, y, max_depth=0)
 
 
 def test_train_rejects_nonfinite_features():
-    data = separable_set()
-    data[0].features.avnn = float("nan")
+    X, y, _ = separable_set()
+    X[0, FEATURE_NAMES.index("avnn")] = float("nan")
     with pytest.raises(ContractViolationError):
-        train(data)
+        train(X, y)
+
+
+def test_train_rejects_labels_other_than_0_and_1():
+    X, y, _ = separable_set()
+    y[3] = 2
+    with pytest.raises(ContractViolationError, match="labels"):
+        train(X, y)
+
+
+def test_train_rejects_misaligned_arrays():
+    X, y, _ = separable_set()
+    with pytest.raises(ContractViolationError):
+        train(X, y[:-1])
+    with pytest.raises(ContractViolationError):
+        train(X[:, :8], y)
 
 
 def test_predict_rejects_wrong_width():
-    model = train(separable_set(), seed=0)
+    X, y, _ = separable_set()
+    model = train(X, y, seed=0)
     with pytest.raises(ContractViolationError):
         predict_proba_many(model, np.zeros((3, 8)))
     with pytest.raises(ContractViolationError):
@@ -169,33 +185,32 @@ def hand_model(trees):
 
 
 def x_with(avnn):
-    return fv(avnn=avnn).to_array()
+    return fv(avnn=avnn)
 
 
 def test_split_sends_equal_values_left():
     stump = {"f": FEATURE_NAMES.index("avnn"), "thr": 700.0,
              "l": {"leaf": [0, 5]}, "r": {"leaf": [5, 0]}}
     model = hand_model([stump])
-    assert predict_proba(model, x_with(650.0)) == 1.0
-    assert predict_proba(model, x_with(700.0)) == 1.0
-    assert predict_proba(model, x_with(700.0000001)) == 0.0
+    assert proba(model, x_with(650.0)) == 1.0
+    assert proba(model, x_with(700.0)) == 1.0
+    assert proba(model, x_with(700.0000001)) == 0.0
 
 
 def test_leaf_tie_votes_non_af():
     model = hand_model([{"leaf": [3, 3]}])
-    assert predict_proba(model, x_with(800.0)) == 0.0
-    assert predict_label(model, x_with(800.0)) == NON_AF
+    assert proba(model, x_with(800.0)) == 0.0
 
 
 def test_forest_tie_is_non_af():
+    # the pipeline labels exactly 0.5 nonAF; test_pipeline pins the label
     model = hand_model([{"leaf": [0, 1]}, {"leaf": [1, 0]}])
-    assert predict_proba(model, x_with(800.0)) == 0.5
-    assert predict_label(model, x_with(800.0)) == NON_AF
+    assert proba(model, x_with(800.0)) == 0.5
 
 
 def test_majority_fraction_is_exact():
     model = hand_model([{"leaf": [0, 1]}] * 3 + [{"leaf": [1, 0]}])
-    assert predict_proba(model, x_with(800.0)) == 0.75
+    assert proba(model, x_with(800.0)) == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -300,66 +315,60 @@ def test_best_split_keeps_threshold_below_adjacent_float():
 # window labeling
 
 
-def window_at(t0, n=60, step=0.8, bsqi=1.0):
-    return BeatWindow(times=t0 + np.arange(n) * step, window_index=0,
-                      bsqi=bsqi)
+def window_at(*t0s, n=60, step=0.8, bsqi=1.0):
+    """(times, bsqi) of one window starting at each t0."""
+    times = np.array([t0 + np.arange(n) * step for t0 in t0s])
+    return times, np.full(len(t0s), bsqi)
 
 
 def test_label_windows_af_majority():
     ann = RhythmAnnotations(episodes=[(0.0, 30.0, AF), (30.0, 100.0, OTHER)])
-    w = window_at(0.0)  # spans [0, 47.2]
-    labeled, skipped = label_windows([w], ann, patient_id="p")
+    times, bsqi = window_at(0.0)  # spans [0, 47.2]
+    X, y, skipped = label_windows(times, bsqi, ann)
     assert skipped == 0
-    assert len(labeled) == 1
+    assert X.shape == (1, len(FEATURE_NAMES))
     # AF covers 30 of 47.2 seconds
-    assert labeled[0].label == AF
-    assert labeled[0].patient_id == "p"
+    assert y.tolist() == [1]
 
 
 def test_label_windows_half_overlap_is_af():
     # AF covers exactly half the span: the rule is inclusive
     ann = RhythmAnnotations(episodes=[(0.0, 23.6, AF), (23.6, 100.0, OTHER)])
-    labeled, _ = label_windows([window_at(0.0)], ann)
-    assert labeled[0].label == AF
+    _, y, _ = label_windows(*window_at(0.0), ann)
+    assert y.tolist() == [1]
 
     ann = RhythmAnnotations(episodes=[(0.0, 23.5, AF), (23.5, 100.0, OTHER)])
-    labeled, _ = label_windows([window_at(0.0)], ann)
-    assert labeled[0].label == NON_AF
+    _, y, _ = label_windows(*window_at(0.0), ann)
+    assert y.tolist() == [0]
 
 
 def test_label_windows_split_af_episodes_accumulate():
     ann = RhythmAnnotations(episodes=[(0.0, 12.0, AF), (12.0, 30.0, OTHER),
                                       (30.0, 42.0, AF), (42.0, 100.0, OTHER)])
-    labeled, _ = label_windows([window_at(0.0)], ann)
+    _, y, _ = label_windows(*window_at(0.0), ann)
     # 24 of 47.2 seconds: above half
-    assert labeled[0].label == AF
+    assert y.tolist() == [1]
 
 
 def test_label_windows_skips_outside_span():
     ann = RhythmAnnotations(episodes=[(100.0, 200.0, OTHER)])
-    w_before = window_at(0.0)  # ends at 47.2 < 100
-    w_inside = window_at(110.0)
-    labeled, skipped = label_windows([w_before, w_inside], ann)
+    # the first ends at 47.2 < 100, the second lies inside
+    X, y, skipped = label_windows(*window_at(0.0, 110.0), ann)
     assert skipped == 1
-    assert len(labeled) == 1
-    assert labeled[0].label == NON_AF
+    assert len(X) == 1
+    assert y.tolist() == [0]
 
 
 def test_label_windows_touching_span_edge_is_skipped():
     ann = RhythmAnnotations(episodes=[(47.2, 200.0, OTHER)])
-    labeled, skipped = label_windows([window_at(0.0)], ann)
-    assert (len(labeled), skipped) == (0, 1)
+    X, y, skipped = label_windows(*window_at(0.0), ann)
+    assert (len(X), len(y), skipped) == (0, 0, 1)
 
 
 def test_label_windows_enforces_quality_gate():
     ann = RhythmAnnotations(episodes=[(0.0, 100.0, OTHER)])
     with pytest.raises(ContractViolationError):
-        label_windows([window_at(0.0, bsqi=0.5)], ann)
-
-
-def test_labeled_window_rejects_unknown_label():
-    with pytest.raises(ContractViolationError):
-        LabeledWindow(features=fv(), label="maybe", patient_id="p")
+        label_windows(*window_at(0.0, bsqi=0.5), ann)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +376,13 @@ def test_labeled_window_rejects_unknown_label():
 
 
 def test_cv_needs_enough_patients():
-    data = separable_set(n_patients=4)
     with pytest.raises(ConfigurationError):
-        cross_validate(data, k=5)
+        cross_validate(*separable_set(n_patients=4), k=5)
 
 
 def test_cv_selects_cheapest_of_tied_grid():
     data = separable_set(n_per_class=40, n_patients=10, seed=1)
-    result = cross_validate(data, grid=((50, 5), (10, 2), (20, 3)), k=5,
+    result = cross_validate(*data, grid=((50, 5), (10, 2), (20, 3)), k=5,
                             seed=0)
     by_point = {(n, d): auc for n, d, auc, _ in result.rows}
     # the classes are cleanly separable, every grid point is perfect
@@ -384,26 +392,27 @@ def test_cv_selects_cheapest_of_tied_grid():
 
 def test_cv_reports_every_grid_point():
     data = separable_set(n_per_class=20, n_patients=5, seed=2)
-    result = cross_validate(data, grid=((10, 2), (10, 3)), k=5, seed=0)
+    result = cross_validate(*data, grid=((10, 2), (10, 3)), k=5, seed=0)
     assert [(r[0], r[1]) for r in result.rows] == [(10, 2), (10, 3)]
     assert all(r[3] <= 5 for r in result.rows)
 
 
 def test_cv_skips_single_class_validation_folds():
     rng = np.random.default_rng(3)
-    data = []
+    rows, y, groups = [], [], []
     for i in range(5):
         for _ in range(6):
             if i == 0:
                 # one patient holds only AF windows
-                data.append(LabeledWindow(features=af_vector(rng), label=AF,
-                                          patient_id="solo"))
+                rows.append(af_vector(rng))
+                y.append(1)
+                groups.append("solo")
             else:
-                data.append(LabeledWindow(features=af_vector(rng), label=AF,
-                                          patient_id=f"p{i}"))
-                data.append(LabeledWindow(features=nsr_vector(rng),
-                                          label=NON_AF, patient_id=f"p{i}"))
-    result = cross_validate(data, grid=((10, 2),), k=5, seed=0)
+                rows += [af_vector(rng), nsr_vector(rng)]
+                y += [1, 0]
+                groups += [f"p{i}"] * 2
+    result = cross_validate(np.array(rows), np.array(y), groups,
+                            grid=((10, 2),), k=5, seed=0)
     n_est, depth, auc, folds_used = result.rows[0]
     assert folds_used == 4
     assert auc is not None
@@ -412,41 +421,39 @@ def test_cv_skips_single_class_validation_folds():
 @pytest.mark.parametrize("k", [1, 0, -2])
 def test_cv_rejects_fewer_than_two_folds(k):
     with pytest.raises(ConfigurationError, match="at least 2 folds"):
-        cross_validate(separable_set(), k=k)
+        cross_validate(*separable_set(), k=k)
 
 
 def test_cv_rejects_non_positive_grid_point():
     # depth 2 still fits 10 trees; the 0-tree point must not be scored
     with pytest.raises(ConfigurationError, match="must be positive"):
-        cross_validate(separable_set(), grid=((10, 2), (0, 2)))
+        cross_validate(*separable_set(), grid=((10, 2), (0, 2)))
 
 
 def noisy_set(seed=5, n_patients=5, per_patient=14):
     """Overlapping classes on a 0.1 grid, so validation AUROCs differ
     between grid points; patient "solo" holds AF windows only."""
     rng = np.random.default_rng(seed)
-    data = []
+    rows, y, groups = [], [], []
     for p in range(n_patients):
         for _ in range(per_patient):
             x = np.round(rng.normal(size=9), 1)
-            label = AF if x[1] + x[6] + rng.normal(0, 1.0) > 0 else NON_AF
-            data.append(LabeledWindow(features=FeatureVector.from_array(x),
-                                      label=label, patient_id=f"p{p}"))
+            rows.append(x)
+            y.append(1 if x[1] + x[6] + rng.normal(0, 1.0) > 0 else 0)
+            groups.append(f"p{p}")
     for _ in range(6):
-        x = np.round(rng.normal(0.5, 1.0, size=9), 1)
-        data.append(LabeledWindow(features=FeatureVector.from_array(x),
-                                  label=AF, patient_id="solo"))
-    return data
+        rows.append(np.round(rng.normal(0.5, 1.0, size=9), 1))
+        y.append(1)
+        groups.append("solo")
+    return np.array(rows), np.array(y), np.array(groups)
 
 
-def cross_validate_oracle(data, grid, k, seed):
+def cross_validate_oracle(X, y, groups, grid, k, seed):
     """Rows of a grid search that fits every grid point on its own."""
-    patients = sorted({d.patient_id for d in data})
+    patients = sorted(set(groups.tolist()))
     order = np.random.default_rng(seed).permutation(len(patients))
     fold_of = {patients[int(p)]: i % k for i, p in enumerate(order)}
-    X = np.stack([d.features.to_array() for d in data])
-    y = np.array([d.label == AF for d in data], dtype=np.int64)
-    folds = np.array([fold_of[d.patient_id] for d in data])
+    folds = np.array([fold_of[g] for g in groups.tolist()])
     rows = []
     for n_est, depth in grid:
         aucs = []
@@ -455,9 +462,8 @@ def cross_validate_oracle(data, grid, k, seed):
             va = ~tr
             if not va.any() or y[tr].min() == y[tr].max():
                 continue
-            sub = [d for d, m in zip(data, tr) if m]
-            model = train(sub, n_estimators=n_est, max_depth=depth,
-                          seed=seed)
+            model = train(X[tr], y[tr], n_estimators=n_est,
+                          max_depth=depth, seed=seed)
             proba = predict_proba_many(model, X[va])
             auc, _ = stats.auroc(list(zip(proba.tolist(),
                                           y[va].tolist())))
@@ -470,9 +476,9 @@ def cross_validate_oracle(data, grid, k, seed):
 
 @pytest.mark.parametrize("depth", [1, 3, 5])
 def test_fewer_trees_are_a_prefix_of_more(depth):
-    data = noisy_set()
-    assert (train(data, n_estimators=50, max_depth=depth, seed=3).trees[:10]
-            == train(data, n_estimators=10, max_depth=depth, seed=3).trees)
+    X, y, _ = noisy_set()
+    assert (train(X, y, n_estimators=50, max_depth=depth, seed=3).trees[:10]
+            == train(X, y, n_estimators=10, max_depth=depth, seed=3).trees)
 
 
 @pytest.mark.parametrize("k,seed", [(6, 0), (3, 2)])
@@ -480,8 +486,8 @@ def test_cv_rows_match_per_grid_point_fits(k, seed):
     data = noisy_set()
     # unsorted, with a duplicate point and a depth seen once
     grid = ((20, 3), (10, 2), (50, 3), (10, 2), (5, 3), (20, 1))
-    result = cross_validate(data, grid=grid, k=k, seed=seed)
-    want = cross_validate_oracle(data, grid, k, seed)
+    result = cross_validate(*data, grid=grid, k=k, seed=seed)
+    want = cross_validate_oracle(*data, grid, k, seed)
     assert result.rows == want
     assert len({r[2] for r in want}) > 2
     best = min(want, key=lambda r: (-r[2], r[0], r[1]))
@@ -493,8 +499,8 @@ def test_cv_rows_match_per_grid_point_fits(k, seed):
 
 def test_cv_deterministic_given_seed():
     data = separable_set(n_per_class=20, n_patients=5, seed=4)
-    a = cross_validate(data, grid=((10, 2), (20, 2)), k=5, seed=1)
-    b = cross_validate(data, grid=((10, 2), (20, 2)), k=5, seed=1)
+    a = cross_validate(*data, grid=((10, 2), (20, 2)), k=5, seed=1)
+    b = cross_validate(*data, grid=((10, 2), (20, 2)), k=5, seed=1)
     assert a == b
 
 
@@ -503,24 +509,24 @@ def test_cv_deterministic_given_seed():
 
 
 def test_model_round_trip():
-    model = train(separable_set(), seed=0)
+    X, y, _ = separable_set()
+    model = train(X, y, seed=0)
     back = load_model(save_model(model))
     assert back == model
-    X = np.stack([af_vector(np.random.default_rng(1)).to_array()
-                  for _ in range(4)])
+    X = np.stack([af_vector(np.random.default_rng(1)) for _ in range(4)])
     np.testing.assert_array_equal(predict_proba_many(back, X),
                                   predict_proba_many(model, X))
 
 
 def test_model_json_is_canonical():
-    payload = json.loads(save_model(train(separable_set(), seed=0)))
+    payload = json.loads(save_model(train(*separable_set()[:2], seed=0)))
     assert payload["format_version"] == 1
     assert payload["kind"] == "af-window-forest"
     assert payload["feature_names"] == list(FEATURE_NAMES)
 
 
 def tampered(**overrides):
-    payload = json.loads(save_model(train(separable_set(), seed=0)))
+    payload = json.loads(save_model(train(*separable_set()[:2], seed=0)))
     payload.update(overrides)
     return json.dumps(payload)
 
@@ -548,7 +554,7 @@ def test_load_rejects_feature_order_drift():
 
 
 def test_load_rejects_missing_trees():
-    payload = json.loads(save_model(train(separable_set(), seed=0)))
+    payload = json.loads(save_model(train(*separable_set()[:2], seed=0)))
     del payload["trees"]
     with pytest.raises(ParseError):
         load_model(json.dumps(payload))
@@ -566,3 +572,42 @@ def test_load_rejects_malformed_nodes():
                                     "l": {"leaf": [1, 0]}}]))
     with pytest.raises(ParseError):
         load_model(tampered(trees=["not a node"]))
+
+
+LEAF = {"leaf": [1, 0]}
+
+
+@pytest.mark.parametrize("f", [99, 9, -1, 0.5, True, "0", None])
+def test_load_rejects_split_feature_predict_cannot_read(f):
+    # -1 would silently split on the last feature, 9 and up raise an
+    # IndexError in predict
+    with pytest.raises(ParseError, match="split feature"):
+        load_model(tampered(trees=[{"f": f, "thr": 1.0, "l": LEAF,
+                                    "r": LEAF}]))
+
+
+@pytest.mark.parametrize("thr", ["x", float("nan"), float("inf"), True,
+                                 None, [1.0], 10 ** 400])
+def test_load_rejects_non_finite_threshold(thr):
+    # NaN would send every row right; a huge int overflows the compare
+    with pytest.raises(ParseError, match="split threshold"):
+        load_model(tampered(trees=[{"f": 0, "thr": thr, "l": LEAF,
+                                    "r": LEAF}]))
+
+
+def test_load_accepts_integer_threshold():
+    model = load_model(tampered(trees=[{"f": 6, "thr": 700, "l": LEAF,
+                                        "r": {"leaf": [0, 1]}}]))
+    assert proba(model, fv(avnn=800.0)) == 1.0
+
+
+@pytest.mark.parametrize("names", [None, 5, True, "bsqi", [1] * 9,
+                                   list(FEATURE_NAMES[:8]),
+                                   list(reversed(FEATURE_NAMES))])
+def test_load_rejects_bad_feature_names(names):
+    with pytest.raises(ParseError, match="feature_names"):
+        load_model(tampered(feature_names=names))
+    payload = json.loads(tampered())
+    del payload["feature_names"]
+    with pytest.raises(ParseError, match="feature_names"):
+        load_model(json.dumps(payload))

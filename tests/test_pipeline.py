@@ -346,13 +346,12 @@ def test_collect_training_windows_rr(tmp_path):
         ManifestEntry(path=str(tmp_path / "nsr.csv"), fmt="rr",
                       patient_id="b"),
     ]
-    labeled, skipped = collect_training_windows(entries, PipelineConfig())
+    X, y, groups, skipped = collect_training_windows(entries,
+                                                     PipelineConfig())
     assert skipped == 0
-    assert len(labeled) == 6
-    by_pid = {d.patient_id for d in labeled}
-    assert by_pid == {"a", "b"}
-    assert all(d.label == "AF" for d in labeled if d.patient_id == "a")
-    assert all(d.label == "nonAF" for d in labeled if d.patient_id == "b")
+    assert X.shape == (6, len(FEATURE_NAMES))
+    assert groups.tolist() == ["a"] * 3 + ["b"] * 3
+    assert y.tolist() == [1] * 3 + [0] * 3
 
 
 def test_collect_training_windows_needs_rhythm(tmp_path):
@@ -383,11 +382,12 @@ def test_collect_training_windows_signal_path(tmp_path, nsr_record):
     entries = [ManifestEntry(path=str(tmp_path / "r.edf"), fmt="edf",
                              patient_id="p",
                              annotations_path=str(tmp_path / "r.rr.csv"))]
-    labeled, skipped = collect_training_windows(entries, PipelineConfig())
+    X, y, groups, skipped = collect_training_windows(entries,
+                                                     PipelineConfig())
     assert skipped == 1
-    assert len(labeled) == 1
-    assert labeled[0].label == "nonAF"
-    assert labeled[0].features.bsqi >= 0.8
+    assert len(X) == 1
+    assert (y.tolist(), groups.tolist()) == ([0], ["p"])
+    assert X[0, FEATURE_NAMES.index("bsqi")] >= 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +455,30 @@ def test_finish_scores_each_accepted_patient_in_one_call(monkeypatch):
     short = process_rr(rr_series([0.8] * 15), AVNN_STUMP, PipelineConfig())
     assert short.qc.status == "too_few_peaks"
     assert calls == []
+
+
+def test_collect_training_windows_no_entries():
+    X, y, groups, skipped = collect_training_windows([], PipelineConfig())
+    assert (X.shape, y.shape, groups.shape, skipped) == \
+        ((0, len(FEATURE_NAMES)), (0,), (0,), 0)
+
+
+def test_forest_tie_labels_window_non_af():
+    # one tree per side of every window's avnn: proba is exactly 0.5,
+    # which the strict > 0.5 rule labels nonAF
+    def stump(left, right):
+        return {"f": AVNN, "thr": 700.0, "l": {"leaf": left},
+                "r": {"leaf": right}}
+
+    tie = ForestModel(trees=[stump([0, 1], [1, 0]), stump([1, 0], [0, 1])],
+                      n_estimators=2, max_depth=1, seed=0)
+    result = process_rr(rr_series([0.6] * 10 + [0.85] * 10), tie,
+                        PipelineConfig(), patient_id="tie")
+    assert result.qc.status == "accepted"
+    assert [(p, label) for _, _, p, label in result.per_window] == \
+        [(0.5, "nonAF")] * 20
+    assert result.afb == 0.0
+    assert result.prominent_af is False
 
 
 def test_wrong_window_width_lands_every_patient_in_the_ledger(tmp_path):

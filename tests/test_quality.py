@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from afscreen import quality
+from afscreen import pipeline, quality
 from afscreen.errors import ContractViolationError
-from afscreen.features import BeatWindow
 from afscreen.qrs import RPeakSeries
 
 from conftest import make_series
@@ -31,6 +30,29 @@ def oracle_bsqi(ref, test, tol):
             used_t.add(j)
             matched += 1
     return matched / (len(ref) + len(test) - matched)
+
+
+def oracle_greedy_match(ref, test, tol):
+    cands = []
+    for i, a in enumerate(ref):
+        for j, b in enumerate(test):
+            if abs(a - b) <= tol:
+                cands.append((abs(a - b), a + b, i, j))
+    cands.sort(key=lambda c: (c[0], c[1]))
+    used_i, used_j = set(), set()
+    matched = 0
+    for _, _, i, j in cands:
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            matched += 1
+    return matched
+
+
+def match_count(ref, test, tol):
+    """The matcher bsqi and window_bsqi share, on one whole segment."""
+    return int(quality._matched(ref[None, :], test, np.array([0]),
+                                np.array([test.shape[0]]), tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -110,35 +132,60 @@ def test_bsqi_custom_tolerance():
 
 
 # ---------------------------------------------------------------------------
+# greedy matching
+
+
+def test_greedy_match_matches_oracle():
+    rng = np.random.default_rng(20250817)
+    for trial in range(150):
+        ref = np.sort(rng.uniform(0.0, 50.0, size=int(rng.integers(0, 70))))
+        test = np.sort(rng.uniform(0.0, 50.0, size=int(rng.integers(0, 70))))
+        want = oracle_greedy_match(ref.tolist(), test.tolist(), 0.15)
+        assert match_count(ref, test, 0.15) == want
+
+
+def test_greedy_match_is_one_to_one():
+    # one test peak equidistant from many reference peaks: single match
+    ref = np.arange(10, dtype=np.float64) * 0.01
+    test = np.array([0.045])
+    assert match_count(ref, test, 0.15) == 1
+
+
+# ---------------------------------------------------------------------------
 # window partitioning
 
 
 def test_window_partition_drops_remainder():
     peaks = make_series(np.arange(123) * 0.8)
     windows = quality.window_partition(peaks)
-    assert [w.window_index for w in windows] == [0, 1]
-    np.testing.assert_array_equal(windows[0].times, peaks.times[:60])
-    np.testing.assert_array_equal(windows[1].times, peaks.times[60:120])
+    assert windows.shape == (2, 60)
+    np.testing.assert_array_equal(windows[0], peaks.times[:60])
+    np.testing.assert_array_equal(windows[1], peaks.times[60:120])
+
+
+def test_window_partition_is_a_view():
+    peaks = make_series(np.arange(123) * 0.8)
+    assert np.shares_memory(quality.window_partition(peaks), peaks.times)
 
 
 def test_window_partition_exact_multiple():
     peaks = make_series(np.arange(180) * 0.8)
     windows = quality.window_partition(peaks)
     assert len(windows) == 3
-    assert windows[2].t_start == pytest.approx(120 * 0.8)
-    assert windows[2].t_end == pytest.approx(179 * 0.8)
+    assert windows[2, 0] == pytest.approx(120 * 0.8)
+    assert windows[2, -1] == pytest.approx(179 * 0.8)
 
 
 def test_window_partition_too_short_gives_nothing():
     peaks = make_series(np.arange(59) * 0.8)
-    assert quality.window_partition(peaks) == []
+    assert quality.window_partition(peaks).shape == (0, 60)
 
 
 def test_window_partition_custom_width():
     peaks = make_series(np.arange(10) * 0.8)
     windows = quality.window_partition(peaks, beats=5)
     assert len(windows) == 2
-    assert windows[1].times.shape[0] == 5
+    assert windows[1].shape[0] == 5
 
 
 def test_window_partition_rejects_tiny_width():
@@ -151,52 +198,100 @@ def test_window_partition_rejects_tiny_width():
 # window scoring
 
 
+def score(ref_times, test_times):
+    """(bsqi, included) of the reference windows, as the pipeline scores
+    them."""
+    _, bsqi, included = pipeline._score(make_series(ref_times),
+                                        make_test_series(test_times),
+                                        pipeline.PipelineConfig())
+    return bsqi, included
+
+
 def test_score_windows_perfect_agreement():
     times = np.arange(120) * 0.8
-    windows = quality.window_partition(make_series(times))
-    scored, verdicts = quality.score_windows(windows, make_test_series(times))
-    assert all(w.bsqi == 1.0 for w in scored)
-    assert all(v.included for v in verdicts)
+    bsqi, included = score(times, times)
+    assert bsqi.tolist() == [1.0, 1.0]
+    assert included.all()
 
 
 def test_score_windows_boundary_bsqi():
     # 48 matching test peaks against 60 reference beats: 48/60 == 0.80,
     # which sits exactly on the inclusive threshold.
     times = np.arange(60) * 0.8
-    windows = quality.window_partition(make_series(times))
-    scored, verdicts = quality.score_windows(windows, make_test_series(times[:48]))
-    assert scored[0].bsqi == pytest.approx(0.8)
-    assert verdicts[0].included
+    bsqi, included = score(times, times[:48])
+    assert bsqi[0] == pytest.approx(0.8)
+    assert included[0]
 
     # One match fewer: 47/60 < 0.80, excluded.
-    _, verdicts = quality.score_windows(windows, make_test_series(times[:47]))
-    assert verdicts[0].bsqi == pytest.approx(47 / 60)
-    assert not verdicts[0].included
+    bsqi, included = score(times, times[:47])
+    assert bsqi[0] == pytest.approx(47 / 60)
+    assert not included[0]
 
 
 def test_score_windows_span_is_inclusive():
     times = np.arange(60) * 0.8
-    windows = quality.window_partition(make_series(times))
     # Test peaks exactly on the window edges must be scored, not dropped.
-    edges = make_test_series([times[0], times[-1]])
-    scored, _ = quality.score_windows(windows, edges)
-    assert scored[0].bsqi == pytest.approx(2 / 60)
+    bsqi, _ = score(times, [times[0], times[-1]])
+    assert bsqi[0] == pytest.approx(2 / 60)
 
 
 def test_score_windows_ignores_peaks_outside_span():
     times = np.arange(60) * 0.8
-    windows = quality.window_partition(make_series(times))
-    outside = make_test_series([times[-1] + 5.0, times[-1] + 6.0])
-    scored, verdicts = quality.score_windows(windows, outside)
-    assert scored[0].bsqi == 0.0
-    assert not verdicts[0].included
+    bsqi, included = score(times, [times[-1] + 5.0, times[-1] + 6.0])
+    assert bsqi[0] == 0.0
+    assert not included[0]
 
 
 def test_score_windows_stamps_indices():
+    # only the middle window has test peaks: row i is window i
     times = np.arange(180) * 0.8
-    windows = quality.window_partition(make_series(times))
-    _, verdicts = quality.score_windows(windows, make_test_series(times))
-    assert [v.window_index for v in verdicts] == [0, 1, 2]
+    bsqi, included = score(times, times[60:120])
+    assert bsqi.tolist() == [0.0, 1.0, 0.0]
+    assert included.tolist() == [False, True, False]
+
+
+def test_rr_series_windows_all_score_one():
+    _, bsqi, included = pipeline._score(make_series(np.arange(130) * 0.8),
+                                        None, pipeline.PipelineConfig())
+    assert bsqi.tolist() == [1.0, 1.0]
+    assert included.all()
+
+
+def jittered_night(rng, n_beats):
+    """Reference beats, and a test series that drops, moves and adds
+    peaks, some of them near window edges."""
+    ref = np.cumsum(rng.uniform(0.3, 1.5, size=n_beats))
+    keep = rng.random(n_beats) > 0.15
+    moved = ref[keep] + rng.normal(0.0, 0.08, size=int(keep.sum()))
+    extra = rng.uniform(0.0, ref[-1] + 1.0, size=n_beats // 10)
+    return ref, np.unique(np.concatenate([moved, extra]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_bsqi_matches_per_window_oracle(seed):
+    # the one-pass match gives each window the score of matching its
+    # own test segment alone
+    rng = np.random.default_rng(300 + seed)
+    ref, test = jittered_night(rng, int(rng.integers(60, 1300)))
+    windows = quality.window_partition(make_series(ref))
+    got = quality.window_bsqi(windows, make_test_series(test))
+    want = [oracle_bsqi(w.tolist(),
+                        test[(test >= w[0]) & (test <= w[-1])].tolist(),
+                        0.150)
+            for w in windows]
+    assert got.shape == (len(windows),)
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  np.array(want).view(np.int64))
+
+
+def test_window_bsqi_equals_one_segment_bsqi():
+    rng = np.random.default_rng(7)
+    ref, test = jittered_night(rng, 600)
+    windows = quality.window_partition(make_series(ref))
+    got = quality.window_bsqi(windows, make_test_series(test))
+    for w, b in zip(windows, got.tolist()):
+        seg = test[(test >= w[0]) & (test <= w[-1])]
+        assert quality.bsqi(w, seg) == b
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +299,7 @@ def test_score_windows_stamps_indices():
 
 
 def verdicts(n_bad, n_total):
-    return [quality.WindowQuality(window_index=i, bsqi=0.0 if i < n_bad
-                                  else 1.0, included=i >= n_bad)
-            for i in range(n_total)]
+    return np.arange(n_total) >= n_bad
 
 
 def test_qc_too_few_peaks():
