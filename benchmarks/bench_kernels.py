@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             ratio = f"{'':>10}"
         print(f"{name:<{name_w}}{cells}{ratio}  {desc}")
 
-    # one night's windows, as pipeline._finish featurizes them
+    # one night's windows, as predict featurizes an accepted recording
     n = int(args.hours * 3600.0 / 0.8) // 60
     rr = rng.uniform(300.0, 2000.0, size=(n, 59))
     bsqi = np.ones(n)

@@ -13,9 +13,12 @@ Subcommands:
   qc        quality-gate recordings without classifying, optionally
             dumping either detector's peak times
 
-Every flag with a default can also be set through an environment
-variable named AFSCREEN_<FLAG> (dashes as underscores, upper case),
-e.g. AFSCREEN_WORKERS=4. Explicit flags win over the environment.
+The analysis flags that train, predict, evaluate and qc share (one per
+PipelineConfig field, with the field's default), --workers, train's
+--grid and --cv-folds, and synth's --fs, --snr and --seed can also be
+set through an environment variable named AFSCREEN_<FLAG> (dashes as
+underscores, upper case), e.g. AFSCREEN_WORKERS=4. Explicit flags win
+over the environment.
 
 All outputs embed the analysis configuration and the package version.
 Outputs contain no timestamps and inference uses no randomness, so
@@ -28,16 +31,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import __version__, forest, pipeline, quality, stats
+from . import __version__, forest, pipeline, stats
 from .errors import AfscreenError, ConfigurationError
-from .qrs import detect_reference, detect_test
-from .record_io import parse_rr_csv, write_edf, write_rr_csv
+from .record_io import write_edf, write_rr_csv
 from .synth import SynthSpec, synth_record
 
 VERSION = f"afscreen-{__version__}"
@@ -56,62 +59,56 @@ def _env(flag: str, default, cast=str):
             f"{raw!r}") from None
 
 
+# Each PipelineConfig field's flag and help text. The default is read
+# from the dataclass, so every analysis default is declared there once.
+PIPELINE_FLAGS = {
+    "bsqi_threshold": ("bsqi-threshold", "window inclusion threshold"),
+    "afb_threshold_pct": ("afb-threshold",
+                          "prominent-AF burden threshold, percent"),
+    "match_tolerance_s": ("match-tolerance",
+                          "beat matching tolerance, seconds"),
+    "min_reference_peaks": ("min-peaks",
+                            "minimum reference peaks per recording"),
+    "max_exclusion_rate": ("max-exclusion-rate",
+                           "recording excluded when the excluded-window "
+                           "fraction exceeds this"),
+    "window_beats": ("window-beats", "beats per window"),
+    "channel": ("channel", "signal label substring or integer index "
+                           "(default ECG; a single-signal WFDB record's "
+                           "only signal)"),
+    "ahi_cutoff": ("ahi-cutoff", "AHI stratum boundary"),
+    "ni_margin": ("ni-margin", "non-inferiority margin"),
+    "ni_alpha": ("ni-alpha", "non-inferiority significance level"),
+    "seed": ("seed", "RNG seed for training"),
+}
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bsqi-threshold", type=float,
-                   default=_env("bsqi-threshold", 0.8, float),
-                   help="window inclusion threshold (default 0.8)")
-    p.add_argument("--afb-threshold", type=float,
-                   default=_env("afb-threshold", 20.0, float),
-                   help="prominent-AF burden threshold, percent "
-                        "(default 20)")
-    p.add_argument("--match-tolerance", type=float,
-                   default=_env("match-tolerance", 0.150, float),
-                   help="beat matching tolerance, seconds (default 0.150)")
-    p.add_argument("--min-peaks", type=int,
-                   default=_env("min-peaks", 1000, int),
-                   help="minimum reference peaks per recording "
-                        "(default 1000)")
-    p.add_argument("--max-exclusion-rate", type=float,
-                   default=_env("max-exclusion-rate", 0.75, float),
-                   help="recording excluded when the excluded-window "
-                        "fraction exceeds this (default 0.75)")
-    p.add_argument("--window-beats", type=int,
-                   default=_env("window-beats", 60, int),
-                   help="beats per window (default 60)")
-    p.add_argument("--channel", default=_env("channel", None),
-                   help="signal label substring or integer index "
-                        "(default ECG; a single-signal WFDB record's "
-                        "only signal)")
-    p.add_argument("--ahi-cutoff", type=float,
-                   default=_env("ahi-cutoff", 15.0, float),
-                   help="AHI stratum boundary (default 15)")
-    p.add_argument("--ni-margin", type=float,
-                   default=_env("ni-margin", 0.03, float),
-                   help="non-inferiority margin (default 0.03)")
-    p.add_argument("--ni-alpha", type=float,
-                   default=_env("ni-alpha", 0.05, float),
-                   help="non-inferiority significance level (default 0.05)")
-    p.add_argument("--seed", type=int, default=_env("seed", 0, int),
-                   help="RNG seed for training (default 0)")
+    for f in dataclasses.fields(pipeline.PipelineConfig):
+        flag, text = PIPELINE_FLAGS[f.name]
+        if f.default is None:
+            cast = str
+        else:
+            cast = type(f.default)
+            text += f" (default {f.default:g})"
+        p.add_argument(f"--{flag}", dest=f.name, type=cast,
+                       metavar=flag.replace("-", "_").upper(),
+                       default=_env(flag, f.default, cast), help=text)
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int,
+                   default=_env("workers", None, int),
+                   help="process pool size (default: all cores)")
 
 
 def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    channel = args.channel
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(pipeline.PipelineConfig)}
+    channel = values["channel"]
     if isinstance(channel, str) and channel.lstrip("-").isdigit():
-        channel = int(channel)
-    return pipeline.PipelineConfig(
-        bsqi_threshold=args.bsqi_threshold,
-        afb_threshold_pct=args.afb_threshold,
-        match_tolerance_s=args.match_tolerance,
-        min_reference_peaks=args.min_peaks,
-        max_exclusion_rate=args.max_exclusion_rate,
-        window_beats=args.window_beats,
-        channel=channel,
-        ahi_cutoff=args.ahi_cutoff,
-        ni_margin=args.ni_margin,
-        ni_alpha=args.ni_alpha,
-        seed=args.seed,
-    )
+        values["channel"] = int(channel)
+    return pipeline.PipelineConfig(**values)
 
 
 def _run_config(command: str, args: argparse.Namespace,
@@ -131,6 +128,13 @@ def _provenance_lines(run_config: dict) -> list[str]:
     return [f"generator={VERSION}",
             "config=" + json.dumps(run_config, sort_keys=True,
                                    separators=(",", ":"))]
+
+
+def _csv_buffer(header_lines=()) -> tuple:
+    """A CSV buffer that starts with one "# " comment per header line."""
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in header_lines)
+    return buf, csv.writer(buf, lineterminator="\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -195,11 +199,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_text(out, json.dumps(payload, sort_keys=True,
                                 separators=(",", ":")))
 
-    buf = io.StringIO()
-    for line in _provenance_lines(run_config):
-        buf.write(f"# {line}\n")
+    buf, writer = _csv_buffer(_provenance_lines(run_config))
     buf.write(f"# selected={cv.n_estimators}x{cv.max_depth}\n")
-    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n_estimators", "max_depth", "mean_auroc",
                      "folds_used"])
     for n_est, depth, auc, folds in cv.rows:
@@ -239,8 +240,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 pipeline.cohort_csv(results,
                                     _provenance_lines(run_config)))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    buf, writer = _csv_buffer()
     writer.writerow(["patient_id", "error"])
     for pid, msg in report.errors:
         writer.writerow([pid, msg])
@@ -288,10 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             alpha=config.ni_alpha)
 
     out_dir = Path(args.out_dir)
-    buf = io.StringIO()
-    for line in _provenance_lines(run_config):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    buf, writer = _csv_buffer(_provenance_lines(run_config))
     writer.writerow(["stratum", "tp", "fp", "tn", "fn",
                      "se", "sp", "ppv", "npv", "f1"])
     for name, stratum in (("all", report.overall),
@@ -314,11 +311,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
               for pid in sorted(afb_by_pid)
               if metas[pid].reference_af_label != "unknown"]
     auc, points = stats.auroc(scores)
-    buf = io.StringIO()
-    for line in _provenance_lines(run_config):
-        buf.write(f"# {line}\n")
+    buf, writer = _csv_buffer(_provenance_lines(run_config))
     buf.write(f"# afb_auroc={_fmt_opt(auc)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["fpr", "tpr"])
     for fpr, tpr in points:
         writer.writerow([repr(fpr), repr(tpr)])
@@ -382,41 +376,19 @@ def cmd_qc(args: argparse.Namespace) -> int:
     config = _config_from(args)
     run_config = _run_config("qc", args, config)
     entries = pipeline.read_manifest(args.manifest)
+    rows, errors = pipeline.qc_cohort(entries, config, workers=args.workers,
+                                      dump=args.dump_detector)
 
-    rows = []
-    errors = []
-    for entry in entries:
-        try:
-            if entry.fmt == "rr":
-                ref, _ = parse_rr_csv(pipeline._read_text(entry.path))
-                test = None
-            else:
-                record = pipeline._load_record(entry, config)
-                ref = detect_reference(record)
-                test = detect_test(record)
-            _, _, included = pipeline._score(ref, test, config)
-            if test is not None and args.dump_detector:
-                picked = ref if args.dump_detector == "reference" else test
-                dump_dir = Path(args.dump_dir) if args.dump_dir \
-                    else Path(args.out).parent
-                _write_text(dump_dir / f"{entry.patient_id}.peaks.csv",
-                            "".join(f"{float(t)!r}\n" for t in picked.times))
-            qc = quality.qc_recording(ref, included,
-                                      config.min_reference_peaks,
-                                      config.max_exclusion_rate)
-            rows.append((entry.patient_id, qc))
-        except (AfscreenError, OSError) as e:
-            errors.append((entry.patient_id, f"{type(e).__name__}: {e}"))
-
-    buf = io.StringIO()
-    for line in _provenance_lines(run_config):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    dump_dir = Path(args.dump_dir) if args.dump_dir else Path(args.out).parent
+    buf, writer = _csv_buffer(_provenance_lines(run_config))
     writer.writerow(["patient_id", "status", "n_peaks", "exclusion_rate"])
-    for pid, qc in sorted(rows):
+    for pid, (qc, peaks) in rows:
+        if peaks is not None:
+            _write_text(dump_dir / f"{pid}.peaks.csv",
+                        "".join(f"{float(t)!r}\n" for t in peaks))
         writer.writerow([pid, qc.status, qc.n_peaks_reference,
                          repr(float(qc.exclusion_rate))])
-    for pid, msg in sorted(errors):
+    for pid, msg in errors:
         writer.writerow([pid, "error", "", msg])
     _write_text(Path(args.out), buf.getvalue())
     print(f"qc ledger: {args.out} ({len(rows)} recordings, "
@@ -444,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=_env("grid", None),
                    help="hyperparameter grid like 10x2,20x3 "
                         "(default: full bracket)")
-    p.add_argument("--cv-folds", type=int, default=_env("cv-folds", 5, int))
+    p.add_argument("--cv-folds", type=int,
+                   default=_env("cv-folds", forest.DEFAULT_CV_FOLDS, int))
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -452,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int,
-                   default=_env("workers", None, int),
-                   help="process pool size (default: all cores)")
+    _add_workers_flag(p)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -473,14 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patient-id", default="synth")
     p.add_argument("--program", required=True,
                    help="rhythm program like NSR:600,AF:1200")
-    p.add_argument("--fs", type=float, default=_env("fs", 128.0, float))
+    p.add_argument("--fs", type=float,
+                   default=_env("fs", SynthSpec.fs, float))
     p.add_argument("--snr", type=float, default=_env("snr", None, float),
                    help="signal-power SNR in dB (default: noiseless)")
-    p.add_argument("--seed", type=int, default=_env("seed", 0, int))
-    p.add_argument("--mean-rr", type=float, default=800.0)
-    p.add_argument("--nsr-sd", type=float, default=30.0)
-    p.add_argument("--af-sd", type=float, default=150.0)
-    p.add_argument("--ectopy-k", type=int, default=3)
+    p.add_argument("--seed", type=int,
+                   default=_env("seed", SynthSpec.seed, int))
+    p.add_argument("--mean-rr", type=float, default=SynthSpec.mean_rr)
+    p.add_argument("--nsr-sd", type=float, default=SynthSpec.nsr_sd)
+    p.add_argument("--af-sd", type=float, default=SynthSpec.af_sd)
+    p.add_argument("--ectopy-k", type=int, default=SynthSpec.ectopy_k)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("qc", help="run quality control only")
@@ -491,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump this detector's peak times per patient")
     p.add_argument("--dump-dir", default=None,
                    help="directory for peak dumps (default: next to --out)")
+    _add_workers_flag(p)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_qc)
 

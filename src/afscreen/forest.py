@@ -49,6 +49,7 @@ MODEL_FORMAT_VERSION = 1
 MODEL_KIND = "af-window-forest"
 DEFAULT_N_ESTIMATORS = 20
 DEFAULT_MAX_DEPTH = 3
+DEFAULT_CV_FOLDS = 5
 # brackets the defaults: tree counts {10, 20, 50} x depths {2, 3, 5}
 DEFAULT_GRID = tuple((n, d) for n in (10, 20, 50) for d in (2, 3, 5))
 
@@ -213,7 +214,7 @@ class CvResult:
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, groups,
-                   grid=DEFAULT_GRID, k: int = 5,
+                   grid=DEFAULT_GRID, k: int = DEFAULT_CV_FOLDS,
                    seed: int = 0) -> CvResult:
     """Patient-grouped k-fold selection of (n_estimators, max_depth).
 

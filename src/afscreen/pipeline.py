@@ -2,24 +2,27 @@
 
 One patient flows through: reference detection -> test detection ->
 60-beat windowing -> per-window bsqi -> recording-level QC -> features
--> forest inference -> AF burden. One scoring helper, _score, turns a
-recording's peaks into its windows as arrays: the (n, 60) beat times,
-each window's bsqi and the inclusion verdicts. predict, qc and train all
-go through it. The included windows of an accepted recording are
-featurized as one matrix and scored by one forest call.
+-> forest inference -> AF burden. predict, qc and train share one
+analysis path: _load turns a manifest entry into its peaks, and
+_analyze turns the peaks into the windows as arrays (the (n, 60) beat
+times, each window's bsqi and the inclusion verdicts) and the QC
+verdict. predict classifies the result, train labels it, qc reports it.
+The included windows of an accepted recording are featurized as one
+matrix and scored by one forest call.
 The AF burden (afb) is the percentage of *included* windows classified
-AF; excluded recordings carry no afb. A patient is flagged prominent-AF
-iff afb >= the 20% threshold.
+AF; excluded recordings carry no afb, and a recording with no window
+included is too_few_peaks. A patient is flagged prominent-AF iff
+afb >= the 20% threshold.
 
 Recordings can also enter as plain RR series (beat times on file); the
 dual-detector agreement step then has nothing to compare, so every
 window carries bsqi 1.0 and only the peak-count rule can exclude the
 recording.
 
-Cohorts run through a process pool. Results are sorted by patient_id
-and inference uses no randomness, so output is independent of worker
-count and scheduling; per-patient failures land in an error ledger
-without aborting the batch.
+predict and qc fan a cohort out over one process pool. Results are
+sorted by patient_id and inference uses no randomness, so output is
+independent of worker count and scheduling; per-patient failures land
+in an error ledger without aborting the batch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,7 @@ from . import quality
 from .errors import AfscreenError, ConfigurationError, ParseError
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
-from .qrs import RPeakSeries, detect_reference, detect_test
+from .qrs import REFERENCE, RPeakSeries, detect_reference, detect_test
 from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
 from .record_io import (
     AF,
@@ -176,70 +180,75 @@ def _read_text(path: str | Path) -> str:
                          offset=e.start) from None
 
 
-def _load_record(entry: ManifestEntry,
-                 config: PipelineConfig) -> EcgRecord:
+def _load(entry: ManifestEntry, config: PipelineConfig,
+          rhythm: bool = False,
+          ) -> tuple[RPeakSeries, RPeakSeries | None,
+                     RhythmAnnotations | None]:
+    """(reference peaks, test peaks, rhythm annotations) of one entry.
+
+    An RR entry's beats come from its own file; it has no test peaks.
+    The annotations are an RR file's own rhythm column, or None; with
+    rhythm, the manifest's annotations file takes precedence and
+    missing annotations are an error.
+    """
+    ref = annotations = None
+    if entry.fmt == "rr":
+        ref, annotations = parse_rr_csv(_read_text(entry.path))
+    if rhythm:
+        source = entry.annotations_path
+        if source is not None:
+            _, annotations = parse_rr_csv(_read_text(source))
+        elif entry.fmt != "rr":
+            raise ConfigurationError(
+                f"patient {entry.patient_id}: training needs rhythm "
+                f"annotations, but the manifest row names none")
+        if annotations is None:
+            raise ConfigurationError(
+                f"patient {entry.patient_id}: {source or entry.path} has "
+                f"no rhythm column")
+    if entry.fmt == "rr":
+        return ref, None, annotations
     if entry.fmt == "edf":
         record = parse_edf(Path(entry.path).read_bytes(),
                            channel="ECG" if config.channel is None
                            else config.channel)
-    elif entry.fmt == "wfdb":
-        head = Path(entry.path)
-        dat = head.with_suffix(".dat")
-        record = parse_wfdb(_read_text(head), dat.read_bytes(),
-                            channel=config.channel)
     else:
-        raise ConfigurationError(f"not a signal format: {entry.fmt}")
+        head = Path(entry.path)
+        record = parse_wfdb(_read_text(head),
+                            head.with_suffix(".dat").read_bytes(),
+                            channel=config.channel)
     record.patient_id = entry.patient_id
     record.meta = entry.meta
-    return record
+    return detect_reference(record), detect_test(record), annotations
 
 
-def _load_annotations(entry: ManifestEntry
-                      ) -> tuple[RPeakSeries | None, RhythmAnnotations]:
-    """The rhythm truth for a training entry, from its RR CSV."""
-    if entry.fmt == "rr":
-        ann_path = entry.annotations_path or entry.path
-    else:
-        ann_path = entry.annotations_path
-    if ann_path is None:
-        raise ConfigurationError(
-            f"patient {entry.patient_id}: training needs rhythm "
-            f"annotations, but the manifest row names none")
-    peaks, annotations = parse_rr_csv(_read_text(ann_path))
-    if annotations is None:
-        raise ConfigurationError(
-            f"patient {entry.patient_id}: {ann_path} has no rhythm column")
-    return peaks, annotations
+def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
+             config: PipelineConfig,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RecordingQC]:
+    """(times, bsqi, included, qc) of one recording's peaks.
 
-
-def _score(ref: RPeakSeries, test: RPeakSeries | None,
-           config: PipelineConfig,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, bsqi, included) of the reference peaks' windows.
-
-    times is the (n, beats) view of the windows' peak times. An RR
+    times is the (n, beats) view of the reference peaks' windows. An RR
     series has no test detector (test None): its windows all score 1.0.
+    A recording that passes both QC rules with no window included is
+    reported too_few_peaks rather than given a burden of zero.
     """
     times = quality.window_partition(ref, config.window_beats)
     if test is None:
         bsqi = np.ones(times.shape[0])
     else:
         bsqi = quality.window_bsqi(times, test, config.match_tolerance_s)
-    return times, bsqi, bsqi >= config.bsqi_threshold
-
-
-def _finish(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
-            model: ForestModel, config: PipelineConfig) -> PatientResult:
-    times, bsqi, included = _score(ref, test, config)
+    included = bsqi >= config.bsqi_threshold
     qc = quality.qc_recording(ref, included, config.min_reference_peaks,
                               config.max_exclusion_rate)
+    if qc.status == ACCEPTED and not included.any():
+        qc = replace(qc, status=TOO_FEW_PEAKS)
+    return times, bsqi, included, qc
+
+
+def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
+              model: ForestModel, config: PipelineConfig) -> PatientResult:
+    times, bsqi, included, qc = _analyze(ref, test, config)
     n_included = int(np.count_nonzero(included))
-    if qc.status == ACCEPTED and not n_included:
-        # nothing survived the gate; report the recording as excluded
-        # rather than pretending a burden of zero
-        qc = RecordingQC(n_peaks_reference=qc.n_peaks_reference,
-                         exclusion_rate=qc.exclusion_rate,
-                         status=TOO_FEW_PEAKS)
     proba = [None] * times.shape[0]
     if qc.status == ACCEPTED:
         X = featurize(np.diff(times[included], axis=1) * 1000.0,
@@ -254,19 +263,14 @@ def _finish(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
         label = None if p is None else AF if p > 0.5 else NON_AF
         n_af += label == AF
         per_window.append((i, q, p, label))
-
-    if qc.status != ACCEPTED:
-        return PatientResult(patient_id=patient_id, qc=qc,
-                             n_windows_total=len(per_window),
-                             n_windows_included=n_included,
-                             afb=None, prominent_af=None,
-                             per_window=per_window)
-    afb = (100.0 * n_af) / n_included
+    afb = prominent = None
+    if qc.status == ACCEPTED:
+        afb = (100.0 * n_af) / n_included
+        prominent = afb >= config.afb_threshold_pct
     return PatientResult(patient_id=patient_id, qc=qc,
                          n_windows_total=len(per_window),
                          n_windows_included=n_included,
-                         afb=afb,
-                         prominent_af=afb >= config.afb_threshold_pct,
+                         afb=afb, prominent_af=prominent,
                          per_window=per_window)
 
 
@@ -275,49 +279,59 @@ def process_patient(record: EcgRecord, model: ForestModel,
     """Run the full signal path for one recording."""
     ref = detect_reference(record)
     test = detect_test(record)
-    return _finish(record.patient_id, ref, test, model, config)
+    return _classify(record.patient_id, ref, test, model, config)
 
 
 def process_rr(peaks: RPeakSeries, model: ForestModel,
                config: PipelineConfig,
                patient_id: str = "") -> PatientResult:
     """Run the pipeline on an RR series; bsqi is 1.0 throughout."""
-    return _finish(patient_id, peaks, None, model, config)
+    return _classify(patient_id, peaks, None, model, config)
 
 
 def process_entry(entry: ManifestEntry, model: ForestModel,
                   config: PipelineConfig) -> PatientResult:
-    if entry.fmt == "rr":
-        peaks, _ = parse_rr_csv(_read_text(entry.path))
-        return process_rr(peaks, model, config, patient_id=entry.patient_id)
-    record = _load_record(entry, config)
-    return process_patient(record, model, config)
+    ref, test, _ = _load(entry, config)
+    return _classify(entry.patient_id, ref, test, model, config)
 
 
-def _entry_task(args) -> tuple:
-    entry, model, config = args
+def _guarded(task, args: tuple) -> tuple[bool, object]:
     try:
-        return ("ok", process_entry(entry, model, config))
+        return True, task(*args)
     except (AfscreenError, OSError) as e:
-        return ("err", entry.patient_id, f"{type(e).__name__}: {e}")
+        return False, f"{type(e).__name__}: {e}"
+
+
+def _fan_out(task, entries: list[ManifestEntry], args: tuple,
+             workers: int | None) -> tuple[list[tuple], list[tuple]]:
+    """task(entry, *args) for every entry, on `workers` processes.
+
+    workers None means all cores. Returns the (patient_id, result)
+    pairs of the entries that finished and the (patient_id, message)
+    error ledger of those that raised, both sorted by patient id.
+    """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    run = partial(_guarded, task)
+    calls = [(e, *args) for e in entries]
+    if workers <= 1 or len(entries) <= 1:
+        outcomes = [run(c) for c in calls]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, calls))
+    done, errors = [], []
+    for entry, (ok, out) in zip(entries, outcomes):
+        (done if ok else errors).append((entry.patient_id, out))
+    return sorted(done, key=lambda d: d[0]), sorted(errors)
 
 
 def run_cohort(entries: list[ManifestEntry], model: ForestModel,
                config: PipelineConfig, workers: int | None = None,
                ) -> tuple[list[PatientResult], CohortReport]:
     """Process every manifest entry; failures go to the error ledger."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    tasks = [(e, model, config) for e in entries]
-    if workers <= 1 or len(entries) <= 1:
-        outcomes = [_entry_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_entry_task, tasks))
-
-    results = sorted((o[1] for o in outcomes if o[0] == "ok"),
-                     key=lambda r: r.patient_id)
-    errors = sorted(((o[1], o[2]) for o in outcomes if o[0] == "err"))
+    done, errors = _fan_out(process_entry, entries, (model, config),
+                            workers)
+    results = [r for _, r in done]
     n_excluded = sum(1 for r in results if r.qc.status != ACCEPTED)
     n_prominent = sum(1 for r in results if r.prominent_af)
     report = CohortReport(n_patients=len(entries),
@@ -328,14 +342,38 @@ def run_cohort(entries: list[ManifestEntry], model: ForestModel,
     return results, report
 
 
+def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
+              dump: str | None) -> tuple[RecordingQC, np.ndarray | None]:
+    ref, test, _ = _load(entry, config)
+    qc = _analyze(ref, test, config)[3]
+    if dump is None or test is None:
+        return qc, None
+    return qc, (ref if dump == REFERENCE else test).times
+
+
+def qc_cohort(entries: list[ManifestEntry], config: PipelineConfig,
+              workers: int | None = None, dump: str | None = None,
+              ) -> tuple[list[tuple], list[tuple]]:
+    """Quality-gate every manifest entry without classifying it.
+
+    Returns (pid, (qc, peaks)) for each recording, where peaks are the
+    peak times of the detector named by dump ("reference" or "test";
+    None for an RR entry or without dump), and the error ledger, both
+    sorted by patient id.
+    """
+    return _fan_out(_qc_entry, entries, (config, dump), workers)
+
+
 def collect_training_windows(entries: list[ManifestEntry],
                              config: PipelineConfig,
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                         int]:
     """Assemble quality-gated, rhythm-labeled windows for training.
 
-    RR entries use their own rhythm column; signal entries run both
-    detectors and need an annotations sidecar named in the manifest.
+    RR entries take their beats from their own file and their rhythm
+    from the annotations file the manifest names, else from their own
+    rhythm column; signal entries run both detectors and need an
+    annotations sidecar named in the manifest.
     Returns (X, y, groups), the features, labels (1 = AF) and patient
     ids of the windows in manifest order, plus the count of windows
     skipped for lying outside their recording's annotated span.
@@ -345,15 +383,8 @@ def collect_training_windows(entries: list[ManifestEntry],
     groups: list[str] = []
     skipped_total = 0
     for entry in entries:
-        if entry.fmt == "rr":
-            ref, annotations = _load_annotations(entry)
-            test = None
-        else:
-            _, annotations = _load_annotations(entry)
-            record = _load_record(entry, config)
-            ref = detect_reference(record)
-            test = detect_test(record)
-        times, bsqi, included = _score(ref, test, config)
+        ref, test, annotations = _load(entry, config, rhythm=True)
+        times, bsqi, included, _ = _analyze(ref, test, config)
         X, y, skipped = label_windows(times[included], bsqi[included],
                                       annotations, config.bsqi_threshold)
         Xs.append(X)

@@ -82,12 +82,6 @@ class RPeakSeries:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def between(self, t0: float, t1: float) -> np.ndarray:
-        """Peak times within [t0, t1], both ends inclusive."""
-        lo = np.searchsorted(self.times, t0, side="left")
-        hi = np.searchsorted(self.times, t1, side="right")
-        return self.times[lo:hi]
-
 
 def _check_record(record: EcgRecord) -> None:
     if record.fs < MIN_FS_HZ:

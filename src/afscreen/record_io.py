@@ -21,6 +21,7 @@ Channel selection is by case-insensitive substring on the signal label
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,13 +433,20 @@ def _parse_gain_token(token: str) -> tuple[float, int | None]:
         gtext, rest = text.split("(", 1)
         if not rest.endswith(")"):
             raise ParseError(f"malformed gain token {token!r}")
-        baseline = int(rest[:-1])
+        baseline = _int_token(rest[:-1], "baseline")
         text = gtext
     try:
         gain = float(text)
     except ValueError:
         raise ParseError(f"malformed gain token {token!r}") from None
     return gain, baseline
+
+
+def _int_token(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"malformed {what} {token!r}") from None
 
 
 def parse_wfdb(header_text: str, dat_bytes: bytes,
@@ -458,10 +466,7 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     if len(head) < 2:
         raise ParseError(f"malformed WFDB record line {lines[0]!r}")
     record_name = head[0]
-    try:
-        n_sig = int(head[1])
-    except ValueError:
-        raise ParseError(f"malformed signal count {head[1]!r}") from None
+    n_sig = _int_token(head[1], "signal count")
     fs = 250.0
     if len(head) >= 3:
         try:
@@ -470,10 +475,7 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
             raise ParseError(f"malformed sampling rate {head[2]!r}") from None
     n_samples = None
     if len(head) >= 4:
-        try:
-            n_samples = int(head[3])
-        except ValueError:
-            raise ParseError(f"malformed sample count {head[3]!r}") from None
+        n_samples = _int_token(head[3], "sample count")
 
     if n_sig < 1 or len(lines) < 1 + n_sig:
         raise ParseError(
@@ -487,19 +489,15 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
         toks = lines[1 + i].split()
         if len(toks) < 2:
             raise ParseError(f"malformed signal line {lines[1 + i]!r}")
-        fmt_text = toks[1]
-        digits = ""
-        for c in fmt_text:
-            if c.isdigit():
-                digits += c
-            else:
-                break
+        # the format's leading ASCII digits; a skew, offset or other
+        # suffix may follow
+        digits = re.match(r"[0-9]*", toks[1]).group()
         if not digits:
-            raise ParseError(f"malformed format token {fmt_text!r}")
+            raise ParseError(f"malformed format token {toks[1]!r}")
         formats.append(int(digits))
         gain, baseline = _parse_gain_token(toks[2]) if len(toks) > 2 \
             else (0.0, None)
-        adc_zero = int(toks[4]) if len(toks) > 4 else 0
+        adc_zero = _int_token(toks[4], "ADC zero") if len(toks) > 4 else 0
         if gain == 0.0:
             gain = 200.0
         if baseline is None:

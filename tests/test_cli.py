@@ -1,12 +1,14 @@
 """End-to-end command-line runs against small synthetic cohorts."""
 
+import dataclasses
 import json
 
 import pytest
 
-from afscreen import forest, synth
+from afscreen import cli, forest, synth
 from afscreen.cli import main
-from afscreen.record_io import write_rr_csv
+from afscreen.pipeline import PipelineConfig
+from afscreen.record_io import write_edf, write_rr_csv
 
 
 def write_rr(path, program, seed):
@@ -290,6 +292,69 @@ def test_undecodable_entry_lands_in_errors_csv(cohort, tmp_path):
         [["a0", "accepted"], ["pbin", "error"]]
 
 
+def test_bad_wfdb_header_lands_in_both_ledgers(cohort, tmp_path):
+    # a malformed ADC zero is a ParseError for that entry, not a
+    # traceback that stops the batch
+    (tmp_path / "p.hea").write_text(
+        "p 1 200 2\np.dat 212 200 11 0x 0 0 0 ECG\n")
+    (tmp_path / "p.dat").write_bytes(bytes(3))
+    (tmp_path / "m.csv").write_text(
+        f"path,format,patient_id\n{cohort / 'a0.csv'},rr,a0\n"
+        "p.hea,wfdb,pbad\n")
+    code = main(["predict", "--manifest", str(tmp_path / "m.csv"),
+                 "--model", str(cohort / "model.json"),
+                 "--out-dir", str(tmp_path / "out"), *SMALL])
+    assert code == 0
+    assert (tmp_path / "out" / "a0.json").exists()
+    errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+    assert errors[1:] == ["pbad,ParseError: malformed ADC zero '0x'"]
+
+    code = main(["qc", "--manifest", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "qc.csv"), *SMALL])
+    assert code == 0
+    body = [r for r in (tmp_path / "qc.csv").read_text().split("\n")
+            if r and not r.startswith("#")]
+    assert body[1].startswith("a0,accepted,")
+    assert body[2] == "pbad,error,,ParseError: malformed ADC zero '0x'"
+
+
+def test_qc_and_predict_agree_on_a_night_with_no_window(cohort, tmp_path):
+    # 50 beats clear --min-peaks 10 but fill no 60-beat window
+    times = [0.8 * (i + 1) for i in range(50)]
+    (tmp_path / "short.csv").write_text("".join(f"{t!r}\n" for t in times))
+    (tmp_path / "m.csv").write_text(
+        "path,format,patient_id\nshort.csv,rr,short\n")
+    flags = ["--manifest", str(tmp_path / "m.csv"), "--min-peaks", "10"]
+    assert main(["predict", "--model", str(cohort / "model.json"),
+                 "--out-dir", str(tmp_path / "out"), *flags]) == 0
+    assert main(["qc", "--out", str(tmp_path / "qc.csv"), *flags]) == 0
+    predicted = json.loads((tmp_path / "out" / "short.json").read_text())
+    assert predicted["qc"]["status"] == "too_few_peaks"
+    assert ",too_few_peaks,50," in (tmp_path / "qc.csv").read_text()
+
+
+def test_qc_byte_identical_across_workers(tmp_path):
+    rows = ["path,format,patient_id"]
+    for seed in (1, 2):
+        record, _, _ = synth.synth_record(
+            synth.SynthSpec(rhythm_program=[(90.0, "NSR")], seed=seed,
+                            noise_snr_db=10.0), patient_id=f"s{seed}")
+        (tmp_path / f"s{seed}.edf").write_bytes(write_edf(record))
+        rows.append(f"s{seed}.edf,edf,s{seed}")
+    rows.append("absent.edf,edf,gone")
+    (tmp_path / "m.csv").write_text("\n".join(rows) + "\n")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["qc", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(out / "qc.csv"), "--workers", workers,
+                     "--dump-detector", "test", *SMALL]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["qc.csv", "s1.peaks.csv", "s2.peaks.csv"]
+    assert outputs[0] == outputs[1]
+    assert b"\ngone,error,,FileNotFoundError" in outputs[0]["qc.csv"]
+
+
 # ---------------------------------------------------------------------------
 # flags, environment, exit codes
 
@@ -333,3 +398,44 @@ def test_env_override_bad_value(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "qc.csv")])
     assert code == 2
     assert "AFSCREEN_MIN_PEAKS" in capsys.readouterr().err
+
+
+# each PipelineConfig field's flag, by the name users and scripts know
+FLAGS = {
+    "bsqi_threshold": "bsqi-threshold",
+    "afb_threshold_pct": "afb-threshold",
+    "match_tolerance_s": "match-tolerance",
+    "min_reference_peaks": "min-peaks",
+    "max_exclusion_rate": "max-exclusion-rate",
+    "window_beats": "window-beats",
+    "channel": "channel",
+    "ahi_cutoff": "ahi-cutoff",
+    "ni_margin": "ni-margin",
+    "ni_alpha": "ni-alpha",
+    "seed": "seed",
+}
+# a value other than any field's default, by the default's type
+OTHER = {float: ("0.5", 0.5), int: ("7", 7), type(None): ("II", "II")}
+
+
+def config_of(argv):
+    return cli._config_from(cli.build_parser().parse_args(
+        ["qc", "--manifest", "m.csv", "--out", "qc.csv", *argv]))
+
+
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclasses.fields(PipelineConfig)])
+def test_every_config_field_has_its_flag_and_variable(name, monkeypatch):
+    default = getattr(PipelineConfig(), name)
+    assert getattr(config_of([]), name) == default
+    text, value = OTHER[type(default)]
+    assert getattr(config_of([f"--{FLAGS[name]}", text]), name) == value
+    monkeypatch.setenv("AFSCREEN_" + FLAGS[name].replace("-", "_").upper(),
+                       text)
+    assert getattr(config_of([]), name) == value
+
+
+def test_numeric_channel_is_an_index(monkeypatch):
+    assert config_of(["--channel", "2"]).channel == 2
+    monkeypatch.setenv("AFSCREEN_CHANNEL", "1")
+    assert config_of([]).channel == 1

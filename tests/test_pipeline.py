@@ -354,6 +354,37 @@ def test_collect_training_windows_rr(tmp_path):
     assert y.tolist() == [1] * 3 + [0] * 3
 
 
+def test_collect_training_windows_parses_each_rr_file_once(tmp_path,
+                                                          monkeypatch):
+    from afscreen import pipeline
+
+    parsed = []
+    real = pipeline.parse_rr_csv
+
+    def counting(text):
+        parsed.append(len(text))
+        return real(text)
+
+    monkeypatch.setattr(pipeline, "parse_rr_csv", counting)
+    write_rr_file(tmp_path / "af.csv", [0.6] * 3, rhythm="AF")
+    entries = [ManifestEntry(path=str(tmp_path / "af.csv"), fmt="rr",
+                             patient_id="a")]
+    _, y, _, _ = collect_training_windows(entries, PipelineConfig())
+    assert (len(y), len(parsed)) == (3, 1)
+
+
+def test_collect_training_windows_rr_beats_from_path(tmp_path):
+    # the annotations file gives the rhythm, the entry's own file the
+    # beats: 2 windows, not the 4 the annotations file would tile
+    write_rr_file(tmp_path / "beats.csv", [0.6] * 2)
+    write_rr_file(tmp_path / "truth.csv", [0.6] * 4, rhythm="AF")
+    entries = [ManifestEntry(path=str(tmp_path / "beats.csv"), fmt="rr",
+                             patient_id="a",
+                             annotations_path=str(tmp_path / "truth.csv"))]
+    _, y, _, _ = collect_training_windows(entries, PipelineConfig())
+    assert y.tolist() == [1, 1]
+
+
 def test_collect_training_windows_needs_rhythm(tmp_path):
     write_rr_file(tmp_path / "plain.csv", [0.8] * 2)
     entries = [ManifestEntry(path=str(tmp_path / "plain.csv"), fmt="rr",

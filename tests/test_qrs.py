@@ -165,12 +165,6 @@ def test_amplitude_scale_invariance_general(c):
         assert np.array_equal(detect(scaled).times, detect(rec).times)
 
 
-def test_series_between_is_inclusive():
-    s = make_series([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(s.between(2.0, 3.0), [2.0, 3.0])
-    assert np.array_equal(s.between(2.1, 2.9), [])
-
-
 def test_series_requires_strict_increase():
     with pytest.raises(ContractViolationError):
         RPeakSeries(times=np.array([1.0, 1.0, 2.0]), source="reference")

@@ -201,9 +201,9 @@ def test_window_partition_rejects_tiny_width():
 def score(ref_times, test_times):
     """(bsqi, included) of the reference windows, as the pipeline scores
     them."""
-    _, bsqi, included = pipeline._score(make_series(ref_times),
-                                        make_test_series(test_times),
-                                        pipeline.PipelineConfig())
+    _, bsqi, included, _ = pipeline._analyze(make_series(ref_times),
+                                             make_test_series(test_times),
+                                             pipeline.PipelineConfig())
     return bsqi, included
 
 
@@ -251,8 +251,8 @@ def test_score_windows_stamps_indices():
 
 
 def test_rr_series_windows_all_score_one():
-    _, bsqi, included = pipeline._score(make_series(np.arange(130) * 0.8),
-                                        None, pipeline.PipelineConfig())
+    _, bsqi, included, _ = pipeline._analyze(
+        make_series(np.arange(130) * 0.8), None, pipeline.PipelineConfig())
     assert bsqi.tolist() == [1.0, 1.0]
     assert included.all()
 

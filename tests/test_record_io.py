@@ -270,6 +270,20 @@ def test_parse_wfdb_truncated_payload():
         parse_wfdb(header, np.zeros(4, dtype="<i2").tobytes())
 
 
+@pytest.mark.parametrize("line, token", [
+    ("p.dat 212 200 11 0x 0 0 0 ECG", "'0x'"),
+    ("p.dat 212 200(x) 11 0 0 0 0 ECG", "'x'"),
+    ("p.dat \u00b912 200 11 0 0 0 0 ECG", "'\u00b912'"),
+])
+def test_parse_wfdb_malformed_signal_token_is_parse_error(line, token):
+    # a non-integer ADC zero or baseline, or a format that starts with
+    # a non-ASCII digit, names the token instead of escaping as a
+    # ValueError
+    with pytest.raises(ParseError) as err:
+        parse_wfdb(f"p 1 200 2\n{line}\n", encode_212([1, 2]))
+    assert token in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # RR CSV
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Untrusted inputs give a result or an AfscreenError, never another
 exception: any JSON document handed to load_model, any text handed to
-parse_rr_csv."""
+parse_rr_csv, any bytes handed to parse_edf, and any WFDB header text
+handed to parse_wfdb with a valid signal file."""
 
 import json
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from afscreen.errors import AfscreenError
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
     save_model
-from afscreen.record_io import parse_rr_csv
+from afscreen.record_io import (EcgRecord, encode_212, parse_edf,
+                                parse_rr_csv, parse_wfdb, write_edf)
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -68,3 +70,60 @@ def test_parse_rr_csv_on_any_text(text):
         parse_rr_csv(text)
     except AfscreenError:
         pass
+
+
+def parses_or_refuses(parse, *args) -> None:
+    try:
+        record = parse(*args)
+    except AfscreenError:
+        return
+    assert isinstance(record, EcgRecord)
+
+
+EDF = write_edf(EcgRecord(patient_id="p", fs=4.0,
+                          samples=np.sin(np.arange(40) / 3.0)))
+
+
+@st.composite
+def mutated(draw, valid: bytes, alphabet: st.SearchStrategy):
+    """valid with one stretch overwritten, then possibly cut short."""
+    start = draw(st.integers(0, len(valid)))
+    patch = draw(alphabet)
+    data = valid[:start] + patch + valid[start + len(patch):]
+    return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) \
+        else data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=600)
+       | mutated(EDF, st.binary(min_size=1, max_size=12))
+       | mutated(EDF, st.text("0123456789-+.eE x", min_size=1,
+                              max_size=8).map(str.encode)))
+def test_parse_edf_on_any_bytes(data):
+    parses_or_refuses(parse_edf, data)
+
+
+DAT_212 = encode_212(np.array([10, 3, -200, 3, 400, 103, 2047, -2045]))
+WFDB_HEADER = "rec 2 128 4\nrec.dat 212 200(3)/mV 12 0 5 0 0 ECG lead II\n" \
+         "rec.dat 212 100 12 0 0 0 0 Resp\n"
+TOKEN = (st.sampled_from(["0", "1", "2", "-1", "212", "16", "0x", "1e9",
+                          "nan", "inf", "200(", "200(x)", "(3)", "/mV",
+                          "128/0", "\u00b2", "\u0661", "#"])
+         | st.text(max_size=6))
+
+
+@st.composite
+def wfdb_headers(draw):
+    """The valid header with some of its tokens replaced."""
+    lines = []
+    for line in WFDB_HEADER.splitlines():
+        tokens = [draw(TOKEN) if draw(st.integers(0, 3)) == 0 else t
+                  for t in line.split()]
+        lines.append(" ".join(tokens))
+    return "\n".join(lines[:draw(st.integers(0, len(lines)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wfdb_headers() | st.text(max_size=80))
+def test_parse_wfdb_on_any_header(header):
+    parses_or_refuses(parse_wfdb, header, DAT_212)
