@@ -72,7 +72,6 @@ PIPELINE_FLAGS = {
     "max_exclusion_rate": ("max-exclusion-rate",
                            "recording excluded when the excluded-window "
                            "fraction exceeds this"),
-    "window_beats": ("window-beats", "beats per window"),
     "channel": ("channel", "signal label substring or integer index "
                            "(default ECG; a single-signal WFDB record's "
                            "only signal)"),

@@ -65,7 +65,6 @@ class PipelineConfig:
     match_tolerance_s: float = quality.MATCH_TOLERANCE_S
     min_reference_peaks: int = quality.MIN_REFERENCE_PEAKS
     max_exclusion_rate: float = quality.MAX_EXCLUSION_RATE
-    window_beats: int = quality.WINDOW_BEATS
     # None: "ECG" for EDF; for WFDB the only signal of a single-signal
     # record, else "ECG" (the parsers' own defaults).
     channel: str | int | None = None
@@ -227,12 +226,12 @@ def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RecordingQC]:
     """(times, bsqi, included, qc) of one recording's peaks.
 
-    times is the (n, beats) view of the reference peaks' windows. An RR
+    times is the (n, 60) view of the reference peaks' windows. An RR
     series has no test detector (test None): its windows all score 1.0.
     A recording that passes both QC rules with no window included is
     reported too_few_peaks rather than given a burden of zero.
     """
-    times = quality.window_partition(ref, config.window_beats)
+    times = quality.window_partition(ref)
     if test is None:
         bsqi = np.ones(times.shape[0])
     else:

@@ -407,7 +407,6 @@ FLAGS = {
     "match_tolerance_s": "match-tolerance",
     "min_reference_peaks": "min-peaks",
     "max_exclusion_rate": "max-exclusion-rate",
-    "window_beats": "window-beats",
     "channel": "channel",
     "ahi_cutoff": "ahi-cutoff",
     "ni_margin": "ni-margin",

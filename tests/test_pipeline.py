@@ -510,13 +510,3 @@ def test_forest_tie_labels_window_non_af():
         [(0.5, "nonAF")] * 20
     assert result.afb == 0.0
     assert result.prominent_af is False
-
-
-def test_wrong_window_width_lands_every_patient_in_the_ledger(tmp_path):
-    results, report = run_cohort(cohort_entries(tmp_path), AVNN_STUMP,
-                                 PipelineConfig(window_beats=30), workers=1)
-    assert results == []
-    width = "ContractViolationError: expected 59 RR intervals, got shape (29,)"
-    errors = dict(report.errors)
-    assert (errors["paf"], errors["pnsr"]) == (width, width)
-    assert errors["plost"].startswith("FileNotFoundError")
