@@ -104,8 +104,9 @@ def test_parse_edf_on_any_bytes(data):
 
 
 DAT_212 = encode_212(np.array([10, 3, -200, 3, 400, 103, 2047, -2045]))
-WFDB_HEADER = "rec 2 128 4\nrec.dat 212 200(3)/mV 12 0 5 0 0 ECG lead II\n" \
-         "rec.dat 212 100 12 0 0 0 0 Resp\n"
+WFDB_HEADER = ("rec 2 128 4\n"
+               "rec.dat 212 200(3)/mV 12 0 5 0 0 ECG lead II\n"
+               "rec.dat 212 100 12 0 0 0 0 Resp\n")
 TOKEN = (st.sampled_from(["0", "1", "2", "-1", "212", "16", "0x", "1e9",
                           "nan", "inf", "200(", "200(x)", "(3)", "/mV",
                           "128/0", "\u00b2", "\u0661", "#"])
