@@ -1,101 +1,34 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""The detectors' numeric kernels, each written once.
 
-Five kernels: the detectors' ``pt_decide``, ``trailing_max`` and
-``refractory_pick``, and the one-window feature counts
-``sampen_pair_counts`` and ``lorenz_hist``. The bSQI beat matching is
-not a kernel: ``quality`` matches all of a night's windows in one pass.
+* ``pt_decide``: the reference detector's adaptive dual-threshold
+  decision over its candidate peaks, a loop over memoryviews of the
+  candidate arrays.
+* ``refractory_pick``: the refractory thinning both detectors apply.
+* ``trailing_max``: the test detector's trailing-window maximum.
 
-Every kernel exists twice: a loop form compiled with numba's ``@njit``
-and a vectorized numpy form. The inherently sequential kernels have no
-vectorized form: the numpy backend runs their loop form in the
-interpreter, ``refractory_pick`` over its array and ``pt_decide`` over
-memoryviews of its arrays, which the interpreter indexes several times
-faster than the arrays themselves. Both backends compute bit-identical
-results; the test suite asserts this. The active backend is picked at
-import time:
-
-* numba is used when importable, unless ``AFSCREEN_NUMBA`` is set to
-  ``0``/``false``/``no`` in the environment;
-* otherwise the numpy implementations are bound.
-
-The window features no longer run through a kernel: ``features``
-computes them for many windows at once in numpy. ``sampen_pair_counts``
-and ``lorenz_hist`` remain as the one-window forms the tests check
-against their brute-force definitions.
-
-``benchmarks/bench_kernels.py`` times the two backends side by side.
+The window features are not kernels: ``features`` and ``quality``
+compute them for all of a night's windows at once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("AFSCREEN_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Loop forms (njit-compatible; also used as-is when numba is unavailable
-# for the inherently sequential kernels)
-# ---------------------------------------------------------------------------
-
-def _sampen_counts_loop(x, r):
-    # Template pairs for m=1: i < j over positions 0..n-2 so the
-    # length-2 extension always exists. b counts |x_i - x_j| <= r,
-    # a additionally requires |x_{i+1} - x_{j+1}| <= r.
-    n = x.shape[0]
-    b = 0
-    a = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            if abs(x[i] - x[j]) <= r:
-                b += 1
-                if abs(x[i + 1] - x[j + 1]) <= r:
-                    a += 1
-    return b, a
+def trailing_max(x, n):
+    """max(x[i-n+1 .. i]) for every i, the window cut at the start."""
+    # positive origin pulls the window toward earlier samples; (n-1)//2
+    # is the largest legal shift and yields the window [i-n+1, i]
+    origin = (n - 1) // 2
+    return maximum_filter1d(x, size=n, mode="nearest", origin=origin)
 
 
-def _lorenz_hist_loop(dr, width, half_extent, nbins):
-    h = np.zeros((nbins, nbins), dtype=np.int64)
-    for k in range(dr.shape[0] - 1):
-        ix = int(np.floor((dr[k + 1] + half_extent) / width))
-        iy = int(np.floor((dr[k] + half_extent) / width))
-        if ix < 0:
-            ix = 0
-        elif ix >= nbins:
-            ix = nbins - 1
-        if iy < 0:
-            iy = 0
-        elif iy >= nbins:
-            iy = nbins - 1
-        h[ix, iy] += 1
-    return h
-
-
-def _trailing_max_loop(x, n):
-    # Sliding max over the trailing window [i-n+1, i] via monotonic deque.
-    size = x.shape[0]
-    out = np.empty(size, x.dtype)
-    dq = np.empty(size, np.int64)
-    head = 0
-    tail = 0
-    for i in range(size):
-        while tail > head and x[dq[tail - 1]] <= x[i]:
-            tail -= 1
-        dq[tail] = i
-        tail += 1
-        if dq[head] <= i - n:
-            head += 1
-        out[i] = x[dq[head]]
-    return out
-
-
-def _refractory_pick_loop(idx, min_gap):
+def refractory_pick(idx, min_gap):
+    """Keep-mask over ascending indices: each kept index lies at least
+    min_gap after the previous kept one."""
     n = idx.shape[0]
     keep = np.zeros(n, np.bool_)
     last = -np.int64(2 ** 62)
@@ -106,10 +39,10 @@ def _refractory_pick_loop(idx, min_gap):
     return keep
 
 
-def _pt_decide_loop(cand, peaki, peakf, slope,
-                    spki, npki, spkf, npkf,
-                    floor_i, floor_f,
-                    n_refractory, n_twave):
+def pt_decide(cand, peaki, peakf, slope,
+              spki, npki, spkf, npkf,
+              floor_i, floor_f,
+              n_refractory, n_twave):
     """Adaptive dual-threshold QRS decision over candidate peaks.
 
     cand holds candidate sample indices (ascending); peaki/peakf are the
@@ -119,10 +52,18 @@ def _pt_decide_loop(cand, peaki, peakf, slope,
     so a flat stretch cannot collapse them to numeric ripple; a
     search-back pass rescues beats missed during a gap longer than 1.66x
     the recent mean RR, and candidates close to the previous beat with
-    under half its slope are rejected as T waves.
-
-    The four per-candidate sequences may be arrays or memoryviews.
+    under half its slope are rejected as T waves. Returns the boolean
+    accept-mask over the candidates.
     """
+    # Indexing a memoryview yields a Python int or float, which the
+    # interpreter handles several times faster than a numpy scalar;
+    # unlike a list copy, a view keeps no Python object per candidate
+    # alive. The values, and so every comparison, are the same.
+    cand, peaki, peakf, slope = (memoryview(cand), memoryview(peaki),
+                                 memoryview(peakf), memoryview(slope))
+    spki, npki, spkf, npkf = float(spki), float(npki), float(spkf), float(npkf)
+    floor_i, floor_f = float(floor_i), float(floor_f)
+    n_refractory, n_twave = int(n_refractory), int(n_twave)
     n = len(cand)
     accept = np.zeros(n, np.bool_)
     # The last 8 RR intervals are whole sample counts, so their running
@@ -206,85 +147,3 @@ def _pt_decide_loop(cand, peaki, peakf, slope,
             npki = 0.125 * peaki[k] + 0.875 * npki
             npkf = 0.125 * peakf[k] + 0.875 * npkf
     return accept
-
-
-def _pt_decide_views(cand, peaki, peakf, slope,
-                     spki, npki, spkf, npkf,
-                     floor_i, floor_f,
-                     n_refractory, n_twave):
-    # Indexing a memoryview yields a Python int or float, which the
-    # interpreter handles several times faster than a numpy scalar;
-    # unlike a list copy, a view keeps no Python object per candidate
-    # alive. The values, and so every comparison, are the same.
-    return _pt_decide_loop(
-        memoryview(cand), memoryview(peaki), memoryview(peakf),
-        memoryview(slope),
-        float(spki), float(npki), float(spkf), float(npkf),
-        float(floor_i), float(floor_f),
-        int(n_refractory), int(n_twave))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy forms
-# ---------------------------------------------------------------------------
-
-def _sampen_counts_numpy(x, r):
-    y = x[:-1]
-    iu = np.triu_indices(y.shape[0], k=1)
-    m1 = np.abs(y[:, None] - y[None, :]) <= r
-    m2 = np.abs(x[1:, None] - x[None, 1:]) <= r
-    b = int(np.count_nonzero(m1[iu]))
-    a = int(np.count_nonzero((m1 & m2)[iu]))
-    return b, a
-
-
-def _lorenz_hist_numpy(dr, width, half_extent, nbins):
-    ix = np.floor((dr[1:] + half_extent) / width).astype(np.int64)
-    iy = np.floor((dr[:-1] + half_extent) / width).astype(np.int64)
-    np.clip(ix, 0, nbins - 1, out=ix)
-    np.clip(iy, 0, nbins - 1, out=iy)
-    h = np.zeros((nbins, nbins), dtype=np.int64)
-    np.add.at(h, (ix, iy), 1)
-    return h
-
-
-def _trailing_max_numpy(x, n):
-    # positive origin pulls the window toward earlier samples; (n-1)//2
-    # is the largest legal shift and yields the window [i-n+1, i]
-    origin = (n - 1) // 2
-    return maximum_filter1d(x, size=n, mode="nearest", origin=origin)
-
-
-NUMPY_IMPL = {
-    "sampen_pair_counts": _sampen_counts_numpy,
-    "lorenz_hist": _lorenz_hist_numpy,
-    "trailing_max": _trailing_max_numpy,
-    "refractory_pick": _refractory_pick_loop,
-    "pt_decide": _pt_decide_views,
-}
-
-NUMBA_IMPL = None
-BACKEND = "numpy"
-
-if _numba_wanted():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        NUMBA_IMPL = {
-            "sampen_pair_counts": njit(cache=True)(_sampen_counts_loop),
-            "lorenz_hist": njit(cache=True)(_lorenz_hist_loop),
-            "trailing_max": njit(cache=True)(_trailing_max_loop),
-            "refractory_pick": njit(cache=True)(_refractory_pick_loop),
-            "pt_decide": njit(cache=True)(_pt_decide_loop),
-        }
-        BACKEND = "numba"
-
-_ACTIVE = NUMBA_IMPL if NUMBA_IMPL is not None else NUMPY_IMPL
-
-sampen_pair_counts = _ACTIVE["sampen_pair_counts"]
-lorenz_hist = _ACTIVE["lorenz_hist"]
-trailing_max = _ACTIVE["trailing_max"]
-refractory_pick = _ACTIVE["refractory_pick"]
-pt_decide = _ACTIVE["pt_decide"]

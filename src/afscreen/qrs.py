@@ -192,13 +192,13 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
                                spki, npki, spkf, npkf,
                                floor_i, floor_f, n_ref, n_twave)
 
-    acc = cand[np.asarray(accept)]
+    acc = cand[accept]
     if acc.shape[0] == 0:
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
     n_refine = _samples_for(REFINE_WINDOW_S, fs)
     fid = np.unique(_fiducials(bp, acc, n_mwi, n_refine))
     keep = kernels.refractory_pick(fid, np.int64(n_ref))
-    times = fid[np.asarray(keep)] / fs
+    times = fid[keep] / fs
     return RPeakSeries(times=times, source=REFERENCE)
 
 
@@ -225,5 +225,5 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
 
     n_ref = _samples_for(REFRACTORY_TEST_S, fs)
     keep = kernels.refractory_pick(cand, np.int64(n_ref))
-    times = cand[np.asarray(keep)] / fs
+    times = cand[keep] / fs
     return RPeakSeries(times=times, source=TEST)

@@ -164,10 +164,20 @@ def _numeric_field(data: bytes, offset: int, width: int,
                    kind: type, what: str):
     text = _ascii_field(data, offset, width)
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ParseError(
             f"non-numeric {what} field {text!r}", offset=offset) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} field {text!r}", offset=offset)
+    return value
+
+
+def _check_finite(physical: np.ndarray) -> None:
+    # Finite but extreme calibration constants can still overflow; such
+    # a record is corrupt, not a quiet night.
+    if not np.isfinite(physical).all():
+        raise ParseError("calibration gives non-finite samples")
 
 
 def _select_channel(labels: list[str], channel: str | int) -> int:
@@ -190,9 +200,10 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
 
     ``channel`` selects the signal by case-insensitive substring of its
     label, or by index. Raises ParseError (with the byte offset) on a
-    malformed numeric header field, ChannelNotFoundError when no label
-    matches, and TruncationError when the payload is shorter than the
-    header promises.
+    malformed or non-finite numeric header field, and ParseError when
+    the calibration gives a non-finite sample; ChannelNotFoundError when
+    no label matches, and TruncationError when the payload is shorter
+    than the header promises.
     """
     if len(data) < 256:
         raise TruncationError(256, len(data), what="EDF static header")
@@ -292,7 +303,9 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
             f"digital range must be positive, got "
             f"[{dig_min[ch]}, {dig_max[ch]}]",
             offset=fields["n_signals"][0])
-    physical = (digital - dig_min[ch]) * prange / drange + phys_min[ch]
+    with np.errstate(over="ignore", invalid="ignore"):
+        physical = (digital - dig_min[ch]) * prange / drange + phys_min[ch]
+    _check_finite(physical)
 
     fs = spr[ch] / record_duration
     return EcgRecord(patient_id=patient, samples=physical, fs=fs)
@@ -439,6 +452,8 @@ def _parse_gain_token(token: str) -> tuple[float, int | None]:
         gain = float(text)
     except ValueError:
         raise ParseError(f"malformed gain token {token!r}") from None
+    if not math.isfinite(gain):
+        raise ParseError(f"non-finite gain token {token!r}")
     return gain, baseline
 
 
@@ -456,7 +471,8 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     Supports signal formats 212 and 16 with interleaved channels.
     ``channel`` follows the EDF selection rules against the signal
     description column; None selects the only signal of a single-signal
-    record and defaults to the "ECG" substring otherwise.
+    record and defaults to the "ECG" substring otherwise. A non-finite
+    gain, or a gain that makes any sample non-finite, is a ParseError.
     """
     lines = [ln for ln in header_text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
@@ -540,7 +556,9 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
                               len(dat_bytes), what="WFDB payload")
 
     digital = flat[:n_frames * n_sig].reshape(n_frames, n_sig)[:, ch]
-    physical = (digital.astype(np.float64) - baselines[ch]) / gains[ch]
+    with np.errstate(over="ignore", invalid="ignore"):
+        physical = (digital.astype(np.float64) - baselines[ch]) / gains[ch]
+    _check_finite(physical)
     return EcgRecord(patient_id=record_name, samples=physical, fs=fs)
 
 

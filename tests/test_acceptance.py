@@ -2,7 +2,7 @@
 
 Each test pins one end-to-end property: reproduction of the frozen
 screening summary tables from their raw counts, the strata PPV
-non-inferiority result, exact agreement between the optimized kernels
+non-inferiority result, exact agreement between the window features
 and naive brute-force transcriptions, detector accuracy on rendered
 ECG, a full synthetic screening cohort, exclusion-rule boundaries, and
 byte-level determinism of CLI artifacts. Wall-clock bounds are part of
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afscreen import features, forest, kernels, pipeline, quality, stats, synth
+from afscreen import features, forest, pipeline, quality, stats, synth
 from afscreen.cli import main
 from afscreen.features import (LORENZ_BIN_MS, LORENZ_HALF_EXTENT_MS,
                                LORENZ_NBINS)
@@ -121,7 +121,7 @@ def test_ppv_noninferiority_between_strata():
 
 
 # ---------------------------------------------------------------------------
-# 3. optimized kernels vs brute-force transcriptions
+# 3. window features vs brute-force transcriptions
 
 
 def brute_sampen_counts(x, r):
@@ -165,14 +165,16 @@ def brute_lorenz(rr):
 def test_kernels_match_brute_force_exactly():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    numpy_sampen = kernels.NUMPY_IMPL["sampen_pair_counts"]
     for _ in range(1000):
         rr = rng.uniform(300.0, 2000.0, size=59)
         r = float(rng.uniform(5.0, 100.0))
 
-        want = brute_sampen_counts(rr, r)
-        assert tuple(kernels.sampen_pair_counts(rr, r)) == want
-        assert tuple(numpy_sampen(rr, r)) == want
+        # brute-force i < j counts; cosen counts ordered pairs, twice as
+        # many, with 0.5 standing in for a zero count
+        b, a = brute_sampen_counts(rr, r)
+        assert features.cosen(rr, r) == (
+            math.log(2 * b or 0.5) - math.log(2 * a or 0.5)
+            + math.log(2.0 * r) - math.log(float(np.mean(rr))))
 
         assert features.lorenz_features(rr) == brute_lorenz(rr)
     assert time.perf_counter() - t0 < 30.0

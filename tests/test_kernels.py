@@ -1,16 +1,11 @@
-"""Kernel correctness: every optimized path against a naive oracle.
+"""Kernel correctness: each detector kernel against a naive oracle.
 
 The oracles here are deliberately written as plain Python loops straight
 from each definition, independent of the array tricks used in the
-library. The numba and numpy paths must agree with the oracle (and so
-with each other) exactly.
+library. Every kernel must agree with its oracle exactly.
 """
 
 from __future__ import annotations
-
-import importlib.util
-import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,40 +15,9 @@ from afscreen import kernels
 RNG = np.random.default_rng(20250817)
 
 
-def impls(name):
-    out = [("numpy", kernels.NUMPY_IMPL[name])]
-    if kernels.NUMBA_IMPL is not None:
-        out.append(("numba", kernels.NUMBA_IMPL[name]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-def oracle_sampen_counts(rr, r):
-    # templates are the first n-1 values; the length-2 extension rr[i+1]
-    # is always in range for them
-    n = len(rr)
-    b = a = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            if abs(rr[i] - rr[j]) <= r:
-                b += 1
-                if abs(rr[i + 1] - rr[j + 1]) <= r:
-                    a += 1
-    return b, a
-
-
-def oracle_lorenz_hist(deltas, w, half, nbins):
-    h = np.zeros((nbins, nbins), dtype=np.int64)
-    pts = [(deltas[i], deltas[i - 1]) for i in range(1, len(deltas))]
-    for x, y in pts:
-        bx = min(max(int(math.floor((x + half) / w)), 0), nbins - 1)
-        by = min(max(int(math.floor((y + half) / w)), 0), nbins - 1)
-        h[bx, by] += 1
-    return h
-
 
 def oracle_trailing_max(x, n):
     return np.array([max(x[max(0, i - n + 1):i + 1]) for i in range(len(x))])
@@ -196,61 +160,19 @@ def candidate_stream(rng, n_beats, origin=0):
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend,fn", impls("sampen_pair_counts"))
-def test_sampen_counts_match_oracle(backend, fn):
-    for trial in range(60):
-        rr = RNG.uniform(300.0, 2000.0, size=59)
-        want = oracle_sampen_counts(rr.tolist(), 30.0)
-        got = fn(rr, 30.0)
-        assert (int(got[0]), int(got[1])) == want
-
-
-@pytest.mark.parametrize("backend,fn", impls("sampen_pair_counts"))
-def test_sampen_counts_tie_heavy(backend, fn):
-    # quantized values create many exact-boundary distances
-    for trial in range(30):
-        rr = RNG.integers(700, 730, size=59).astype(np.float64) * 2.0
-        want = oracle_sampen_counts(rr.tolist(), 30.0)
-        got = fn(rr, 30.0)
-        assert (int(got[0]), int(got[1])) == want
-
-
-@pytest.mark.parametrize("backend,fn", impls("lorenz_hist"))
-def test_lorenz_hist_matches_oracle(backend, fn):
-    for trial in range(60):
-        deltas = RNG.uniform(-750.0, 750.0, size=58)
-        want = oracle_lorenz_hist(deltas, 40.0, 600.0, 30)
-        got = np.asarray(fn(deltas, 40.0, 600.0, 30))
-        assert np.array_equal(got, want)
-        assert got.sum() == 57
-
-
-@pytest.mark.parametrize("backend,fn", impls("lorenz_hist"))
-def test_lorenz_hist_clips_to_border_bins(backend, fn):
-    deltas = np.array([1e6, -1e6] * 29)[:58]
-    h = np.asarray(fn(deltas, 40.0, 600.0, 30))
-    inner = h.copy()
-    inner[0, :] = 0
-    inner[-1, :] = 0
-    inner[:, 0] = 0
-    inner[:, -1] = 0
-    assert h.sum() == 57 and inner.sum() == 0
-
-
-@pytest.mark.parametrize("backend,fn", impls("trailing_max"))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 256, 999, 1500])
-def test_trailing_max_matches_oracle(backend, fn, n):
+def test_trailing_max_matches_oracle(n):
     x = RNG.normal(size=999)
-    assert np.array_equal(fn(x, n), oracle_trailing_max(x, n))
+    assert np.array_equal(kernels.trailing_max(x, n),
+                          oracle_trailing_max(x, n))
 
 
-@pytest.mark.parametrize("backend,fn", impls("refractory_pick"))
-def test_refractory_pick_matches_oracle(backend, fn):
+def test_refractory_pick_matches_oracle():
     # the kernel yields a keep-mask over the candidate indices
     for trial in range(50):
         idx = np.unique(RNG.integers(0, 2000, size=200)).astype(np.int64)
         gap = int(RNG.integers(1, 60))
-        kept = idx[np.asarray(fn(idx, np.int64(gap)), dtype=bool)]
+        kept = idx[kernels.refractory_pick(idx, np.int64(gap))]
         assert np.array_equal(kept, oracle_refractory(idx, gap))
 
 
@@ -266,8 +188,7 @@ def pt_scalars(rng, floors):
             float(floor_i), float(floor_f))
 
 
-@pytest.mark.parametrize("backend,fn", impls("pt_decide"))
-def test_pt_decide_matches_oracle(backend, fn):
+def test_pt_decide_matches_oracle():
     rng = np.random.default_rng(7)
     hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave"), 0)
     most_beats = 0
@@ -276,7 +197,7 @@ def test_pt_decide_matches_oracle(backend, fn):
                                   origin=0 if trial % 4 else 2 ** 40)
         scalars = pt_scalars(rng, floors=trial % 5 == 0)
         want = oracle_pt_decide(*stream, *scalars, *PT_ARGS, hits)
-        got = np.asarray(fn(*stream, *scalars, *PT_ARGS))
+        got = kernels.pt_decide(*stream, *scalars, *PT_ARGS)
         assert got.dtype == np.bool_
         assert np.array_equal(got, want)
         most_beats = max(most_beats, int(want.sum()))
@@ -285,61 +206,22 @@ def test_pt_decide_matches_oracle(backend, fn):
     assert most_beats > 8
 
 
-@pytest.mark.parametrize("backend,fn", impls("pt_decide"))
-def test_pt_decide_zero_and_one_candidate(backend, fn):
+def test_pt_decide_zero_and_one_candidate():
     rng = np.random.default_rng(8)
     scalars = (1.0, 0.1, 1.0, 0.1, 0.001, 0.001)
     hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave"), 0)
     empty = (np.empty(0, np.int64),) + (np.empty(0),) * 3
-    assert np.asarray(fn(*empty, *scalars, *PT_ARGS)).shape == (0,)
+    assert kernels.pt_decide(*empty, *scalars, *PT_ARGS).shape == (0,)
     for height in (0.05, 0.2, 0.5, 2.0):
         one = (np.array([int(rng.integers(1, 1000))]), np.array([height]),
                np.array([height]), np.array([1.0]))
         want = oracle_pt_decide(*one, *scalars, *PT_ARGS, hits)
-        assert np.array_equal(np.asarray(fn(*one, *scalars, *PT_ARGS)), want)
+        got = kernels.pt_decide(*one, *scalars, *PT_ARGS)
+        assert np.array_equal(got, want)
         assert bool(want[0]) == (height > 0.325)
 
 
-def test_backends_bitwise_identical():
-    if kernels.NUMBA_IMPL is None:
-        pytest.skip("numba unavailable")
-    rr = RNG.uniform(300.0, 2000.0, size=59)
-    deltas = np.diff(rr)
-    x = RNG.normal(size=4000)
-    idx = np.unique(RNG.integers(0, 4000, size=300)).astype(np.int64)
-    np_i, nb_i = kernels.NUMPY_IMPL, kernels.NUMBA_IMPL
-    assert tuple(np_i["sampen_pair_counts"](rr, 30.0)) == \
-        tuple(nb_i["sampen_pair_counts"](rr, 30.0))
-    assert np.array_equal(np_i["lorenz_hist"](deltas, 40.0, 600.0, 30),
-                          nb_i["lorenz_hist"](deltas, 40.0, 600.0, 30))
-    assert np.array_equal(np_i["trailing_max"](x, 257),
-                          nb_i["trailing_max"](x, 257))
-    assert np.array_equal(np_i["refractory_pick"](idx, 26),
-                          nb_i["refractory_pick"](idx, 26))
-    stream = candidate_stream(RNG, 200)
-    scalars = (1.0, 0.1, 1.0, 0.1, 0.001, 0.001)
-    assert np.array_equal(np_i["pt_decide"](*stream, *scalars, *PT_ARGS),
-                          nb_i["pt_decide"](*stream, *scalars, *PT_ARGS))
-
-
 def test_backend_flag_reports():
-    assert kernels.BACKEND in ("numba", "numpy")
-    names = ("sampen_pair_counts", "lorenz_hist", "trailing_max",
-             "refractory_pick", "pt_decide")
-    assert tuple(kernels.NUMPY_IMPL) == names
-    for name in names:
+    assert kernels.BACKEND == "numpy"
+    for name in ("pt_decide", "refractory_pick", "trailing_max"):
         assert callable(getattr(kernels, name))
-
-
-def test_bench_kernels_runs(capsys):
-    # the timing script names every kernel; a deleted or renamed one
-    # must fail here rather than only when someone runs the script
-    path = Path(__file__).resolve().parents[1] / "benchmarks" \
-        / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert bench.main(["--hours", "0.1", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    for name in kernels.NUMPY_IMPL:
-        assert name in out

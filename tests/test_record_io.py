@@ -100,6 +100,21 @@ def test_parse_edf_bad_numeric_field_has_offset():
     assert "236" in str(err.value)
 
 
+@pytest.mark.parametrize("pmin, pmax, message", [
+    ("nan", "5", "non-finite physical minimum field 'nan'"),
+    ("-5", "nan", "non-finite physical maximum field 'nan'"),
+    ("-inf", "5", "non-finite physical minimum field '-inf'"),
+    ("-1e308", "1e308", "non-finite samples"),
+])
+def test_parse_edf_corrupt_calibration_is_parse_error(pmin, pmax, message):
+    # a record of NaN or infinite samples would reach the detectors and
+    # be reported as a QC exclusion instead of a parse failure
+    with pytest.raises(ParseError) as err:
+        parse_edf(pack_edf(pmin=("-1", pmin), pmax=("1", pmax)),
+                  channel="ECG")
+    assert message in str(err.value)
+
+
 def test_parse_edf_unknown_record_count_derived_from_payload():
     rec = parse_edf(pack_edf(n_records="-1"), channel="ECG")
     assert rec.samples.shape == (8,)
@@ -268,6 +283,22 @@ def test_parse_wfdb_truncated_payload():
     header = "r 1 250 100\nr.dat 16 200 16 0 0 0 0 ECG\n"
     with pytest.raises(TruncationError):
         parse_wfdb(header, np.zeros(4, dtype="<i2").tobytes())
+
+
+@pytest.mark.parametrize("gain, message", [
+    ("nan", "non-finite gain token 'nan'"),
+    ("inf/mV", "non-finite gain token 'inf/mV'"),
+    ("-inf(0)", "non-finite gain token '-inf(0)'"),
+    ("1e-320", "non-finite samples"),
+])
+def test_parse_wfdb_corrupt_gain_is_parse_error(gain, message):
+    # nan gives NaN samples, inf all-zero ones, and a subnormal gain
+    # overflows the samples to inf
+    header = f"r 1 360 4\nr.dat 16 {gain} 12 0 0 0 0 ECG\n"
+    payload = np.array([200, -200, 400, 0], dtype="<i2").tobytes()
+    with pytest.raises(ParseError) as err:
+        parse_wfdb(header, payload)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("line, token", [

@@ -1,9 +1,13 @@
 """Untrusted inputs give a result or an AfscreenError, never another
 exception: any JSON document handed to load_model, any text handed to
 parse_rr_csv, any bytes handed to parse_edf, and any WFDB header text
-handed to parse_wfdb with a valid signal file."""
+handed to parse_wfdb with a valid signal file. A cohort that mixes good
+recordings with bad ones reports each patient once, as a result or as
+an error-ledger row."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +16,11 @@ from hypothesis import strategies as st
 from afscreen.errors import AfscreenError
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
     save_model
+from afscreen.pipeline import ManifestEntry, PipelineConfig, run_cohort
+from afscreen.qrs import RPeakSeries
 from afscreen.record_io import (EcgRecord, encode_212, parse_edf,
-                                parse_rr_csv, parse_wfdb, write_edf)
+                                parse_rr_csv, parse_wfdb, write_edf,
+                                write_rr_csv)
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -128,3 +135,73 @@ def wfdb_headers(draw):
 @given(wfdb_headers() | st.text(max_size=80))
 def test_parse_wfdb_on_any_header(header):
     parses_or_refuses(parse_wfdb, header, DAT_212)
+
+
+def rr_file(n_beats: int) -> bytes:
+    times = 0.85 * np.arange(1, n_beats + 1)
+    return write_rr_csv(RPeakSeries(times=times, source="reference")).encode()
+
+
+# Each kind of manifest entry: its format, its file's name, and the error
+# type that puts it in the ledger (None: it gives a result). A valid
+# entry writes its own file, a missing one names a file never written,
+# and the bad ones share the files of BAD_FILES.
+ENTRY_KINDS = {
+    "valid": ("rr", "n.csv", None),
+    "undecodable": ("rr", "u.csv", "ParseError"),
+    "missing": ("rr", "m.csv", "FileNotFoundError"),
+    "non_increasing": ("rr", "o.csv", "OrderingError"),
+    "nan_gain": ("wfdb", "g.hea", "ParseError"),
+}
+BAD_FILES = {
+    "u.csv": bytes(range(256)),
+    "o.csv": b"1.0\n2.0\n2.0\n3.0\n",
+    # a minute at 128 Hz: long enough for the detectors to run
+    "g.hea": b"g 1 128 7680\ng.dat 16 nan 16 0 0 0 0 ECG\n",
+    "g.dat": np.zeros(7680, dtype="<i2").tobytes(),
+}
+STUMP = ForestModel(trees=[{"leaf": [1, 0]}], n_estimators=1, max_depth=1,
+                    seed=0)
+
+
+def check_partition(rows: list[tuple[str, int]], workers: int) -> None:
+    """run_cohort over one entry per (kind, beats of a valid night) row
+    reports each patient once: a valid entry as a result, a bad one as a
+    ledger row of its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in BAD_FILES.items():
+            (Path(tmp) / name).write_bytes(data)
+        entries = []
+        for i, (kind, n) in enumerate(rows):
+            fmt, name, _ = ENTRY_KINDS[kind]
+            path = Path(tmp) / f"{i}{name}"
+            if kind == "valid":
+                path.write_bytes(rr_file(n))
+            elif kind != "missing":
+                path = Path(tmp) / name
+            entries.append(ManifestEntry(path=str(path), fmt=fmt,
+                                         patient_id=f"p{i:02d}"))
+        results, report = run_cohort(entries, STUMP, PipelineConfig(),
+                                     workers=workers)
+    got = {r.patient_id: None for r in results}
+    for pid, message in report.errors:
+        assert pid not in got
+        got[pid] = message.split(":", 1)[0]
+    assert len(got) == len(results) + len(report.errors)
+    assert got == {f"p{i:02d}": ENTRY_KINDS[kind][2]
+                   for i, (kind, _) in enumerate(rows)}
+    assert report.n_patients == len(rows)
+    assert report.n_processed == len(results)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(ENTRY_KINDS)),
+                          st.integers(1, 200)),
+                min_size=1, max_size=6))
+def test_mixed_manifest_reports_each_patient_once(rows):
+    check_partition(rows, workers=1)
+
+
+def test_mixed_manifest_on_two_workers():
+    check_partition([(kind, 130) for kind in sorted(ENTRY_KINDS)] * 2,
+                    workers=2)
