@@ -281,13 +281,6 @@ def process_patient(record: EcgRecord, model: ForestModel,
     return _classify(record.patient_id, ref, test, model, config)
 
 
-def process_rr(peaks: RPeakSeries, model: ForestModel,
-               config: PipelineConfig,
-               patient_id: str = "") -> PatientResult:
-    """Run the pipeline on an RR series; bsqi is 1.0 throughout."""
-    return _classify(patient_id, peaks, None, model, config)
-
-
 def process_entry(entry: ManifestEntry, model: ForestModel,
                   config: PipelineConfig) -> PatientResult:
     ref, test, _ = _load(entry, config)

@@ -248,7 +248,9 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
     spr: list[int] = []
     # Per-signal subheaders store each field for all signals consecutively.
     sig_off = 256
+    sig_fields: dict[str, int] = {}
     for name, width in _EDF_SIGNAL_FIELDS:
+        sig_fields[name] = sig_off
         for i in range(n_signals):
             o = sig_off + i * width
             if name == "label":
@@ -302,7 +304,7 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
         raise ParseError(
             f"digital range must be positive, got "
             f"[{dig_min[ch]}, {dig_max[ch]}]",
-            offset=fields["n_signals"][0])
+            offset=sig_fields["digital_min"] + ch * 8)
     with np.errstate(over="ignore", invalid="ignore"):
         physical = (digital - dig_min[ch]) * prange / drange + phys_min[ch]
     _check_finite(physical)
@@ -569,22 +571,70 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
 def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     """Parse ``t_seconds[,rhythm]`` rows into peaks and episodes.
 
-    Beat times must be finite and strictly increasing; a violation
-    raises ParseError or OrderingError naming the 1-based row. When the
-    rhythm column is present, a label reading ``AF`` in any case, after
-    stripping spaces, marks AF; every other label (``N``, ``OTHER``,
-    ``AFL``, ...) marks non-AF rhythm. Consecutive runs of one rhythm
-    become episodes spanning the first to the last beat of the run
-    (single-beat runs bound no RR interval and are dropped).
+    The rows are the non-blank lines of ``text.splitlines()``, stripped;
+    each cell is stripped too, and cells past the second are ignored.
+    Beat times are read with ``float`` and must be finite and strictly
+    increasing; a violation raises ParseError or OrderingError naming
+    the 1-based row. A non-empty rhythm cell must be on every row or on
+    none. A label reading ``AF`` in any case marks AF; every other label
+    (``N``, ``OTHER``, ``AFL``, ...) marks non-AF rhythm. Consecutive
+    runs of one rhythm become episodes spanning the first to the last
+    beat of the run (single-beat runs bound no RR interval and are
+    dropped).
     """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    parsed = _rr_columns(lines, split="," in text)
+    if parsed is None:
+        parsed = _rr_rows(lines)
+    times, af = parsed
+    peaks = RPeakSeries(times=times, source="reference")
+    if af is None:
+        return peaks, None
+
+    # runs of one rhythm: [first, last] beat indices between changes
+    change = np.flatnonzero(af[1:] != af[:-1]) + 1
+    first = np.concatenate(([0], change))
+    last = np.concatenate((change, [af.shape[0]])) - 1
+    keep = last > first
+    first, last = first[keep], last[keep]
+    episodes = [(start, end, AF if is_af else OTHER)
+                for start, end, is_af in zip(times[first].tolist(),
+                                             times[last].tolist(),
+                                             af[first].tolist())]
+    return peaks, RhythmAnnotations(episodes=episodes)
+
+
+def _rr_columns(lines: list[str], split: bool,
+                ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(times, AF mask or None) of the rows, converted column by column.
+
+    Lines hold no comma unless split. None when any row breaks a rule;
+    the row loop then names the first such row.
+    """
+    stamps, af = lines, None
+    if split:
+        cells = [ln.split(",", 2) for ln in lines]
+        stamps = [c[0].strip() for c in cells]
+        labels = [c[1].strip() if len(c) > 1 else "" for c in cells]
+        if all(labels):
+            af = np.array([label.upper() == AF for label in labels])
+        elif any(labels):
+            return None
+    try:
+        times = np.fromiter(map(float, stamps), dtype=np.float64,
+                            count=len(stamps))
+    except ValueError:
+        return None
+    if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
+        return None
+    return times, af
+
+
+def _rr_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """(times, AF mask or None), row by row; raises at the first bad row."""
     times: list[float] = []
     rhythms: list[str] | None = None
-    row = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row += 1
+    for row, line in enumerate(lines, 1):
         parts = [p.strip() for p in line.split(",")]
         try:
             t = float(parts[0])
@@ -609,22 +659,8 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
         elif rhythms is not None:
             raise ParseError(f"missing rhythm label at row {row}")
         times.append(t)
-
-    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64),
-                        source="reference")
-    if rhythms is None:
-        return peaks, None
-
-    episodes: list[tuple[float, float, str]] = []
-    i = 0
-    while i < len(rhythms):
-        j = i
-        while j + 1 < len(rhythms) and rhythms[j + 1] == rhythms[i]:
-            j += 1
-        if j > i:
-            episodes.append((times[i], times[j], rhythms[i]))
-        i = j + 1
-    return peaks, RhythmAnnotations(episodes=episodes)
+    af = None if rhythms is None else np.array(rhythms) == AF
+    return np.asarray(times, dtype=np.float64), af
 
 
 def write_rr_csv(peaks: RPeakSeries,

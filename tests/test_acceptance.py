@@ -263,8 +263,7 @@ def test_synthetic_screening_cohort():
         spec = SynthSpec(rhythm_program=program, seed=1000 + 37 * i
                          + {"af": 0, "paf": 1, "nsr": 2, "ect": 3}[group])
         peaks, _ = gen_rr(spec)
-        r = pipeline.process_rr(peaks, model, config,
-                                patient_id=f"{group}{i:02d}")
+        r = pipeline._classify(f"{group}{i:02d}", peaks, None, model, config)
         assert r.qc.status == ACCEPTED
         results[(group, i)] = r
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from afscreen import synth
+from afscreen import pipeline, synth
 from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
                              ParseError)
 from afscreen.features import FEATURE_NAMES
@@ -13,7 +13,7 @@ from afscreen.forest import ForestModel
 from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                cohort_csv, collect_training_windows,
                                metas_from_entries, process_entry,
-                               process_patient, process_rr, read_manifest,
+                               process_patient, read_manifest,
                                result_to_dict, run_cohort)
 from afscreen.record_io import encode_212, write_edf
 
@@ -53,8 +53,8 @@ def rr_series(window_rr_s, beats=60):
 def test_afb_threshold_boundary_is_inclusive():
     # 4 of 20 windows short-RR: burden lands exactly on the 20% threshold
     spacing = [0.6 if i % 5 == 0 else 0.85 for i in range(20)]
-    result = process_rr(rr_series(spacing), AVNN_STUMP, PipelineConfig(),
-                        patient_id="edge")
+    result = pipeline._classify("edge", rr_series(spacing), None, AVNN_STUMP,
+                                PipelineConfig())
     assert result.qc.status == "accepted"
     assert result.n_windows_total == 20
     assert result.n_windows_included == 20
@@ -64,38 +64,42 @@ def test_afb_threshold_boundary_is_inclusive():
 
 def test_afb_below_threshold():
     spacing = [0.6 if i < 3 else 0.85 for i in range(20)]
-    result = process_rr(rr_series(spacing), AVNN_STUMP, PipelineConfig())
+    result = pipeline._classify("", rr_series(spacing), None, AVNN_STUMP,
+                                PipelineConfig())
     assert result.afb == 15.0
     assert result.prominent_af is False
 
 
 def test_afb_extremes():
-    all_af = process_rr(rr_series([0.6] * 17), AVNN_STUMP, PipelineConfig())
+    all_af = pipeline._classify("", rr_series([0.6] * 17), None, AVNN_STUMP,
+                                PipelineConfig())
     assert all_af.afb == 100.0
     assert all_af.prominent_af is True
 
-    none_af = process_rr(rr_series([0.85] * 17), AVNN_STUMP, PipelineConfig())
+    none_af = pipeline._classify("", rr_series([0.85] * 17), None, AVNN_STUMP,
+                                 PipelineConfig())
     assert none_af.afb == 0.0
     assert none_af.prominent_af is False
 
 
 def test_afb_threshold_configurable():
     spacing = [0.6 if i < 3 else 0.85 for i in range(20)]
-    result = process_rr(rr_series(spacing), AVNN_STUMP,
-                        PipelineConfig(afb_threshold_pct=15.0))
+    result = pipeline._classify("", rr_series(spacing), None, AVNN_STUMP,
+                                PipelineConfig(afb_threshold_pct=15.0))
     assert result.afb == 15.0
     assert result.prominent_af is True
 
 
 def test_rr_path_carries_unit_bsqi():
-    result = process_rr(rr_series([0.8] * 17), AVNN_STUMP, PipelineConfig())
+    result = pipeline._classify("", rr_series([0.8] * 17), None, AVNN_STUMP,
+                                PipelineConfig())
     assert all(row[1] == 1.0 for row in result.per_window)
     assert all(row[3] == "nonAF" for row in result.per_window)
 
 
 def test_rr_path_too_few_peaks():
-    result = process_rr(rr_series([0.8] * 15), AVNN_STUMP, PipelineConfig(),
-                        patient_id="short")
+    result = pipeline._classify("short", rr_series([0.8] * 15), None,
+                                AVNN_STUMP, PipelineConfig())
     assert result.qc.status == "too_few_peaks"
     assert result.qc.n_peaks_reference == 900
     assert result.afb is None
@@ -105,8 +109,8 @@ def test_rr_path_too_few_peaks():
 
 
 def test_min_peaks_configurable():
-    result = process_rr(rr_series([0.8] * 2), AVNN_STUMP,
-                        PipelineConfig(min_reference_peaks=100))
+    result = pipeline._classify("", rr_series([0.8] * 2), None, AVNN_STUMP,
+                                PipelineConfig(min_reference_peaks=100))
     assert result.qc.status == "accepted"
 
 
@@ -356,8 +360,6 @@ def test_collect_training_windows_rr(tmp_path):
 
 def test_collect_training_windows_parses_each_rr_file_once(tmp_path,
                                                           monkeypatch):
-    from afscreen import pipeline
-
     parsed = []
     real = pipeline.parse_rr_csv
 
@@ -426,8 +428,8 @@ def test_collect_training_windows_signal_path(tmp_path, nsr_record):
 
 
 def test_result_to_dict_is_json_ready():
-    result = process_rr(rr_series([0.8] * 15), AVNN_STUMP, PipelineConfig(),
-                        patient_id="x")
+    result = pipeline._classify("x", rr_series([0.8] * 15), None, AVNN_STUMP,
+                                PipelineConfig())
     d = result_to_dict(result)
     assert d["patient_id"] == "x"
     assert d["afb"] is None
@@ -436,10 +438,10 @@ def test_result_to_dict_is_json_ready():
 
 
 def test_cohort_csv_layout():
-    included = process_rr(rr_series([0.6] * 17), AVNN_STUMP,
-                          PipelineConfig(), patient_id="a")
-    excluded = process_rr(rr_series([0.8] * 2), AVNN_STUMP, PipelineConfig(),
-                          patient_id="b")
+    included = pipeline._classify("a", rr_series([0.6] * 17), None, AVNN_STUMP,
+                                  PipelineConfig())
+    excluded = pipeline._classify("b", rr_series([0.8] * 2), None, AVNN_STUMP,
+                                  PipelineConfig())
     text = cohort_csv([included, excluded], ["generator=x", "config={}"])
     lines = text.split("\n")
     assert lines[0] == "# generator=x"
@@ -466,8 +468,6 @@ def test_pipeline_config_validation():
 
 
 def test_finish_scores_each_accepted_patient_in_one_call(monkeypatch):
-    from afscreen import pipeline
-
     calls = []
     real = pipeline.predict_proba_many
 
@@ -476,14 +476,15 @@ def test_finish_scores_each_accepted_patient_in_one_call(monkeypatch):
         return real(model, X)
 
     monkeypatch.setattr(pipeline, "predict_proba_many", counting)
-    accepted = process_rr(rr_series([0.6] * 5 + [0.85] * 15), AVNN_STUMP,
-                          PipelineConfig(), patient_id="ok")
+    accepted = pipeline._classify("ok", rr_series([0.6] * 5 + [0.85] * 15),
+                                  None, AVNN_STUMP, PipelineConfig())
     assert accepted.qc.status == "accepted"
     assert calls == [(20, len(FEATURE_NAMES))]
     assert accepted.afb == 25.0
 
     calls.clear()
-    short = process_rr(rr_series([0.8] * 15), AVNN_STUMP, PipelineConfig())
+    short = pipeline._classify("", rr_series([0.8] * 15), None, AVNN_STUMP,
+                               PipelineConfig())
     assert short.qc.status == "too_few_peaks"
     assert calls == []
 
@@ -503,8 +504,8 @@ def test_forest_tie_labels_window_non_af():
 
     tie = ForestModel(trees=[stump([0, 1], [1, 0]), stump([1, 0], [0, 1])],
                       n_estimators=2, max_depth=1, seed=0)
-    result = process_rr(rr_series([0.6] * 10 + [0.85] * 10), tie,
-                        PipelineConfig(), patient_id="tie")
+    result = pipeline._classify("tie", rr_series([0.6] * 10 + [0.85] * 10),
+                                None, tie, PipelineConfig())
     assert result.qc.status == "accepted"
     assert [(p, label) for _, _, p, label in result.per_window] == \
         [(0.5, "nonAF")] * 20

@@ -120,6 +120,15 @@ def test_parse_edf_unknown_record_count_derived_from_payload():
     assert rec.samples.shape == (8,)
 
 
+def test_parse_edf_empty_digital_range_names_its_field():
+    # the ECG signal's digital minimum starts at 256 + 2 * 120 + 1 * 8
+    with pytest.raises(ParseError) as err:
+        parse_edf(pack_edf(dmin=("-2048", "5"), dmax=("2047", "5")),
+                  channel="ECG")
+    assert err.value.offset == 504
+    assert "digital range must be positive, got [5, 5]" in str(err.value)
+
+
 def test_parse_edf_header_size_mismatch():
     with pytest.raises(ParseError):
         parse_edf(pack_edf(header_bytes=9999), channel="ECG")

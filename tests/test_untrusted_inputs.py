@@ -3,9 +3,11 @@ exception: any JSON document handed to load_model, any text handed to
 parse_rr_csv, any bytes handed to parse_edf, and any WFDB header text
 handed to parse_wfdb with a valid signal file. A cohort that mixes good
 recordings with bad ones reports each patient once, as a result or as
-an error-ledger row."""
+an error-ledger row. parse_rr_csv also matches a row-by-row oracle on
+any text: the same times and episodes, or the same error."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,14 +15,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afscreen.errors import AfscreenError
+from afscreen.errors import AfscreenError, OrderingError, ParseError
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
     save_model
 from afscreen.pipeline import ManifestEntry, PipelineConfig, run_cohort
 from afscreen.qrs import RPeakSeries
-from afscreen.record_io import (EcgRecord, encode_212, parse_edf,
-                                parse_rr_csv, parse_wfdb, write_edf,
-                                write_rr_csv)
+from afscreen.record_io import (AF, OTHER, EcgRecord, RhythmAnnotations,
+                                encode_212, parse_edf, parse_rr_csv,
+                                parse_wfdb, write_edf, write_rr_csv)
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -77,6 +79,140 @@ def test_parse_rr_csv_on_any_text(text):
         parse_rr_csv(text)
     except AfscreenError:
         pass
+
+
+def oracle_parse_rr_csv(text: str):
+    """The RR CSV reader written one row at a time, as a reference."""
+    times: list[float] = []
+    rhythms: list[str] | None = None
+    row = 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        row += 1
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            t = float(parts[0])
+        except ValueError:
+            raise ParseError(
+                f"non-numeric beat time {parts[0]!r} at row {row}") from None
+        if not math.isfinite(t):
+            raise ParseError(
+                f"non-finite beat time {parts[0]!r} at row {row}")
+        if times and t <= times[-1]:
+            raise OrderingError(
+                f"beat time {t} at row {row} does not increase past "
+                f"{times[-1]}", row=row)
+        if len(parts) > 1 and parts[1]:
+            if rhythms is None:
+                if row != 1:
+                    raise ParseError(
+                        f"rhythm column appears first at row {row}; it must "
+                        f"be present on every row or none")
+                rhythms = []
+            rhythms.append(AF if parts[1].upper() == AF else OTHER)
+        elif rhythms is not None:
+            raise ParseError(f"missing rhythm label at row {row}")
+        times.append(t)
+
+    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64),
+                        source="reference")
+    if rhythms is None:
+        return peaks, None
+
+    episodes: list[tuple[float, float, str]] = []
+    i = 0
+    while i < len(rhythms):
+        j = i
+        while j + 1 < len(rhythms) and rhythms[j + 1] == rhythms[i]:
+            j += 1
+        if j > i:
+            episodes.append((times[i], times[j], rhythms[i]))
+        i = j + 1
+    return peaks, RhythmAnnotations(episodes=episodes)
+
+
+def rr_outcome(parse, text: str) -> tuple:
+    try:
+        peaks, annotations = parse(text)
+    except AfscreenError as e:
+        return type(e), str(e), getattr(e, "row", None)
+    # repr tells a numpy scalar from a float and -0.0 from 0.0
+    return (peaks.times.dtype, peaks.times.tobytes(),
+            None if annotations is None else repr(annotations.episodes))
+
+
+# line breaks and cell padding that str.splitlines and str.strip act on
+RR_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+             "\u2028"]
+RR_PADS = ["", " ", "\t", "\xa0", "\u3000"]
+RR_LABELS = ["AF", "af", "aF", " AF ", "N", "AFL", "OTHER"]
+RR_TOKENS = [*"0123456789.,-+eE_ \t", "inf", "-inf", "nan", "AF", "af", "N",
+             "AFL", *RR_BREAKS, "\u0661", "1.5", "0.8,", ",AF"]
+
+
+def _stamp(t: float, form: str) -> str:
+    if form == "repr":
+        return repr(t)
+    if form == "fixed":
+        return f"{t:.2f}"  # rounding can tie or reorder neighbours
+    if form == "exp":
+        return f"{t:.6e}"
+    if form == "underscore":
+        # "1_2.3_4_5": float reads an underscore between two digits
+        return ".".join("_".join(part) for part in f"{t:.3f}".split("."))
+    return f"{t:.3f}".translate(str.maketrans("0123456789",
+                                              "\u0660\u0661\u0662\u0663"
+                                              "\u0664\u0665\u0666\u0667"
+                                              "\u0668\u0669"))
+
+
+@st.composite
+def rr_texts(draw):
+    """RR files, mostly valid, with a few rows corrupted."""
+    gaps = draw(st.lists(st.floats(0.001, 3.0), max_size=25))
+    labelled = draw(st.booleans())
+    # a label of nothing, a space or a line break leaves its row unlabelled
+    labels = st.sampled_from(RR_LABELS)
+    if draw(st.integers(0, 3)) == 0:
+        labels |= st.sampled_from(["", " ", "\x1c"])
+    rows = []
+    for t in np.cumsum(gaps).tolist():
+        form = draw(st.sampled_from(
+            ["repr"] * 4 + ["fixed", "exp", "underscore", "digits"]))
+        # a line break before the time only adds a blank line
+        lead = draw(st.sampled_from([*RR_PADS, "\x0b", "\x0c", "\x1c"]))
+        cells = [lead + _stamp(t, form) + draw(st.sampled_from(RR_PADS))]
+        if labelled:
+            cells.append(draw(labels))
+        if draw(st.integers(0, 4)) == 0:
+            cells.append(draw(st.sampled_from(["", "x", "AF", "1.0,2"])))
+        rows.append(",".join(cells))
+    # mixed errors: several bad rows of different kinds in one file
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        bad = draw(st.lists(st.sampled_from(RR_TOKENS), max_size=6))
+        rows.insert(draw(st.integers(0, len(rows))), "".join(bad))
+    if rows and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(
+            st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    text = ""
+    for line in rows:
+        blank = draw(st.sampled_from(["", "", "", " ", "\t", "\x0c"]))
+        text += line + draw(st.sampled_from(RR_BREAKS)) + blank
+        if blank:
+            text += "\n"
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(rr_texts()
+       | st.lists(st.sampled_from(RR_TOKENS), max_size=40).map("".join)
+       | st.text())
+def test_parse_rr_csv_matches_row_oracle(text):
+    assert rr_outcome(parse_rr_csv, text) == rr_outcome(oracle_parse_rr_csv,
+                                                        text)
 
 
 def parses_or_refuses(parse, *args) -> None:
