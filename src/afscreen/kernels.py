@@ -4,7 +4,10 @@
   decision over its candidate peaks, a loop over memoryviews of the
   candidate arrays.
 * ``refractory_pick``: the refractory thinning both detectors apply.
-* ``trailing_max``: the test detector's trailing-window maximum.
+* ``trailing_max``: trailing-window maxima read at the detectors'
+  candidates only: the reference detector's band-passed peak and slope,
+  and the test detector's threshold. It works on blocks of samples, so
+  it never holds a full-length copy of the signal.
 
 The window features are not kernels: ``features`` and ``quality``
 compute them for all of a night's windows at once.
@@ -13,29 +16,73 @@ compute them for all of a night's windows at once.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 BACKEND = "numpy"
 
+# Samples per block of trailing_max; each of its two work buffers holds
+# a block and its halo.
+_BLOCK = 1 << 15
 
-def trailing_max(x, n):
-    """max(x[i-n+1 .. i]) for every i, the window cut at the start."""
-    # positive origin pulls the window toward earlier samples; (n-1)//2
-    # is the largest legal shift and yields the window [i-n+1, i]
-    origin = (n - 1) // 2
-    return maximum_filter1d(x, size=n, mode="nearest", origin=origin)
+
+def trailing_max(x, at, n, absolute=False):
+    """max(x[i-n+1 .. i]) for each index i of the ascending array `at`,
+    the window cut at the start; over |x| when `absolute`.
+
+    The indices are answered a block at a time: those within _BLOCK
+    samples of the block's first index, from the samples of the block
+    and the n-1 before it (its halo). The work is two buffers of at
+    most _BLOCK + n - 1 samples each (about 0.5 MB for float64 at the
+    detectors' n), allocated once per call and reused by every block.
+    In a block, log2(n) doubling passes turn each sample into the
+    maximum of the p samples ending there, p the largest power of two
+    <= n, and the answer at i is max(m[i], m[i-(n-p)]), whose windows
+    together cover [i-n+1, i]. A maximum rounds nothing, so the result
+    equals the full-length trailing maximum read at `at`, bit for bit.
+    Stretches holding no index of `at` are skipped.
+    """
+    n = int(n)
+    out = np.empty(at.shape[0], x.dtype)
+    if at.shape[0] == 0:
+        return out
+    p = 1 << (n.bit_length() - 1)
+    shift = n - p
+    size = min(_BLOCK + n - 1, x.shape[0])
+    work = np.empty(size, x.dtype), np.empty(size, x.dtype)
+    k = 0
+    while k < at.shape[0]:
+        first = int(at[k])
+        k_end = k + int(np.searchsorted(at[k:], first + _BLOCK))
+        lo = max(first - n + 1, 0)
+        hi = int(at[k_end - 1]) + 1
+        m, t = work[0][:hi - lo], work[1][:hi - lo]
+        if absolute:
+            np.abs(x[lo:hi], out=m)
+        else:
+            m[:] = x[lo:hi]
+        w = 1
+        while w < p and w < m.shape[0]:
+            t[:w] = m[:w]
+            np.maximum(m[w:], m[:-w], out=t[w:])
+            m, t = t, m
+            w *= 2
+        idx = at[k:k_end] - lo
+        # the clip matters only where a window reaches before sample 0
+        np.maximum(m[idx], m[np.maximum(idx - shift, 0)], out=out[k:k_end])
+        k = k_end
+    return out
 
 
 def refractory_pick(idx, min_gap):
     """Keep-mask over ascending indices: each kept index lies at least
     min_gap after the previous kept one."""
-    n = idx.shape[0]
-    keep = np.zeros(n, np.bool_)
-    last = -np.int64(2 ** 62)
-    for k in range(n):
-        if idx[k] - last >= min_gap:
-            keep[k] = True
-            last = idx[k]
+    keep = np.zeros(idx.shape[0], np.bool_)
+    kept = memoryview(keep)
+    min_gap = int(min_gap)
+    last = -2 ** 62
+    for k, i in enumerate(memoryview(idx)):
+        if i - last >= min_gap:
+            kept[k] = True
+            last = i
     return keep
 
 
@@ -66,44 +113,54 @@ def pt_decide(cand, peaki, peakf, slope,
     n_refractory, n_twave = int(n_refractory), int(n_twave)
     n = len(cand)
     accept = np.zeros(n, np.bool_)
+    accepted = memoryview(accept)
     # The last 8 RR intervals are whole sample counts, so their running
     # sum is exact and equals a fresh sum of the buffer.
-    rr_buf = np.zeros(8, np.int64)
+    rr_buf = [0] * 8
     rr_sum = 0
     rr_n = 0
     rr_pos = 0
     # Search-back fires past 1.66x the mean RR; never before an RR exists.
     sb_limit = np.inf
-    last_qrs = -2 ** 62
+    # Before the first beat, every candidate lies far beyond the
+    # refractory and T-wave windows of this sentinel.
+    no_qrs = -2 ** 62
+    last_qrs = no_qrs
     last_slope = 0.0
     last_acc_k = -1
     for k in range(n):
         c = cand[k]
-        thri = npki + 0.25 * (spki - npki)
-        if thri < floor_i:
-            thri = floor_i
-        thrf = npkf + 0.25 * (spkf - npkf)
-        if thrf < floor_f:
-            thrf = floor_f
+        # Search-back cannot fire inside the refractory period: every
+        # accepted RR is at least n_refractory, so sb_limit exceeds it.
+        if c - last_qrs < n_refractory:
+            continue
 
         if c - last_qrs > sb_limit:
+            thri = npki + 0.25 * (spki - npki)
+            if thri < floor_i:
+                thri = floor_i
+            thrf = npkf + 0.25 * (spkf - npkf)
+            if thrf < floor_f:
+                thrf = floor_f
+            half_i = 0.5 * thri
+            half_f = 0.5 * thrf
+            # Every candidate after last_acc_k is still unaccepted.
             best = -1
             best_v = 0.0
             for m in range(last_acc_k + 1, k):
-                if accept[m]:
-                    continue
                 if cand[m] - last_qrs < n_refractory:
                     continue
-                if peaki[m] > 0.5 * thri and peakf[m] > 0.5 * thrf:
-                    if best < 0 or peaki[m] > best_v:
+                v = peaki[m]
+                if v > half_i and peakf[m] > half_f:
+                    if best < 0 or v > best_v:
                         best = m
-                        best_v = peaki[m]
+                        best_v = v
             if best >= 0:
-                accept[best] = True
+                accepted[best] = True
                 spki = 0.25 * peaki[best] + 0.75 * spki
                 spkf = 0.25 * peakf[best] + 0.75 * spkf
                 rr = cand[best] - last_qrs
-                rr_sum += rr - int(rr_buf[rr_pos])
+                rr_sum += rr - rr_buf[rr_pos]
                 rr_buf[rr_pos] = rr
                 rr_pos = (rr_pos + 1) % 8
                 if rr_n < 8:
@@ -112,29 +169,27 @@ def pt_decide(cand, peaki, peakf, slope,
                 last_qrs = cand[best]
                 last_slope = slope[best]
                 last_acc_k = best
-                thri = npki + 0.25 * (spki - npki)
-                if thri < floor_i:
-                    thri = floor_i
-                thrf = npkf + 0.25 * (spkf - npkf)
-                if thrf < floor_f:
-                    thrf = floor_f
+                if c - last_qrs < n_refractory:
+                    continue
 
-        if last_acc_k >= 0 and c - last_qrs < n_refractory:
+        if c - last_qrs < n_twave and slope[k] < 0.5 * last_slope:
+            npki = 0.125 * peaki[k] + 0.875 * npki
+            npkf = 0.125 * peakf[k] + 0.875 * npkf
             continue
 
-        if last_acc_k >= 0 and c - last_qrs < n_twave:
-            if slope[k] < 0.5 * last_slope:
-                npki = 0.125 * peaki[k] + 0.875 * npki
-                npkf = 0.125 * peakf[k] + 0.875 * npkf
-                continue
-
+        thri = npki + 0.25 * (spki - npki)
+        if thri < floor_i:
+            thri = floor_i
+        thrf = npkf + 0.25 * (spkf - npkf)
+        if thrf < floor_f:
+            thrf = floor_f
         if peaki[k] > thri and peakf[k] > thrf:
-            accept[k] = True
+            accepted[k] = True
             spki = 0.125 * peaki[k] + 0.875 * spki
             spkf = 0.125 * peakf[k] + 0.875 * spkf
-            if last_acc_k >= 0:
+            if last_qrs != no_qrs:
                 rr = c - last_qrs
-                rr_sum += rr - int(rr_buf[rr_pos])
+                rr_sum += rr - rr_buf[rr_pos]
                 rr_buf[rr_pos] = rr
                 rr_pos = (rr_pos + 1) % 8
                 if rr_n < 8:

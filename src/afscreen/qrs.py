@@ -123,16 +123,6 @@ def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _trailing_abs_max(x: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
-    # max |x| over [i-n+1, i] for each i in `at`, the window cut at the
-    # start: kernels.trailing_max(np.abs(x), n)[at] without computing it
-    # at every sample.
-    out = np.abs(x[at])
-    for k in range(1, n):
-        np.maximum(out, np.abs(x[np.maximum(at - k, 0)]), out=out)
-    return out
-
-
 def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
                n_refine: int) -> np.ndarray:
     # For each beat index c: the band-passed maximum over [c-n_mwi, c],
@@ -174,8 +164,8 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # band-passed peak that produced the integration peak and the
     # steepest local slope (for the T-wave test).
     peaki = mwi[cand]
-    peakf = _trailing_abs_max(bp, cand, n_mwi + 1)
-    slope = _trailing_abs_max(deriv, cand, n_mwi + 1)
+    peakf = kernels.trailing_max(bp, cand, n_mwi + 1, absolute=True)
+    slope = kernels.trailing_max(deriv, cand, n_mwi + 1, absolute=True)
 
     n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
     abs_learn = np.abs(bp[:n_learn])
@@ -215,11 +205,12 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     env = np.sqrt(uniform_filter1d(bp * bp, size=n_rms, mode="nearest"))
 
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
-    threshold = TEST_THRESHOLD_FRACTION * kernels.trailing_max(env, n_trail)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))
 
     cand = _local_maxima(env)
-    cand = cand[env[cand] > np.maximum(threshold[cand], floor)]
+    threshold = (TEST_THRESHOLD_FRACTION
+                 * kernels.trailing_max(env, cand, n_trail))
+    cand = cand[env[cand] > np.maximum(threshold, floor)]
     if cand.shape[0] == 0:
         return RPeakSeries(times=np.empty(0), source=TEST)
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from afscreen import kernels
 
@@ -51,6 +54,7 @@ def oracle_pt_decide(cand, peaki, peakf, slope,
     last_acc_k = -1
     for k in range(n):
         c = cand[k]
+        rescued = False
         thri = max(npki + 0.25 * (spki - npki), floor_i)
         thrf = max(npkf + 0.25 * (spkf - npkf), floor_f)
         hits["floor"] += thri == floor_i or thrf == floor_f
@@ -74,6 +78,7 @@ def oracle_pt_decide(cand, peaki, peakf, slope,
                             best_v = peaki[m]
                 if best >= 0:
                     hits["search_back"] += 1
+                    rescued = True
                     accept[best] = True
                     spki = 0.25 * peaki[best] + 0.75 * spki
                     spkf = 0.25 * peakf[best] + 0.75 * spkf
@@ -89,11 +94,13 @@ def oracle_pt_decide(cand, peaki, peakf, slope,
 
         if last_acc_k >= 0 and c - last_qrs < n_refractory:
             hits["refractory"] += 1
+            hits["sb_refractory"] += rescued
             continue
 
         if last_acc_k >= 0 and c - last_qrs < n_twave:
             if slope[k] < 0.5 * last_slope:
                 hits["t_wave"] += 1
+                hits["sb_t_wave"] += rescued
                 npki = 0.125 * peaki[k] + 0.875 * npki
                 npkf = 0.125 * peakf[k] + 0.875 * npkf
                 continue
@@ -160,11 +167,57 @@ def candidate_stream(rng, n_beats, origin=0):
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 256, 999, 1500])
-def test_trailing_max_matches_oracle(n):
+def probe_indices(size, n, block, rng):
+    """0, n-1, the last sample, both sides of every block edge when the
+    blocks start at 0, and a random sample of the rest."""
+    edges = np.arange(0, size + block, block)
+    at = np.concatenate([[0, n - 1, size - 1], edges - 1, edges, edges + 1,
+                         rng.choice(size, size=60)])
+    return np.unique(at[(at >= 0) & (at < size)]).astype(np.int64)
+
+
+def oracle_both(x, n):
+    """The oracle over x and over |x|, keyed by `absolute`."""
+    return {False: oracle_trailing_max(x, n),
+            True: oracle_trailing_max(np.abs(x), n)}
+
+
+def check_trailing_max(x, at, n, want):
+    for absolute in (False, True):
+        got = kernels.trailing_max(x, at, n, absolute=absolute)
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, want[absolute][at]), (
+            n, kernels._BLOCK, absolute)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 21, 151, 256, 999, 1500])
+def test_trailing_max_matches_oracle(n, monkeypatch):
+    # a normal signal of 999 samples, so n = 999 is its length and 1500
+    # exceeds it, and one on a coarse grid whose values tie often
     x = RNG.normal(size=999)
-    assert np.array_equal(kernels.trailing_max(x, n),
-                          oracle_trailing_max(x, n))
+    grid = RNG.integers(-6, 7, size=400) / 4.0
+    for signal in (x, grid):
+        size = signal.shape[0]
+        want = oracle_both(signal, n)
+        for block in (1, 7, 64, kernels._BLOCK):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            for at in (probe_indices(size, n, block, RNG), np.arange(size)):
+                check_trailing_max(signal, at, n, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 300),
+                elements=st.floats(allow_nan=False, allow_infinity=False)),
+       data=st.data())
+def test_trailing_max_on_any_finite_array(x, data):
+    n = data.draw(st.integers(1, 2 * x.shape[0] + 2), label="n")
+    at = np.array(sorted(data.draw(st.lists(st.integers(0, x.shape[0] - 1)),
+                                   label="at")), dtype=np.int64)
+    block = data.draw(st.sampled_from([1, 7, 64, kernels._BLOCK]),
+                      label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", block)
+        check_trailing_max(x, at, n, oracle_both(x, n))
 
 
 def test_refractory_pick_matches_oracle():
@@ -190,7 +243,8 @@ def pt_scalars(rng, floors):
 
 def test_pt_decide_matches_oracle():
     rng = np.random.default_rng(7)
-    hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave"), 0)
+    hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave",
+                          "sb_refractory", "sb_t_wave"), 0)
     most_beats = 0
     for trial in range(80):
         stream = candidate_stream(rng, int(rng.integers(1, 60)),

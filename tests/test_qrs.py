@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d
 
 from afscreen import kernels, qrs, quality, synth
 from afscreen.errors import ContractViolationError, UnsupportedRateError
@@ -183,6 +184,14 @@ def oracle_trailing_mean(x, n):
     return out
 
 
+def full_length_trailing_max(x, at, n, absolute=False):
+    # max(x[i-n+1 .. i]) at every sample, the window cut at the start,
+    # read at `at`: a positive origin pulls the window toward earlier
+    # samples, and (n-1)//2 is the largest legal shift
+    return maximum_filter1d(np.abs(x) if absolute else x, size=n,
+                            mode="nearest", origin=(n - 1) // 2)[at]
+
+
 def oracle_fiducials(bp, beats, n_mwi, n_refine):
     fiducials = []
     for c in beats:
@@ -225,8 +234,8 @@ def test_trailing_abs_max_matches_full_length_kernel(n):
     x = rng.integers(-6, 7, size=400) / 4.0
     at = np.unique(np.concatenate([[0, 1, n - 1, 399],
                                    rng.choice(400, size=60)]))
-    want = kernels.trailing_max(np.abs(x), n)[at]
-    assert np.array_equal(qrs._trailing_abs_max(x, at, n), want)
+    assert np.array_equal(kernels.trailing_max(x, at, n, absolute=True),
+                          full_length_trailing_max(x, at, n, absolute=True))
 
 
 @pytest.mark.parametrize("n_mwi,n_refine", [(20, 7), (38, 13), (3, 3)])
@@ -275,3 +284,21 @@ def test_detect_reference_matches_loop_oracles_at_edges(monkeypatch,
         # and first-of-tied maxima decided the fiducials
         bp = seen["bp"]
         assert np.any(bp[fid] == bp[fid + 1])
+
+
+@pytest.mark.parametrize("fs,seconds", [(128.0, 600.0), (1000.0, 80.0)])
+def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
+                                                  seconds):
+    # At 128 Hz the record spans more than two blocks of trailing_max;
+    # at 1 kHz its windows of 151 and 2000 samples are not powers of two.
+    spec = synth.SynthSpec(rhythm_program=[(seconds, "NSR")], seed=9,
+                           fs=fs, noise_snr_db=10.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="blocks")
+    assert rec.samples.shape[0] > 2 * kernels._BLOCK
+    got = [detect(rec).times for detect in (detect_reference, detect_test)]
+
+    monkeypatch.setattr(kernels, "trailing_max", full_length_trailing_max)
+    for detect, times in zip((detect_reference, detect_test), got):
+        want = detect(rec).times
+        assert len(want) > seconds / 2
+        assert times.dtype == want.dtype and np.array_equal(times, want)
