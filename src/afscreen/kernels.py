@@ -4,7 +4,7 @@
   decision over its candidate peaks, a loop over memoryviews of the
   candidate arrays.
 * ``refractory_pick``: the refractory thinning both detectors apply.
-* ``trailing_max``: trailing-window maxima read at the detectors'
+* ``trailing_max``: trailing-window maxima of |x| read at the detectors'
   candidates only: the reference detector's band-passed peak and slope,
   and the test detector's threshold. It works on blocks of samples, so
   it never holds a full-length copy of the signal.
@@ -24,17 +24,17 @@ BACKEND = "numpy"
 _BLOCK = 1 << 15
 
 
-def trailing_max(x, at, n, absolute=False):
-    """max(x[i-n+1 .. i]) for each index i of the ascending array `at`,
-    the window cut at the start; over |x| when `absolute`.
+def trailing_max(x, at, n):
+    """max(|x[i-n+1 .. i]|) for each index i of the ascending array `at`,
+    the window cut at the start.
 
     The indices are answered a block at a time: those within _BLOCK
     samples of the block's first index, from the samples of the block
     and the n-1 before it (its halo). The work is two buffers of at
     most _BLOCK + n - 1 samples each (about 0.5 MB for float64 at the
     detectors' n), allocated once per call and reused by every block.
-    In a block, log2(n) doubling passes turn each sample into the
-    maximum of the p samples ending there, p the largest power of two
+    In a block, log2(n) doubling passes over |x| turn each sample into
+    the maximum of the p samples ending there, p the largest power of two
     <= n, and the answer at i is max(m[i], m[i-(n-p)]), whose windows
     together cover [i-n+1, i]. A maximum rounds nothing, so the result
     equals the full-length trailing maximum read at `at`, bit for bit.
@@ -55,10 +55,7 @@ def trailing_max(x, at, n, absolute=False):
         lo = max(first - n + 1, 0)
         hi = int(at[k_end - 1]) + 1
         m, t = work[0][:hi - lo], work[1][:hi - lo]
-        if absolute:
-            np.abs(x[lo:hi], out=m)
-        else:
-            m[:] = x[lo:hi]
+        np.abs(x[lo:hi], out=m)
         w = 1
         while w < p and w < m.shape[0]:
             t[:w] = m[:w]

@@ -164,8 +164,8 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # band-passed peak that produced the integration peak and the
     # steepest local slope (for the T-wave test).
     peaki = mwi[cand]
-    peakf = kernels.trailing_max(bp, cand, n_mwi + 1, absolute=True)
-    slope = kernels.trailing_max(deriv, cand, n_mwi + 1, absolute=True)
+    peakf = kernels.trailing_max(bp, cand, n_mwi + 1)
+    slope = kernels.trailing_max(deriv, cand, n_mwi + 1)
 
     n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
     abs_learn = np.abs(bp[:n_learn])
@@ -208,6 +208,7 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     floor = TEST_FLOOR_FRACTION * float(np.max(env))
 
     cand = _local_maxima(env)
+    # env is a square root, so the maximum of |env| is that of env
     threshold = (TEST_THRESHOLD_FRACTION
                  * kernels.trailing_max(env, cand, n_trail))
     cand = cand[env[cand] > np.maximum(threshold, floor)]

@@ -176,18 +176,10 @@ def probe_indices(size, n, block, rng):
     return np.unique(at[(at >= 0) & (at < size)]).astype(np.int64)
 
 
-def oracle_both(x, n):
-    """The oracle over x and over |x|, keyed by `absolute`."""
-    return {False: oracle_trailing_max(x, n),
-            True: oracle_trailing_max(np.abs(x), n)}
-
-
 def check_trailing_max(x, at, n, want):
-    for absolute in (False, True):
-        got = kernels.trailing_max(x, at, n, absolute=absolute)
-        assert got.dtype == x.dtype
-        assert np.array_equal(got, want[absolute][at]), (
-            n, kernels._BLOCK, absolute)
+    got = kernels.trailing_max(x, at, n)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, want[at]), (n, kernels._BLOCK)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 21, 151, 256, 999, 1500])
@@ -198,7 +190,7 @@ def test_trailing_max_matches_oracle(n, monkeypatch):
     grid = RNG.integers(-6, 7, size=400) / 4.0
     for signal in (x, grid):
         size = signal.shape[0]
-        want = oracle_both(signal, n)
+        want = oracle_trailing_max(np.abs(signal), n)
         for block in (1, 7, 64, kernels._BLOCK):
             monkeypatch.setattr(kernels, "_BLOCK", block)
             for at in (probe_indices(size, n, block, RNG), np.arange(size)):
@@ -217,7 +209,7 @@ def test_trailing_max_on_any_finite_array(x, data):
                       label="block")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK", block)
-        check_trailing_max(x, at, n, oracle_both(x, n))
+        check_trailing_max(x, at, n, oracle_trailing_max(np.abs(x), n))
 
 
 def test_refractory_pick_matches_oracle():

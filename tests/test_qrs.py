@@ -184,12 +184,12 @@ def oracle_trailing_mean(x, n):
     return out
 
 
-def full_length_trailing_max(x, at, n, absolute=False):
-    # max(x[i-n+1 .. i]) at every sample, the window cut at the start,
+def full_length_trailing_max(x, at, n):
+    # max(|x[i-n+1 .. i]|) at every sample, the window cut at the start,
     # read at `at`: a positive origin pulls the window toward earlier
     # samples, and (n-1)//2 is the largest legal shift
-    return maximum_filter1d(np.abs(x) if absolute else x, size=n,
-                            mode="nearest", origin=(n - 1) // 2)[at]
+    return maximum_filter1d(np.abs(x), size=n, mode="nearest",
+                            origin=(n - 1) // 2)[at]
 
 
 def oracle_fiducials(bp, beats, n_mwi, n_refine):
@@ -234,8 +234,8 @@ def test_trailing_abs_max_matches_full_length_kernel(n):
     x = rng.integers(-6, 7, size=400) / 4.0
     at = np.unique(np.concatenate([[0, 1, n - 1, 399],
                                    rng.choice(400, size=60)]))
-    assert np.array_equal(kernels.trailing_max(x, at, n, absolute=True),
-                          full_length_trailing_max(x, at, n, absolute=True))
+    assert np.array_equal(kernels.trailing_max(x, at, n),
+                          full_length_trailing_max(x, at, n))
 
 
 @pytest.mark.parametrize("n_mwi,n_refine", [(20, 7), (38, 13), (3, 3)])
