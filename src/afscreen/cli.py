@@ -115,7 +115,7 @@ def _run_config(command: str, args: argparse.Namespace,
     # Provenance block embedded in every artifact. Execution knobs that
     # never change results (worker count, output destinations) are left
     # out so reruns stay byte-identical wherever they land.
-    run = {"command": command, "pipeline": config.to_dict()}
+    run = {"command": command, "pipeline": dataclasses.asdict(config)}
     for key in ("manifest", "model", "grid", "cv_folds",
                 "predictions", "program", "fs", "snr", "patient_id"):
         if hasattr(args, key):
@@ -256,30 +256,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _read_cohort_csv(path: Path) -> tuple[dict[str, bool],
-                                          list[tuple[float, str]], int]:
-    predictions: dict[str, bool] = {}
-    afb_by_pid: dict[str, float] = {}
-    n_excluded = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-        for row in reader:
-            pid = row["patient_id"]
-            if row["prominent_af"] == "":
-                n_excluded += 1
-                continue
-            predictions[pid] = row["prominent_af"] == "true"
-            afb_by_pid[pid] = float(row["afb"])
-    return predictions, afb_by_pid, n_excluded
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from(args)
     run_config = _run_config("evaluate", args, config)
-    predictions, afb_by_pid, n_excluded = _read_cohort_csv(
-        Path(args.predictions))
-    entries = pipeline.read_manifest(args.manifest)
-    metas = pipeline.metas_from_entries(entries)
+    predictions, afb_by_pid, n_excluded = pipeline.read_cohort_csv(
+        args.predictions)
+    metas = {e.patient_id: e.meta
+             for e in pipeline.read_manifest(args.manifest)}
 
     report = stats.stratify(predictions, metas,
                             ahi_cutoff=config.ahi_cutoff,

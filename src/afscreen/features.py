@@ -28,8 +28,7 @@ It works through fixed chunks of 32 windows, so its temporaries, the
 largest of which are the (32, 58, 58) COSEn comparisons, do not grow
 with the recording's length. featurize is the batched entry point of
 the pipeline: it gates the windows on bsqi and width, then calls
-feature_matrix. cosen, lorenz_features and simple_stats are one-window
-calls into it.
+feature_matrix.
 """
 
 from __future__ import annotations
@@ -40,13 +39,14 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError
+from .quality import BSQI_THRESHOLD, WINDOW_BEATS
 
 COSEN_R_MS = 30.0
 LORENZ_BIN_MS = 40.0
 LORENZ_HALF_EXTENT_MS = 600.0
 LORENZ_NBINS = 30
 _ORIGIN_BIN = int(LORENZ_HALF_EXTENT_MS // LORENZ_BIN_MS)  # = 15
-N_RR = 59  # RR intervals in a 60-beat window
+N_RR = WINDOW_BEATS - 1  # RR intervals in a window
 # Windows per pass of feature_matrix: bounds its (k, 58, 58) comparison
 # temporaries to about 0.9 MB, whatever the recording length.
 _CHUNK = 32
@@ -58,18 +58,6 @@ FEATURE_NAMES = ("bsqi", "cosen", "afe", "orc", "ire", "pace",
 def feature_order_checksum() -> str:
     """Fingerprint of the declared feature order, stored in model files."""
     return hashlib.sha256(",".join(FEATURE_NAMES).encode()).hexdigest()
-
-
-def _shape_error(shape: tuple) -> ContractViolationError:
-    return ContractViolationError(
-        f"expected {N_RR} RR intervals, got shape {shape}")
-
-
-def _check_rr(rr: np.ndarray) -> np.ndarray:
-    rr = np.ascontiguousarray(rr, dtype=np.float64)
-    if rr.ndim != 1 or rr.shape[0] != N_RR:
-        raise _shape_error(rr.shape)
-    return rr
 
 
 def _pair_counts(m: np.ndarray) -> np.ndarray:
@@ -142,11 +130,9 @@ def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
     with n.
     """
     rr = np.ascontiguousarray(rr, dtype=np.float64)
-    if rr.ndim != 2:
+    if rr.ndim != 2 or rr.shape[1] != N_RR:
         raise ContractViolationError(
             f"expected an (n, {N_RR}) RR matrix, got shape {rr.shape}")
-    if rr.shape[1] != N_RR:
-        raise _shape_error(rr.shape[1:])
     if not np.all(rr > 0):
         raise ContractViolationError("RR intervals must be positive")
     bsqi = np.asarray(bsqi, dtype=np.float64)
@@ -168,42 +154,23 @@ def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
     return out
 
 
-def featurize(rr: np.ndarray, bsqi, min_bsqi: float = 0.8) -> np.ndarray:
+def featurize(rr: np.ndarray, bsqi, min_bsqi: float = BSQI_THRESHOLD
+              ) -> np.ndarray:
     """feature_matrix of quality-gated windows, one row per RR row.
 
     Every window must pass the bsqi gate and hold 60 beats; the first
     that does not raises.
     """
-    rr = np.asarray(rr, dtype=np.float64)
     bsqi = np.asarray(bsqi, dtype=np.float64)
-    if rr.shape[0] == 0 == bsqi.shape[0]:
+    if np.shape(rr)[0] == 0 == bsqi.shape[0]:
         # no windows: nothing to gate, whatever their width
         return np.empty((0, len(FEATURE_NAMES)))
     low = bsqi < min_bsqi
-    if rr.shape[1:] != (N_RR,) and not low[:1].any():
-        raise _shape_error(rr.shape[1:])
-    if low.any():
+    # a window fails on its width before a later one on bsqi
+    if low.any() and (low[0] or np.shape(rr)[1:] == (N_RR,)):
         i = int(np.argmax(low))
         raise ContractViolationError(
             f"window {i} has bsqi {bsqi[i]:.3f} below the {min_bsqi} "
             f"gate; featurize only included windows")
     return feature_matrix(rr, bsqi)
 
-
-def _one_window(rr: np.ndarray, r: float = COSEN_R_MS) -> list:
-    return feature_matrix(_check_rr(rr)[None, :], [1.0], r)[0].tolist()
-
-
-def cosen(rr: np.ndarray, r: float = COSEN_R_MS) -> float:
-    """Coefficient of sample entropy; r in the units of rr."""
-    return _one_window(rr, r)[1]
-
-
-def lorenz_features(rr: np.ndarray) -> tuple[int, int, int, int]:
-    """(afe, orc, ire, pace) from the binned Lorenz plot of delta-RR."""
-    return tuple(int(v) for v in _one_window(rr)[2:6])
-
-
-def simple_stats(rr: np.ndarray) -> tuple[float, float, float]:
-    """(avnn, minrr, medhr); the median of 59 values is the sorted middle."""
-    return tuple(_one_window(rr)[6:9])

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stats
+from . import quality, stats
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -66,7 +66,7 @@ class ForestModel:
 
 def label_windows(times: np.ndarray, bsqi: np.ndarray,
                   annotations: RhythmAnnotations,
-                  min_bsqi: float = 0.8,
+                  min_bsqi: float = quality.BSQI_THRESHOLD,
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """Features and rhythm labels of quality-gated windows.
 

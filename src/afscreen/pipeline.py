@@ -8,7 +8,8 @@ _analyze turns the peaks into the windows as arrays (the (n, 60) beat
 times, each window's bsqi and the inclusion verdicts) and the QC
 verdict. predict classifies the result, train labels it, qc reports it.
 The included windows of an accepted recording are featurized as one
-matrix and scored by one forest call.
+matrix and scored by one forest call. A PatientResult keeps the window
+arrays; result_to_dict and cohort_csv derive the rows they write.
 The AF burden (afb) is the percentage of *included* windows classified
 AF; excluded recordings carry no afb, and a recording with no window
 included is too_few_peaks. A patient is flagged prominent-AF iff
@@ -31,14 +32,15 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import quality
-from .errors import AfscreenError, ConfigurationError, ParseError
+from . import quality, stats
+from .errors import (AfscreenError, ConfigurationError,
+                     ContractViolationError, ParseError)
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
 from .qrs import REFERENCE, RPeakSeries, detect_reference, detect_test
@@ -56,6 +58,7 @@ from .record_io import (
 )
 
 FORMATS = ("edf", "wfdb", "rr")
+AF_PROBA = 0.5  # a window is AF iff its probability exceeds this
 
 
 @dataclass
@@ -68,9 +71,9 @@ class PipelineConfig:
     # None: "ECG" for EDF; for WFDB the only signal of a single-signal
     # record, else "ECG" (the parsers' own defaults).
     channel: str | int | None = None
-    ahi_cutoff: float = 15.0
-    ni_margin: float = 0.03
-    ni_alpha: float = 0.05
+    ahi_cutoff: float = stats.DEFAULT_AHI_CUTOFF
+    ni_margin: float = stats.DEFAULT_NI_MARGIN
+    ni_alpha: float = stats.DEFAULT_NI_ALPHA
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,9 +83,6 @@ class PipelineConfig:
             raise ConfigurationError("afb threshold must lie in [0, 100]")
         if not 0.0 <= self.max_exclusion_rate <= 1.0:
             raise ConfigurationError("exclusion rate cap must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -98,11 +98,11 @@ class ManifestEntry:
 class PatientResult:
     patient_id: str
     qc: RecordingQC
-    n_windows_total: int
-    n_windows_included: int
+    bsqi: np.ndarray  # one score per window
+    included: np.ndarray  # one inclusion verdict per window
+    proba: np.ndarray | None  # per included window; None unless accepted
     afb: float | None
     prominent_af: bool | None
-    per_window: list  # (window_index, bsqi, proba or None, label or None)
 
 
 @dataclass
@@ -114,6 +114,29 @@ class CohortReport:
     errors: list  # (patient_id, message)
 
 
+def _read_table(path: str | Path, required: set[str], what: str,
+                ) -> list[tuple[int, dict]]:
+    """(row number, row) of each record of a CSV file, from row 2; lines
+    starting with '#' are comments, a short row's missing cells empty."""
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode(), newline="")
+        reader = csv.DictReader((ln for ln in lines if not ln.startswith("#")),
+                                restval="")
+        columns = set(reader.fieldnames or [])
+        if not required <= columns:
+            raise ConfigurationError(
+                f"{what} must declare columns {sorted(required)}, "
+                f"found {sorted(columns)}")
+        return list(enumerate(reader, start=2))
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{what} line {line} is not UTF-8 text: {e.reason}",
+                         offset=e.start) from None
+    except csv.Error as e:
+        raise ParseError(f"{what}: {e}") from None
+
+
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Load a cohort manifest CSV.
 
@@ -121,53 +144,47 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     reference_label, annotations. Relative paths resolve against the
     manifest's own directory.
     """
-    path = Path(path)
-    base = path.parent
+    base = Path(path).parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(
-            row for row in fh if not row.startswith("#"))
-        required = {"path", "format", "patient_id"}
-        fieldnames = set(reader.fieldnames or [])
-        if not required <= fieldnames:
+    for i, row in _read_table(path, {"path", "format", "patient_id"},
+                              "manifest"):
+        fmt = row["format"].strip().lower()
+        if fmt not in FORMATS:
             raise ConfigurationError(
-                f"manifest must declare columns {sorted(required)}, "
-                f"found {sorted(fieldnames)}")
-        for i, row in enumerate(reader, start=2):
-            fmt = (row["format"] or "").strip().lower()
-            if fmt not in FORMATS:
-                raise ConfigurationError(
-                    f"manifest row {i}: unknown format {row['format']!r} "
-                    f"(supported: {', '.join(FORMATS)})")
-            pid = (row["patient_id"] or "").strip()
-            if not pid:
-                raise ConfigurationError(f"manifest row {i}: empty patient_id")
-            if pid in seen:
-                raise ConfigurationError(
-                    f"manifest row {i}: duplicate patient_id {pid!r}")
-            seen.add(pid)
-            ahi_text = (row.get("ahi") or "").strip()
-            label = (row.get("reference_label") or "").strip() or UNKNOWN
-            if label not in (AF, NON_AF, UNKNOWN):
-                raise ConfigurationError(
-                    f"manifest row {i}: reference_label must be {AF!r}, "
-                    f"{NON_AF!r}, or empty, got {label!r}")
+                f"manifest row {i}: unknown format {row['format']!r} "
+                f"(supported: {', '.join(FORMATS)})")
+        pid = row["patient_id"].strip()
+        if not pid:
+            raise ConfigurationError(f"manifest row {i}: empty patient_id")
+        if pid in seen:
+            raise ConfigurationError(
+                f"manifest row {i}: duplicate patient_id {pid!r}")
+        seen.add(pid)
+        rel = row["path"].strip()
+        if not rel:
+            raise ConfigurationError(f"manifest row {i}: empty path")
+        ahi_text = (row.get("ahi") or "").strip()
+        label = (row.get("reference_label") or "").strip() or UNKNOWN
+        if label not in (AF, NON_AF, UNKNOWN):
+            raise ConfigurationError(
+                f"manifest row {i}: reference_label must be {AF!r}, "
+                f"{NON_AF!r}, or empty, got {label!r}")
+        try:
             meta = PatientMeta(ahi=float(ahi_text) if ahi_text else None,
                                reference_af_label=label)
-            ann = (row.get("annotations") or "").strip() or None
-            entries.append(ManifestEntry(
-                path=str((base / row["path"].strip()).resolve()),
-                fmt=fmt,
-                patient_id=pid,
-                meta=meta,
-                annotations_path=str((base / ann).resolve()) if ann else None,
-            ))
+        except (ValueError, ContractViolationError) as e:
+            raise ConfigurationError(
+                f"manifest row {i}, column ahi: {e}") from None
+        ann = (row.get("annotations") or "").strip() or None
+        entries.append(ManifestEntry(
+            path=str((base / rel).resolve()),
+            fmt=fmt,
+            patient_id=pid,
+            meta=meta,
+            annotations_path=str((base / ann).resolve()) if ann else None,
+        ))
     return entries
-
-
-def metas_from_entries(entries: list[ManifestEntry]) -> dict[str, PatientMeta]:
-    return {e.patient_id: e.meta for e in entries}
 
 
 def _read_text(path: str | Path) -> str:
@@ -217,7 +234,6 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
                             head.with_suffix(".dat").read_bytes(),
                             channel=config.channel)
     record.patient_id = entry.patient_id
-    record.meta = entry.meta
     return detect_reference(record), detect_test(record), annotations
 
 
@@ -247,30 +263,16 @@ def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
 def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
               model: ForestModel, config: PipelineConfig) -> PatientResult:
     times, bsqi, included, qc = _analyze(ref, test, config)
-    n_included = int(np.count_nonzero(included))
-    proba = [None] * times.shape[0]
+    proba = afb = prominent = None
     if qc.status == ACCEPTED:
         X = featurize(np.diff(times[included], axis=1) * 1000.0,
                       bsqi[included], config.bsqi_threshold)
-        for i, p in zip(np.flatnonzero(included).tolist(),
-                        predict_proba_many(model, X).tolist()):
-            proba[i] = p
-    per_window = []
-    n_af = 0
-    for i, (q, p) in enumerate(zip(bsqi.tolist(), proba)):
-        # exactly 0.5 stays nonAF
-        label = None if p is None else AF if p > 0.5 else NON_AF
-        n_af += label == AF
-        per_window.append((i, q, p, label))
-    afb = prominent = None
-    if qc.status == ACCEPTED:
-        afb = (100.0 * n_af) / n_included
+        proba = predict_proba_many(model, X)
+        afb = 100.0 * int(np.count_nonzero(proba > AF_PROBA)) / len(proba)
         prominent = afb >= config.afb_threshold_pct
-    return PatientResult(patient_id=patient_id, qc=qc,
-                         n_windows_total=len(per_window),
-                         n_windows_included=n_included,
-                         afb=afb, prominent_af=prominent,
-                         per_window=per_window)
+    return PatientResult(patient_id=patient_id, qc=qc, bsqi=bsqi,
+                         included=included, proba=proba, afb=afb,
+                         prominent_af=prominent)
 
 
 def process_patient(record: EcgRecord, model: ForestModel,
@@ -389,6 +391,11 @@ def collect_training_windows(entries: list[ManifestEntry],
 
 def result_to_dict(result: PatientResult) -> dict:
     """JSON-ready form of one patient's result."""
+    rows = [[i, q, None, None] for i, q in enumerate(result.bsqi.tolist())]
+    if result.proba is not None:
+        for i, p in zip(np.flatnonzero(result.included).tolist(),
+                        result.proba.tolist()):
+            rows[i][2:] = p, AF if p > AF_PROBA else NON_AF
     return {
         "patient_id": result.patient_id,
         "qc": {
@@ -396,19 +403,18 @@ def result_to_dict(result: PatientResult) -> dict:
             "n_peaks_reference": result.qc.n_peaks_reference,
             "exclusion_rate": result.qc.exclusion_rate,
         },
-        "n_windows_total": result.n_windows_total,
-        "n_windows_included": result.n_windows_included,
+        "n_windows_total": len(rows),
+        "n_windows_included": int(np.count_nonzero(result.included)),
         "afb": result.afb,
         "prominent_af": result.prominent_af,
-        "per_window": [list(row) for row in result.per_window],
+        "per_window": rows,
     }
 
 
 def cohort_csv(results: list[PatientResult], header_lines: list[str]) -> str:
     """Cohort summary CSV, one row per patient, sorted by patient_id."""
     buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
+    buf.writelines(f"# {line}\n" for line in header_lines)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["patient_id", "status", "n_peaks", "exclusion_rate",
                      "n_windows", "n_included", "afb", "prominent_af"])
@@ -416,8 +422,32 @@ def cohort_csv(results: list[PatientResult], header_lines: list[str]) -> str:
         writer.writerow([
             r.patient_id, r.qc.status, r.qc.n_peaks_reference,
             repr(float(r.qc.exclusion_rate)),
-            r.n_windows_total, r.n_windows_included,
+            len(r.bsqi), np.count_nonzero(r.included),
             "" if r.afb is None else repr(float(r.afb)),
             "" if r.prominent_af is None else str(r.prominent_af).lower(),
         ])
     return buf.getvalue()
+
+
+def read_cohort_csv(path: str | Path,
+                    ) -> tuple[dict[str, bool], dict[str, float], int]:
+    """({pid: prominent_af}, {pid: afb}, number excluded) of a cohort_csv
+    file; prominent_af must be true, false or empty (excluded)."""
+    predictions, afb_by_pid, n_excluded = {}, {}, 0
+    for i, row in _read_table(path, {"patient_id", "afb", "prominent_af"},
+                              f"cohort CSV {path}"):
+        flag, afb = row["prominent_af"], row["afb"]
+        if flag == "":
+            n_excluded += 1
+            continue
+        if flag not in ("true", "false"):
+            raise ConfigurationError(
+                f"{path} row {i}: prominent_af must be true, false or "
+                f"empty, got {flag!r}")
+        try:
+            afb_by_pid[row["patient_id"]] = float(afb)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path} row {i}: afb {afb!r} is not a number") from None
+        predictions[row["patient_id"]] = flag == "true"
+    return predictions, afb_by_pid, n_excluded

@@ -202,7 +202,9 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
 
     bp = _bandpass(x, fs, 0.5, 40.0)
     n_rms = max(_samples_for(RMS_WINDOW_S, fs), 1)
-    env = np.sqrt(uniform_filter1d(bp * bp, size=n_rms, mode="nearest"))
+    # bp serves only the envelope, which is worked out in place
+    env = uniform_filter1d(np.square(bp, out=bp), n_rms, mode="nearest")
+    np.sqrt(env, out=env)
 
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))

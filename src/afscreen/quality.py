@@ -83,34 +83,13 @@ def _matched(ref: np.ndarray, test: np.ndarray, lo: np.ndarray,
         axis=1, dtype=np.int64)
 
 
-def bsqi(ref_times: np.ndarray, test_times: np.ndarray,
-         tolerance_s: float = MATCH_TOLERANCE_S) -> float:
-    """Agreement score between two peak-time segments, in [0, 1]."""
-    ref = np.ascontiguousarray(ref_times, dtype=np.float64)
-    test = np.ascontiguousarray(test_times, dtype=np.float64)
-    for name, arr in (("reference", ref), ("test", test)):
-        if arr.shape[0] > 1 and np.any(np.diff(arr) < 0):
-            raise ContractViolationError(f"{name} segment is not sorted")
-    n_ref = ref.shape[0]
-    n_test = test.shape[0]
-    if n_ref + n_test == 0:
-        raise ContractViolationError(
-            "bsqi is undefined for two empty segments")
-    matched = int(_matched(ref[None, :], test, np.array([0]),
-                           np.array([n_test]), tolerance_s)[0])
-    return matched / (n_ref + n_test - matched)
+def window_partition(peaks: RPeakSeries) -> np.ndarray:
+    """Tile the reference peaks into consecutive 60-beat windows.
 
-
-def window_partition(peaks: RPeakSeries,
-                     beats: int = WINDOW_BEATS) -> np.ndarray:
-    """Tile the reference peaks into consecutive windows of `beats` peaks.
-
-    Returns an (n, beats) view of the peak times, one row per window.
+    Returns an (n, 60) view of the peak times, one row per window.
     """
-    if beats < 2:
-        raise ContractViolationError("windows need at least 2 beats")
-    n_windows = peaks.times.shape[0] // beats
-    return peaks.times[:n_windows * beats].reshape(n_windows, beats)
+    n_beats = peaks.times.shape[0] // WINDOW_BEATS * WINDOW_BEATS
+    return peaks.times[:n_beats].reshape(-1, WINDOW_BEATS)
 
 
 def window_bsqi(windows: np.ndarray, test_peaks: RPeakSeries,

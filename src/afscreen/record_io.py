@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class EcgRecord:
     patient_id: str
     samples: np.ndarray
     fs: float
-    meta: PatientMeta = field(default_factory=PatientMeta)
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -172,11 +172,12 @@ def test_kernels_match_brute_force_exactly():
         # brute-force i < j counts; cosen counts ordered pairs, twice as
         # many, with 0.5 standing in for a zero count
         b, a = brute_sampen_counts(rr, r)
-        assert features.cosen(rr, r) == (
+        row = features.feature_matrix(rr[None, :], [1.0], r)[0]
+        assert row[1] == (
             math.log(2 * b or 0.5) - math.log(2 * a or 0.5)
             + math.log(2.0 * r) - math.log(float(np.mean(rr))))
 
-        assert features.lorenz_features(rr) == brute_lorenz(rr)
+        assert tuple(row[2:6]) == brute_lorenz(rr)
     assert time.perf_counter() - t0 < 30.0
 
 

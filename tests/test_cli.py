@@ -208,6 +208,73 @@ def test_evaluate_outputs(cohort, tmp_path):
     assert body[-1] == "1.0,1.0"
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+# manifests that once escaped main as a traceback; each error names the
+# row and the column or line at fault
+BAD_MANIFESTS = {
+    "ahi": (b"path,format,patient_id,ahi\na0.csv,rr,p1,abc\n",
+            "manifest row 2, column ahi: could not convert"),
+    "encoding": (b"path,format,patient_id\n# ok\nb\xe9.csv,rr,p1\n",
+                 "manifest line 3 is not UTF-8 text"),
+    "path": (b"format,patient_id,path\nrr,p1\n",
+             "manifest row 2: empty path"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "qc"])
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_bad_manifest_is_one_error_line(cohort, tmp_path, capsys, case,
+                                        command):
+    data, message = BAD_MANIFESTS[case]
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(data)
+    predictions = tmp_path / "cohort.csv"
+    predictions.write_text("patient_id,afb,prominent_af\n")
+    out = tmp_path / "out"
+    extra = {"train": ["--out", str(out / "m.json")],
+             "predict": ["--model", str(cohort / "model.json"),
+                         "--out-dir", str(out)],
+             "evaluate": ["--predictions", str(predictions),
+                          "--out-dir", str(out)],
+             "qc": ["--out", str(out / "qc.csv")]}[command]
+    code = main([command, "--manifest", str(manifest), *extra])
+    assert code == 2
+    assert message in one_error_line(capsys)
+    assert not out.exists()
+
+
+BAD_COHORT_CSVS = {
+    "column": ("patient_id,afb\na0,100.0\n",
+               "prominent_af'], found ['afb', 'patient_id']"),
+    "afb": ("patient_id,afb,prominent_af\na0,zz,true\n",
+            "row 2: afb 'zz' is not a number"),
+    # once read as a negative and scored as a false negative
+    "flag": ("patient_id,afb,prominent_af\na0,100.0,TRUE\n",
+             "row 2: prominent_af must be true, false or empty, got 'TRUE'"),
+    # a short row's missing patient_id reads as empty, not as None
+    "short": ("afb,prominent_af,patient_id\n100.0,true\n",
+              "no reference metadata for patients"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COHORT_CSVS))
+def test_evaluate_rejects_bad_cohort_csv(cohort, tmp_path, capsys, case):
+    text, message = BAD_COHORT_CSVS[case]
+    predictions = tmp_path / "cohort.csv"
+    predictions.write_text(text)
+    code = main(["evaluate", "--predictions", str(predictions),
+                 "--manifest", str(cohort / "screen.csv"),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "eval").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth and qc
 

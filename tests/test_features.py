@@ -7,8 +7,17 @@ import pytest
 
 from afscreen import features
 from afscreen.errors import ContractViolationError
-from afscreen.features import (FEATURE_NAMES, cosen, featurize,
-                               lorenz_features, simple_stats)
+from afscreen.features import FEATURE_NAMES, feature_matrix, featurize
+
+COSEN = FEATURE_NAMES.index("cosen")
+LORENZ = slice(FEATURE_NAMES.index("afe"), FEATURE_NAMES.index("pace") + 1)
+STATS = slice(FEATURE_NAMES.index("avnn"), None)
+
+
+def one_row(rr, r=30.0):
+    """The features of rr as a one-window (1, 59) matrix."""
+    return feature_matrix(np.asarray(rr, dtype=np.float64)[None, :], [1.0],
+                          r)[0]
 
 
 def oracle_cosen(rr, r=30.0):
@@ -75,13 +84,14 @@ SATURATED_RR = np.array([
 def test_cosen_constant_series():
     rr = np.full(59, 800.0)
     # perfectly regular: entropy term vanishes, leaving ln(2r) - ln(mean)
-    assert cosen(rr) == pytest.approx(math.log(60.0 / 800.0), abs=1e-12)
+    assert one_row(rr)[COSEN] == pytest.approx(math.log(60.0 / 800.0),
+                                              abs=1e-12)
 
 
 def test_cosen_zero_match_counts_use_half():
     rr = 400.0 + 100.0 * np.arange(59)
     want = math.log(60.0) - math.log(float(rr.mean()))
-    assert cosen(rr) == pytest.approx(want, abs=1e-12)
+    assert one_row(rr)[COSEN] == pytest.approx(want, abs=1e-12)
 
 
 def test_cosen_zero_extension_count():
@@ -90,21 +100,22 @@ def test_cosen_zero_extension_count():
     rr[5] = 400.0
     want = (math.log(2.0) - math.log(0.5)
             + math.log(60.0) - math.log(float(rr.mean())))
-    assert cosen(rr) == pytest.approx(want, abs=1e-12)
+    assert one_row(rr)[COSEN] == pytest.approx(want, abs=1e-12)
 
 
 def test_cosen_alternating_is_regular():
     # a strict two-beat cycle has zero sample entropy
     rr = np.array([600.0, 1000.0] * 30)[:59]
-    assert cosen(rr) == pytest.approx(math.log(60.0) - math.log(rr.mean()),
-                                      abs=1e-12)
+    assert one_row(rr)[COSEN] == pytest.approx(
+        math.log(60.0) - math.log(rr.mean()), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_cosen_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     rr = rng.integers(400, 1400, size=59).astype(np.float64)
-    assert cosen(rr) == pytest.approx(oracle_cosen(rr.tolist()), abs=1e-12)
+    assert one_row(rr)[COSEN] == pytest.approx(oracle_cosen(rr.tolist()),
+                                              abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -114,8 +125,8 @@ def test_cosen_unit_invariance(seed):
     # comparison away from the boundary
     rng = np.random.default_rng(seed)
     rr_ms = rng.integers(400, 1400, size=59).astype(np.float64)
-    a = cosen(rr_ms, r=30.5)
-    b = cosen(rr_ms / 1000.0, r=0.0305)
+    a = one_row(rr_ms, r=30.5)[COSEN]
+    b = one_row(rr_ms / 1000.0, r=0.0305)[COSEN]
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -123,21 +134,21 @@ def test_cosen_af_like_exceeds_regular():
     rng = np.random.default_rng(42)
     irregular = rng.uniform(400.0, 1200.0, size=59)
     regular = np.full(59, 800.0)
-    assert cosen(irregular) > cosen(regular) + 1.0
+    assert one_row(irregular)[COSEN] > one_row(regular)[COSEN] + 1.0
 
 
 def test_cosen_rejects_wrong_length():
     with pytest.raises(ContractViolationError):
-        cosen(np.full(58, 800.0))
+        one_row(np.full(58, 800.0))
     with pytest.raises(ContractViolationError):
-        cosen(np.full(60, 800.0))
+        one_row(np.full(60, 800.0))
 
 
 def test_cosen_rejects_nonpositive():
     rr = np.full(59, 800.0)
     rr[10] = 0.0
     with pytest.raises(ContractViolationError):
-        cosen(rr)
+        one_row(rr)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +158,14 @@ def test_cosen_rejects_nonpositive():
 def test_lorenz_constant_series():
     rr = np.full(59, 800.0)
     # all 57 points in the origin bin
-    assert lorenz_features(rr) == (-57, 57, 0, 0)
+    assert tuple(one_row(rr)[LORENZ]) == (-57, 57, 0, 0)
 
 
 def test_lorenz_alternating_bigeminy_pattern():
     # strict alternation puts every point in one of two mirrored bins
     # across the axes, the signature the pace count is built to catch
     rr = np.array([600.0, 1000.0] * 30)[:59]
-    assert lorenz_features(rr) == (-2, 0, 2, 2)
+    assert tuple(one_row(rr)[LORENZ]) == (-2, 0, 2, 2)
 
 
 def test_lorenz_single_premature_beat():
@@ -163,15 +174,15 @@ def test_lorenz_single_premature_beat():
     rr[29] = 1000.0
     # one early beat scatters four points off origin, all in the
     # paired-quadrant positions
-    assert lorenz_features(rr) == (-57, 53, 4, 4)
+    assert tuple(one_row(rr)[LORENZ]) == (-57, 53, 4, 4)
 
 
 def test_lorenz_saturated_scatter():
-    assert lorenz_features(SATURATED_RR) == (57, 0, 57, 0)
+    assert tuple(one_row(SATURATED_RR)[LORENZ]) == (57, 0, 57, 0)
 
 
 def test_lorenz_saturated_scatter_matches_oracle():
-    assert lorenz_features(SATURATED_RR) == oracle_lorenz(
+    assert tuple(one_row(SATURATED_RR)[LORENZ]) == oracle_lorenz(
         SATURATED_RR.tolist())
 
 
@@ -180,7 +191,7 @@ def test_lorenz_out_of_range_clips_to_border():
     rr[30] = 2400.0
     # deltas of +-1600 ms clip into the outermost bins instead of
     # leaving the plot
-    afe, orc, ire, pace = lorenz_features(rr)
+    afe, orc, ire, pace = one_row(rr)[LORENZ]
     assert (afe, orc, ire, pace) == oracle_lorenz(rr.tolist())
     assert ire > 0
 
@@ -189,12 +200,12 @@ def test_lorenz_out_of_range_clips_to_border():
 def test_lorenz_matches_brute_force(seed):
     rng = np.random.default_rng(1000 + seed)
     rr = rng.integers(300, 2200, size=59).astype(np.float64)
-    assert lorenz_features(rr) == oracle_lorenz(rr.tolist())
+    assert tuple(one_row(rr)[LORENZ]) == oracle_lorenz(rr.tolist())
 
 
 def test_lorenz_rejects_wrong_length():
     with pytest.raises(ContractViolationError):
-        lorenz_features(np.full(10, 800.0))
+        one_row(np.full(10, 800.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +214,7 @@ def test_lorenz_rejects_wrong_length():
 
 def test_simple_stats_hand_values():
     rr = np.array([600.0, 1000.0] * 30)[:59]
-    avnn, minrr, medhr = simple_stats(rr)
+    avnn, minrr, medhr = one_row(rr)[STATS]
     assert avnn == pytest.approx(47000.0 / 59.0)
     assert minrr == 600.0
     # 30 short vs 29 long intervals: the middle of 59 sorted values is 600
@@ -211,12 +222,12 @@ def test_simple_stats_hand_values():
 
 
 def test_simple_stats_constant():
-    assert simple_stats(np.full(59, 800.0)) == (800.0, 800.0, 75.0)
+    assert tuple(one_row(np.full(59, 800.0))[STATS]) == (800.0, 800.0, 75.0)
 
 
 def test_simple_stats_median_is_order_statistic():
     rr = np.linspace(500.0, 1500.0, 59)
-    _, _, medhr = simple_stats(rr)
+    _, _, medhr = one_row(rr)[STATS]
     assert medhr == pytest.approx(60000.0 / np.sort(rr)[29])
 
 
@@ -225,7 +236,8 @@ def test_simple_stats_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     rr = rng.uniform(400.0, 1400.0, size=59)
     shuffled = rng.permutation(rr)
-    assert simple_stats(rr) == pytest.approx(simple_stats(shuffled))
+    assert one_row(rr)[STATS].tolist() == pytest.approx(
+        one_row(shuffled)[STATS].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,8 @@ def oracle_pt_decide(cand, peaki, peakf, slope,
             continue
 
         if last_acc_k >= 0 and c - last_qrs < n_twave:
+            # exactly half the last beat's slope is not a T wave
+            hits["t_wave_tie"] += slope[k] == 0.5 * last_slope
             if slope[k] < 0.5 * last_slope:
                 hits["t_wave"] += 1
                 hits["sb_t_wave"] += rescued
@@ -130,28 +132,34 @@ def candidate_stream(rng, n_beats, origin=0):
     threshold and the threshold, left for search-back to rescue), some
     are missing (a long pause). Most are trailed by candidates inside
     the refractory period and by a T wave, whose slope is mostly under
-    half the beat's, and then by low noise candidates.
+    half the beat's and sometimes exactly half, and then by low noise
+    candidates.
     """
     rows = []  # (index, peaki, peakf, slope)
     t = origin + int(rng.integers(5, 60))
     for _ in range(n_beats):
         t += int(rng.integers(90, 141))
         u = rng.random()
+        beat_slope = None
         if u < 0.08:
             t += int(rng.integers(120, 300))  # pause: no beat at all
         else:
             amp = rng.uniform(0.2, 0.3) if u < 0.25 else rng.uniform(0.8, 1.2)
-            rows.append((t, amp, amp * rng.uniform(0.9, 1.1),
-                         rng.uniform(0.8, 1.2)))
+            peakf = amp * rng.uniform(0.9, 1.1)
+            beat_slope = rng.uniform(0.8, 1.2)
+            rows.append((t, amp, peakf, beat_slope))
         for _ in range(int(rng.integers(0, 4))):
             rows.append((t + int(rng.integers(1, 26)), rng.uniform(0.0, 1.5),
                          rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5)))
         if rng.random() < 0.7:
-            steep = rng.random() < 0.2
-            rows.append((t + int(rng.integers(26, 47)), rng.uniform(0.4, 0.9),
-                         rng.uniform(0.4, 0.9),
-                         rng.uniform(0.6, 1.0) if steep
-                         else rng.uniform(0.05, 0.35)))
+            kind = rng.random()
+            row = (t + int(rng.integers(26, 47)), rng.uniform(0.4, 0.9),
+                   rng.uniform(0.4, 0.9),
+                   rng.uniform(0.6, 1.0) if kind < 0.2
+                   else rng.uniform(0.05, 0.35))
+            if kind > 0.85 and beat_slope is not None:
+                row = row[:3] + (0.5 * beat_slope,)
+            rows.append(row)
         for _ in range(int(rng.integers(0, 6))):
             rows.append((t + int(rng.integers(47, 90)), rng.uniform(0.0, 0.3),
                          rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.5)))
@@ -236,7 +244,7 @@ def pt_scalars(rng, floors):
 def test_pt_decide_matches_oracle():
     rng = np.random.default_rng(7)
     hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave",
-                          "sb_refractory", "sb_t_wave"), 0)
+                          "t_wave_tie", "sb_refractory", "sb_t_wave"), 0)
     most_beats = 0
     for trial in range(80):
         stream = candidate_stream(rng, int(rng.integers(1, 60)),
@@ -255,7 +263,8 @@ def test_pt_decide_matches_oracle():
 def test_pt_decide_zero_and_one_candidate():
     rng = np.random.default_rng(8)
     scalars = (1.0, 0.1, 1.0, 0.1, 0.001, 0.001)
-    hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave"), 0)
+    hits = dict.fromkeys(("floor", "search_back", "refractory", "t_wave",
+                          "t_wave_tie"), 0)
     empty = (np.empty(0, np.int64),) + (np.empty(0),) * 3
     assert kernels.pt_decide(*empty, *scalars, *PT_ARGS).shape == (0,)
     for height in (0.05, 0.2, 0.5, 2.0):

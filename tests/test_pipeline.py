@@ -12,9 +12,9 @@ from afscreen.features import FEATURE_NAMES
 from afscreen.forest import ForestModel
 from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                cohort_csv, collect_training_windows,
-                               metas_from_entries, process_entry,
-                               process_patient, read_manifest,
-                               result_to_dict, run_cohort)
+                               process_entry, process_patient,
+                               read_manifest, result_to_dict, run_cohort)
+from afscreen.qrs import RPeakSeries
 from afscreen.record_io import encode_212, write_edf
 
 from conftest import make_series
@@ -56,8 +56,8 @@ def test_afb_threshold_boundary_is_inclusive():
     result = pipeline._classify("edge", rr_series(spacing), None, AVNN_STUMP,
                                 PipelineConfig())
     assert result.qc.status == "accepted"
-    assert result.n_windows_total == 20
-    assert result.n_windows_included == 20
+    assert len(result.bsqi) == 20
+    assert result.included.sum() == 20
     assert result.afb == 20.0
     assert result.prominent_af is True
 
@@ -93,8 +93,9 @@ def test_afb_threshold_configurable():
 def test_rr_path_carries_unit_bsqi():
     result = pipeline._classify("", rr_series([0.8] * 17), None, AVNN_STUMP,
                                 PipelineConfig())
-    assert all(row[1] == 1.0 for row in result.per_window)
-    assert all(row[3] == "nonAF" for row in result.per_window)
+    assert result.bsqi.tolist() == [1.0] * 17
+    rows = result_to_dict(result)["per_window"]
+    assert [row[3] for row in rows] == ["nonAF"] * 17
 
 
 def test_rr_path_too_few_peaks():
@@ -105,7 +106,7 @@ def test_rr_path_too_few_peaks():
     assert result.afb is None
     assert result.prominent_af is None
     # no inference on excluded recordings
-    assert all(row[2] is None and row[3] is None for row in result.per_window)
+    assert result.proba is None
 
 
 def test_min_peaks_configurable():
@@ -126,7 +127,7 @@ def small_config():
 def test_signal_path_af_burden(af_record, nsr_record, small_config):
     af = process_patient(af_record, COSEN_STUMP, small_config)
     assert af.qc.status == "accepted"
-    assert af.n_windows_included >= 2
+    assert af.included.sum() >= 2
     assert af.afb == 100.0
     assert af.prominent_af is True
 
@@ -172,9 +173,6 @@ def test_read_manifest_full_row(tmp_path):
     assert entries[1].meta.ahi is None
     assert entries[1].meta.reference_af_label == "unknown"
     assert entries[1].annotations_path is None
-
-    metas = metas_from_entries(entries)
-    assert set(metas) == {"p1", "p2"}
 
 
 def test_read_manifest_missing_columns(tmp_path):
@@ -244,19 +242,21 @@ def test_run_cohort_collects_results_and_errors(tmp_path):
     assert "FileNotFoundError" in message
 
 
+def cohort_run(entries, workers):
+    """run_cohort's results in their artifact form, and its report."""
+    results, report = run_cohort(entries, AVNN_STUMP, PipelineConfig(),
+                                 workers=workers)
+    return [result_to_dict(r) for r in results], report
+
+
 def test_run_cohort_order_invariant(tmp_path):
     entries = cohort_entries(tmp_path)
-    a = run_cohort(entries, AVNN_STUMP, PipelineConfig(), workers=1)
-    b = run_cohort(list(reversed(entries)), AVNN_STUMP, PipelineConfig(),
-                   workers=1)
-    assert a == b
+    assert cohort_run(entries, 1) == cohort_run(entries[::-1], 1)
 
 
 def test_run_cohort_worker_count_invariant(tmp_path):
     entries = cohort_entries(tmp_path)
-    a = run_cohort(entries, AVNN_STUMP, PipelineConfig(), workers=1)
-    b = run_cohort(entries, AVNN_STUMP, PipelineConfig(), workers=3)
-    assert a == b
+    assert cohort_run(entries, 1) == cohort_run(entries, 3)
 
 
 BINARY = bytes(range(256)) * 8  # not valid UTF-8 from byte 0x80 on
@@ -316,10 +316,11 @@ def test_single_signal_wfdb_needs_no_channel(tmp_path, nsr_record,
         f"one.dat 212 200 12 0 0 0 0{description}\n")
     entry = ManifestEntry(path=str(tmp_path / "one.hea"), fmt="wfdb",
                           patient_id="one")
-    result = process_entry(entry, AVNN_STUMP, PipelineConfig())
-    assert result.qc.n_peaks_reference > 100
-    assert process_entry(entry, AVNN_STUMP, PipelineConfig(channel=0)) \
-        == result
+    result = result_to_dict(process_entry(entry, AVNN_STUMP,
+                                          PipelineConfig()))
+    assert result["qc"]["n_peaks_reference"] > 100
+    assert result_to_dict(process_entry(entry, AVNN_STUMP,
+                                        PipelineConfig(channel=0))) == result
     with pytest.raises(ChannelNotFoundError):
         process_entry(entry, AVNN_STUMP, PipelineConfig(channel="ECG"))
 
@@ -437,6 +438,38 @@ def test_result_to_dict_is_json_ready():
     json.dumps(d)
 
 
+def test_result_to_dict_rows():
+    # 20 windows; the test detector finds only half the beats of
+    # window 3, which scores 30 / 60 and is left out
+    ref = rr_series([0.6] * 5 + [0.85] * 15)
+    test = RPeakSeries(times=np.delete(ref.times, range(180, 240, 2)),
+                       source="test")
+    d = result_to_dict(pipeline._classify("x", ref, test, AVNN_STUMP,
+                                          PipelineConfig()))
+    assert (d["n_windows_total"], d["n_windows_included"]) == (20, 19)
+    assert d["per_window"][3] == [3, 0.5, None, None]
+    assert d["per_window"][:3] == [[i, 1.0, 1.0, "AF"] for i in range(3)]
+    assert d["per_window"][4] == [4, 1.0, 1.0, "AF"]
+    assert d["per_window"][5:] == [[i, 1.0, 0.0, "nonAF"]
+                                   for i in range(5, 20)]
+    assert d["afb"] == 100.0 * 4 / 19
+
+    # a probability of exactly 0.5 is nonAF
+    tie = ForestModel(trees=[AVNN_STUMP.trees[0], COSEN_STUMP.trees[0]],
+                      n_estimators=2, max_depth=1, seed=0)
+    d = result_to_dict(pipeline._classify("t", rr_series([0.6] * 17), None,
+                                          tie, PipelineConfig()))
+    assert d["per_window"] == [[i, 1.0, 0.5, "nonAF"] for i in range(17)]
+    assert (d["afb"], d["prominent_af"]) == (0.0, False)
+
+    # an excluded night keeps its window scores and classifies nothing
+    d = result_to_dict(pipeline._classify("s", rr_series([0.8] * 15), None,
+                                          AVNN_STUMP, PipelineConfig()))
+    assert (d["n_windows_total"], d["n_windows_included"]) == (15, 15)
+    assert d["per_window"] == [[i, 1.0, None, None] for i in range(15)]
+    assert (d["afb"], d["prominent_af"]) == (None, None)
+
+
 def test_cohort_csv_layout():
     included = pipeline._classify("a", rr_series([0.6] * 17), None, AVNN_STUMP,
                                   PipelineConfig())
@@ -507,7 +540,6 @@ def test_forest_tie_labels_window_non_af():
     result = pipeline._classify("tie", rr_series([0.6] * 10 + [0.85] * 10),
                                 None, tie, PipelineConfig())
     assert result.qc.status == "accepted"
-    assert [(p, label) for _, _, p, label in result.per_window] == \
-        [(0.5, "nonAF")] * 20
+    assert result.proba.tolist() == [0.5] * 20
     assert result.afb == 0.0
     assert result.prominent_af is False

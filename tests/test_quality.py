@@ -50,9 +50,21 @@ def oracle_greedy_match(ref, test, tol):
 
 
 def match_count(ref, test, tol):
-    """The matcher bsqi and window_bsqi share, on one whole segment."""
+    """The matcher window_bsqi uses, on one whole segment."""
     return int(quality._matched(ref[None, :], test, np.array([0]),
                                 np.array([test.shape[0]]), tol)[0])
+
+
+def one_window_bsqi(ref, test, tolerance_s=quality.MATCH_TOLERANCE_S):
+    """window_bsqi of ref as a one-row window against the test peaks."""
+    ref = np.asarray(ref, dtype=np.float64)[None, :]
+    return float(quality.window_bsqi(ref, make_test_series(test),
+                                     tolerance_s)[0])
+
+
+def span_of(ref, test):
+    """The test peaks window_bsqi scores against the window ref."""
+    return test[(test >= ref[0]) & (test <= ref[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -61,41 +73,38 @@ def match_count(ref, test, tol):
 
 def test_bsqi_identical_series():
     t = np.arange(60) * 0.8
-    assert quality.bsqi(t, t) == 1.0
+    assert one_window_bsqi(t, t) == 1.0
 
 
 def test_bsqi_one_side_empty():
+    # a window always holds its own beats, so only the test side can be
+    # empty: no test peaks at all, or none within the window's span
     t = np.arange(10) * 0.8
-    assert quality.bsqi(t, np.empty(0)) == 0.0
-    assert quality.bsqi(np.empty(0), t) == 0.0
-
-
-def test_bsqi_both_empty_rejected():
-    with pytest.raises(ContractViolationError):
-        quality.bsqi(np.empty(0), np.empty(0))
+    assert one_window_bsqi(t, []) == 0.0
+    assert one_window_bsqi(t, [t[-1] + 1.0]) == 0.0
 
 
 def test_bsqi_hand_example():
     # Only 1.0 <-> 1.1 matches at 150 ms: 1 / (3 + 3 - 1).
-    got = quality.bsqi(np.array([1.0, 2.0, 3.0]),
-                       np.array([1.1, 2.3, 5.0]))
+    got = one_window_bsqi([1.0, 2.0, 3.0], [1.1, 1.5, 2.3])
     assert got == pytest.approx(0.2)
 
 
 def test_bsqi_disjoint_is_zero():
-    assert quality.bsqi(np.array([1.0, 2.0]), np.array([10.0, 20.0])) == 0.0
+    assert one_window_bsqi([1.0, 2.0, 3.0], [1.5, 2.5]) == 0.0
 
 
 def test_bsqi_exact_tolerance_matches():
-    # |dt| == tolerance counts as a match.
-    assert quality.bsqi(np.array([1.0]), np.array([1.15])) == 1.0
+    # |dt| == tolerance counts as a match; quarter seconds are exact
+    assert one_window_bsqi([1.0, 2.0], [1.25, 1.75], tolerance_s=0.25) == 1.0
 
 
 def test_bsqi_unsorted_rejected():
+    # peak series must strictly increase before they can be scored
     with pytest.raises(ContractViolationError):
-        quality.bsqi(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
+        make_series([2.0, 1.0])
     with pytest.raises(ContractViolationError):
-        quality.bsqi(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+        one_window_bsqi([1.0, 2.0], [2.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -103,17 +112,20 @@ def test_bsqi_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     ref = np.sort(rng.uniform(0.0, 30.0, size=rng.integers(1, 50)))
     test = np.sort(rng.uniform(0.0, 30.0, size=rng.integers(1, 50)))
-    got = quality.bsqi(ref, test)
-    want = oracle_bsqi(ref.tolist(), test.tolist(), 0.150)
+    got = one_window_bsqi(ref, test)
+    want = oracle_bsqi(ref.tolist(), span_of(ref, test).tolist(), 0.150)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bsqi_symmetric(seed):
+    # both series span [0, 20], so either one scored as the window sees
+    # all of the other
     rng = np.random.default_rng(100 + seed)
     a = np.sort(rng.uniform(0.0, 20.0, size=30))
     b = np.sort(rng.uniform(0.0, 20.0, size=25))
-    assert quality.bsqi(a, b) == quality.bsqi(b, a)
+    a[[0, -1]] = b[[0, -1]] = 0.0, 20.0
+    assert one_window_bsqi(a, b) == one_window_bsqi(b, a)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -121,14 +133,14 @@ def test_bsqi_in_unit_interval(seed):
     rng = np.random.default_rng(200 + seed)
     a = np.sort(rng.uniform(0.0, 10.0, size=rng.integers(1, 40)))
     b = np.sort(rng.uniform(0.0, 10.0, size=rng.integers(1, 40)))
-    assert 0.0 <= quality.bsqi(a, b) <= 1.0
+    assert 0.0 <= one_window_bsqi(a, b) <= 1.0
 
 
 def test_bsqi_custom_tolerance():
-    ref = np.array([1.0, 2.0])
-    test = np.array([1.3, 2.3])
-    assert quality.bsqi(ref, test, tolerance_s=0.2) == 0.0
-    assert quality.bsqi(ref, test, tolerance_s=0.3) == 1.0
+    ref = [1.0, 2.0, 3.0]
+    test = [1.25, 2.25]
+    assert one_window_bsqi(ref, test, tolerance_s=0.125) == 0.0
+    assert one_window_bsqi(ref, test, tolerance_s=0.25) == 2 / 3
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +191,6 @@ def test_window_partition_exact_multiple():
 def test_window_partition_too_short_gives_nothing():
     peaks = make_series(np.arange(59) * 0.8)
     assert quality.window_partition(peaks).shape == (0, 60)
-
-
-def test_window_partition_custom_width():
-    peaks = make_series(np.arange(10) * 0.8)
-    windows = quality.window_partition(peaks, beats=5)
-    assert len(windows) == 2
-    assert windows[1].shape[0] == 5
-
-
-def test_window_partition_rejects_tiny_width():
-    peaks = make_series(np.arange(10) * 0.8)
-    with pytest.raises(ContractViolationError):
-        quality.window_partition(peaks, beats=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +284,13 @@ def test_window_bsqi_matches_per_window_oracle(seed):
 
 
 def test_window_bsqi_equals_one_segment_bsqi():
+    # scoring all windows in one pass gives each the score it gets alone
     rng = np.random.default_rng(7)
     ref, test = jittered_night(rng, 600)
     windows = quality.window_partition(make_series(ref))
     got = quality.window_bsqi(windows, make_test_series(test))
     for w, b in zip(windows, got.tolist()):
-        seg = test[(test >= w[0]) & (test <= w[-1])]
-        assert quality.bsqi(w, seg) == b
+        assert one_window_bsqi(w, test) == b
 
 
 # ---------------------------------------------------------------------------

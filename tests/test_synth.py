@@ -38,14 +38,15 @@ def test_af_rr_is_wide():
 def test_af_windows_read_as_irregular():
     af = rr_of([(600.0, "AF")])[:59]
     nsr = rr_of([(600.0, "NSR")])[:59]
-    assert features.cosen(af) > features.cosen(nsr) + 1.0
+    cosen = features.feature_matrix(np.stack([af, nsr]), [1.0, 1.0])[:, 1]
+    assert cosen[0] > cosen[1] + 1.0
 
 
 def test_ectopy_program_trips_pace():
     # couplet deltas land deep in the paired quadrants ((-240, +480) ms
     # around an 800 ms base), so the surplus survives near-origin noise
     rr = rr_of([(120.0, "ECTOPY")])[:59]
-    afe, orc, ire, pace = features.lorenz_features(rr)
+    afe, orc, ire, pace = features.feature_matrix(rr[None, :], [1.0])[0, 2:6]
     assert pace >= 2
 
 

@@ -1,7 +1,9 @@
 """Untrusted inputs give a result or an AfscreenError, never another
 exception: any JSON document handed to load_model, any text handed to
 parse_rr_csv, any bytes handed to parse_edf, and any WFDB header text
-handed to parse_wfdb with a valid signal file. A cohort that mixes good
+handed to parse_wfdb with a valid signal file, and any bytes read as a
+cohort manifest or as the cohort CSV that evaluate reads. A cohort that
+mixes good
 recordings with bad ones reports each patient once, as a result or as
 an error-ledger row. parse_rr_csv also matches a row-by-row oracle on
 any text: the same times and episodes, or the same error."""
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from afscreen.errors import AfscreenError, OrderingError, ParseError
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
     save_model
-from afscreen.pipeline import ManifestEntry, PipelineConfig, run_cohort
+from afscreen.pipeline import (ManifestEntry, PipelineConfig,
+                               read_cohort_csv, read_manifest, run_cohort)
 from afscreen.qrs import RPeakSeries
 from afscreen.record_io import (AF, OTHER, EcgRecord, RhythmAnnotations,
                                 encode_212, parse_edf, parse_rr_csv,
@@ -79,6 +82,57 @@ def test_parse_rr_csv_on_any_text(text):
         parse_rr_csv(text)
     except AfscreenError:
         pass
+
+
+@st.composite
+def csv_texts(draw, columns, cells):
+    """CSV text under a header of some of columns, in any order."""
+    header = draw(st.permutations(columns))
+    header = header[:draw(st.integers(0, len(header)))]
+    rows = draw(st.lists(st.lists(cells, max_size=len(columns) + 1),
+                         max_size=4))
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+def table_bytes(columns, values):
+    cells = st.sampled_from(values) | st.text(max_size=5)
+    return (csv_texts(columns, cells).map(str.encode)
+            | st.text().map(str.encode) | st.binary(max_size=200))
+
+
+def read_or_refuse(read, data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(data)
+        try:
+            return read(path)
+        except AfscreenError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_bytes(["path", "format", "patient_id", "ahi",
+                    "reference_label", "annotations"],
+                   ["", " ", "rr", "EDF", "wfdb", "mp3", "p1", "a.csv",
+                    "1.5", "-2", "nan", "1e400", "abc", "AF", "nonAF",
+                    "#", '"']))
+def test_read_manifest_on_any_bytes(data):
+    entries = read_or_refuse(read_manifest, data)
+    for e in entries or []:
+        assert isinstance(e, ManifestEntry) and e.path and e.patient_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_bytes(["patient_id", "status", "afb", "prominent_af"],
+                   ["", "p1", "p2", "true", "false", "TRUE", "1", "0.0",
+                    "100.0", "zz", "nan", "#", '"']))
+def test_read_cohort_csv_on_any_bytes(data):
+    read = read_or_refuse(read_cohort_csv, data)
+    if read is not None:
+        predictions, afb_by_pid, n_excluded = read
+        assert set(predictions) == set(afb_by_pid) and n_excluded >= 0
+        assert all(isinstance(v, bool) for v in predictions.values())
+        assert all(isinstance(v, float) for v in afb_by_pid.values())
 
 
 def oracle_parse_rr_csv(text: str):
