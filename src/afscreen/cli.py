@@ -116,8 +116,7 @@ def _run_config(command: str, args: argparse.Namespace,
     # never change results (worker count, output destinations) are left
     # out so reruns stay byte-identical wherever they land.
     run = {"command": command, "pipeline": dataclasses.asdict(config)}
-    for key in ("manifest", "model", "grid", "cv_folds",
-                "predictions", "program", "fs", "snr", "patient_id"):
+    for key in ("manifest", "model", "grid", "cv_folds", "predictions"):
         if hasattr(args, key):
             run[key] = getattr(args, key)
     return run

@@ -432,7 +432,8 @@ def cohort_csv(results: list[PatientResult], header_lines: list[str]) -> str:
 def read_cohort_csv(path: str | Path,
                     ) -> tuple[dict[str, bool], dict[str, float], int]:
     """({pid: prominent_af}, {pid: afb}, number excluded) of a cohort_csv
-    file; prominent_af must be true, false or empty (excluded)."""
+    file; prominent_af must be true, false or empty (excluded), and afb
+    of a row that is not excluded a percentage in [0, 100]."""
     predictions, afb_by_pid, n_excluded = {}, {}, 0
     for i, row in _read_table(path, {"patient_id", "afb", "prominent_af"},
                               f"cohort CSV {path}"):
@@ -445,9 +446,13 @@ def read_cohort_csv(path: str | Path,
                 f"{path} row {i}: prominent_af must be true, false or "
                 f"empty, got {flag!r}")
         try:
-            afb_by_pid[row["patient_id"]] = float(afb)
+            value = float(afb)
         except ValueError:
             raise ConfigurationError(
                 f"{path} row {i}: afb {afb!r} is not a number") from None
+        if not 0.0 <= value <= 100.0:
+            raise ConfigurationError(
+                f"{path} row {i}: afb {afb!r} must lie in [0, 100]")
+        afb_by_pid[row["patient_id"]] = value
         predictions[row["patient_id"]] = flag == "true"
     return predictions, afb_by_pid, n_excluded

@@ -154,6 +154,30 @@ _EDF_SIGNAL_FIELDS = (
     ("reserved", 32),
 )
 
+# (field, type, name in messages) of the numeric fields, in file order
+_EDF_HEAD_NUMBERS = (("header_bytes", int, "header size"),
+                     ("n_records", int, "record count"),
+                     ("record_duration", float, "record duration"),
+                     ("n_signals", int, "signal count"))
+_EDF_SIGNAL_NUMBERS = (("physical_min", float, "physical minimum"),
+                       ("physical_max", float, "physical maximum"),
+                       ("digital_min", int, "digital minimum"),
+                       ("digital_max", int, "digital maximum"),
+                       ("samples_per_record", int, "samples per record"))
+
+
+def _edf_cells(fields, start: int = 0, count: int = 1,
+               ) -> dict[str, list[tuple[int, int]]]:
+    """(offset, width) of each field's count cells, laid out from start.
+
+    EDF stores a subheader field for all signals before the next field.
+    """
+    cells = {}
+    for name, width in fields:
+        cells[name] = [(start + i * width, width) for i in range(count)]
+        start += count * width
+    return cells
+
 
 def _ascii_field(data: bytes, offset: int, width: int) -> str:
     return data[offset:offset + width].decode("ascii", errors="replace").strip()
@@ -170,6 +194,12 @@ def _numeric_field(data: bytes, offset: int, width: int,
     if not math.isfinite(value):
         raise ParseError(f"non-finite {what} field {text!r}", offset=offset)
     return value
+
+
+def _edf_numbers(data: bytes, cells: dict, table) -> list[list]:
+    """Each numeric field of table, one value per cell, field by field."""
+    return [[_numeric_field(data, *cell, kind, what) for cell in cells[name]]
+            for name, kind, what in table]
 
 
 def _check_finite(physical: np.ndarray) -> None:
@@ -199,77 +229,43 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
 
     ``channel`` selects the signal by case-insensitive substring of its
     label, or by index. Raises ParseError (with the byte offset) on a
-    malformed or non-finite numeric header field, and ParseError when
-    the calibration gives a non-finite sample; ChannelNotFoundError when
-    no label matches, and TruncationError when the payload is shorter
-    than the header promises.
+    malformed or non-finite numeric header field or a negative samples
+    per record, and ParseError when the calibration gives a non-finite
+    sample; ChannelNotFoundError when no label matches, and
+    TruncationError when the payload is shorter than the header promises.
     """
     if len(data) < 256:
         raise TruncationError(256, len(data), what="EDF static header")
 
-    off = 0
-    fields: dict[str, tuple[int, int]] = {}
-    for name, width in _EDF_HEAD_FIELDS:
-        fields[name] = (off, width)
-        off += width
-
-    patient = _ascii_field(data, *fields["patient"])
-    header_bytes = _numeric_field(data, *fields["header_bytes"], int,
-                                  "header size")
-    n_records = _numeric_field(data, *fields["n_records"], int,
-                               "record count")
-    record_duration = _numeric_field(data, *fields["record_duration"], float,
-                                     "record duration")
-    n_signals = _numeric_field(data, *fields["n_signals"], int,
-                               "signal count")
+    head = _edf_cells(_EDF_HEAD_FIELDS)
+    patient = _ascii_field(data, *head["patient"][0])
+    [header_bytes], [n_records], [record_duration], [n_signals] = \
+        _edf_numbers(data, head, _EDF_HEAD_NUMBERS)
 
     if n_signals < 1:
         raise ParseError(f"signal count must be >= 1, got {n_signals}",
-                         offset=fields["n_signals"][0])
+                         offset=head["n_signals"][0][0])
     if record_duration <= 0:
         raise ParseError(
             f"record duration must be > 0, got {record_duration}",
-            offset=fields["record_duration"][0])
+            offset=head["record_duration"][0][0])
     expected_header = 256 + 256 * n_signals
     if header_bytes != expected_header:
         raise ParseError(
             f"header size field says {header_bytes}, expected "
             f"{expected_header} for {n_signals} signals",
-            offset=fields["header_bytes"][0])
+            offset=head["header_bytes"][0][0])
     if len(data) < expected_header:
         raise TruncationError(expected_header, len(data), what="EDF header")
 
-    labels: list[str] = []
-    phys_min: list[float] = []
-    phys_max: list[float] = []
-    dig_min: list[int] = []
-    dig_max: list[int] = []
-    spr: list[int] = []
-    # Per-signal subheaders store each field for all signals consecutively.
-    sig_off = 256
-    sig_fields: dict[str, int] = {}
-    for name, width in _EDF_SIGNAL_FIELDS:
-        sig_fields[name] = sig_off
-        for i in range(n_signals):
-            o = sig_off + i * width
-            if name == "label":
-                labels.append(_ascii_field(data, o, width))
-            elif name == "physical_min":
-                phys_min.append(_numeric_field(data, o, width, float,
-                                               "physical minimum"))
-            elif name == "physical_max":
-                phys_max.append(_numeric_field(data, o, width, float,
-                                               "physical maximum"))
-            elif name == "digital_min":
-                dig_min.append(_numeric_field(data, o, width, int,
-                                              "digital minimum"))
-            elif name == "digital_max":
-                dig_max.append(_numeric_field(data, o, width, int,
-                                              "digital maximum"))
-            elif name == "samples_per_record":
-                spr.append(_numeric_field(data, o, width, int,
-                                          "samples per record"))
-        sig_off += n_signals * width
+    sig = _edf_cells(_EDF_SIGNAL_FIELDS, start=256, count=n_signals)
+    labels = [_ascii_field(data, *cell) for cell in sig["label"]]
+    phys_min, phys_max, dig_min, dig_max, spr = _edf_numbers(
+        data, sig, _EDF_SIGNAL_NUMBERS)
+    for i, count in enumerate(spr):
+        if count < 0:
+            raise ParseError(f"samples per record must be >= 0, got {count}",
+                             offset=sig["samples_per_record"][i][0])
 
     ch = _select_channel(labels, channel)
 
@@ -289,7 +285,7 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
                               what="EDF data payload")
     if n_records < 1:
         raise ParseError("EDF file holds no data records",
-                         offset=fields["n_records"][0])
+                         offset=head["n_records"][0][0])
 
     raw = np.frombuffer(data, dtype="<i2", count=n_records * record_samples,
                         offset=expected_header)
@@ -303,7 +299,7 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
         raise ParseError(
             f"digital range must be positive, got "
             f"[{dig_min[ch]}, {dig_max[ch]}]",
-            offset=sig_fields["digital_min"] + ch * 8)
+            offset=sig["digital_min"][ch][0])
     with np.errstate(over="ignore", invalid="ignore"):
         physical = (digital - dig_min[ch]) * prange / drange + phys_min[ch]
     _check_finite(physical)
@@ -582,10 +578,7 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     dropped).
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
-    parsed = _rr_columns(lines, split="," in text)
-    if parsed is None:
-        parsed = _rr_rows(lines)
-    times, af = parsed
+    times, af = _rr_columns(lines, split="," in text)
     peaks = RPeakSeries(times=times, source="reference")
     if af is None:
         return peaks, None
@@ -604,62 +597,61 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
 
 
 def _rr_columns(lines: list[str], split: bool,
-                ) -> tuple[np.ndarray, np.ndarray | None] | None:
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """(times, AF mask or None) of the rows, converted column by column.
 
-    Lines hold no comma unless split. None when any row breaks a rule;
-    the row loop then names the first such row.
+    Lines hold no comma unless split. Each rule marks its offending rows
+    in one column of a (row, rule) mask, the rules in the order a row is
+    checked: non-numeric, non-finite, not increasing, rhythm label
+    present or missing against row 1. The mask's first mark in row-major
+    order is the error raised.
     """
-    stamps, af = lines, None
+    stamps, labels = lines, []
+    labelled = np.zeros(len(lines), dtype=bool)
     if split:
         cells = [ln.split(",", 2) for ln in lines]
         stamps = [c[0].strip() for c in cells]
         labels = [c[1].strip() if len(c) > 1 else "" for c in cells]
-        if all(labels):
-            af = np.array([label.upper() == AF for label in labels])
-        elif any(labels):
-            return None
+        labelled = np.fromiter(map(bool, labels), dtype=bool,
+                               count=len(labels))
     try:
         times = np.fromiter(map(float, stamps), dtype=np.float64,
                             count=len(stamps))
     except ValueError:
-        return None
-    if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
-        return None
-    return times, af
-
-
-def _rr_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
-    """(times, AF mask or None), row by row; raises at the first bad row."""
-    times: list[float] = []
-    rhythms: list[str] | None = None
-    for row, line in enumerate(lines, 1):
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            t = float(parts[0])
-        except ValueError:
-            raise ParseError(
-                f"non-numeric beat time {parts[0]!r} at row {row}") from None
-        if not math.isfinite(t):
-            raise ParseError(
-                f"non-finite beat time {parts[0]!r} at row {row}")
-        if times and t <= times[-1]:
-            raise OrderingError(
-                f"beat time {t} at row {row} does not increase past "
-                f"{times[-1]}", row=row)
-        if len(parts) > 1 and parts[1]:
-            if rhythms is None:
-                if row != 1:
-                    raise ParseError(
-                        f"rhythm column appears first at row {row}; it must "
-                        f"be present on every row or none")
-                rhythms = []
-            rhythms.append(AF if parts[1].upper() == AF else OTHER)
-        elif rhythms is not None:
-            raise ParseError(f"missing rhythm label at row {row}")
-        times.append(t)
-    af = None if rhythms is None else np.array(rhythms) == AF
-    return np.asarray(times, dtype=np.float64), af
+        # keep the rows before the first stamp float cannot read: only
+        # they can break another rule first
+        numbers = []
+        for stamp in stamps:
+            try:
+                numbers.append(float(stamp))
+            except ValueError:
+                break
+        times = np.array(numbers, dtype=np.float64)
+    n = times.shape[0]
+    bad = np.zeros((len(stamps), 4), dtype=bool)
+    bad[n:n + 1, 0] = True  # that stamp, if any
+    bad[:n, 1] = ~np.isfinite(times)
+    bad[1:n, 2] = times[1:] <= times[:-1]
+    bad[:n, 3] = labelled[:n] != labelled[:1]
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        af = np.array([label.upper() == AF for label in labels]) \
+            if labelled.any() else None
+        return times, af
+    row, rule = divmod(hits[0].item(), 4)
+    where = f"at row {row + 1}"
+    if rule == 0:
+        raise ParseError(f"non-numeric beat time {stamps[row]!r} {where}")
+    if rule == 1:
+        raise ParseError(f"non-finite beat time {stamps[row]!r} {where}")
+    if rule == 2:
+        raise OrderingError(
+            f"beat time {times[row].item()} {where} does not increase past "
+            f"{times[row - 1].item()}", row=row + 1)
+    if labelled[0]:
+        raise ParseError(f"missing rhythm label {where}")
+    raise ParseError(f"rhythm column appears first {where}; it must be "
+                     f"present on every row or none")
 
 
 def write_rr_csv(peaks: RPeakSeries,

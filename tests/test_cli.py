@@ -253,6 +253,13 @@ BAD_COHORT_CSVS = {
                "prominent_af'], found ['afb', 'patient_id']"),
     "afb": ("patient_id,afb,prominent_af\na0,zz,true\n",
             "row 2: afb 'zz' is not a number"),
+    # cohort_csv writes percentages; nan once gave afb_auroc=nan
+    "afb_nan": ("patient_id,afb,prominent_af\na0,nan,true\n",
+                "row 2: afb 'nan' must lie in [0, 100]"),
+    "afb_negative": ("patient_id,afb,prominent_af\na0,-7,false\n",
+                     "row 2: afb '-7' must lie in [0, 100]"),
+    "afb_large": ("patient_id,afb,prominent_af\na0,50,true\na1,1e9,true\n",
+                  "row 3: afb '1e9' must lie in [0, 100]"),
     # once read as a negative and scored as a false negative
     "flag": ("patient_id,afb,prominent_af\na0,100.0,TRUE\n",
              "row 2: prominent_af must be true, false or empty, got 'TRUE'"),

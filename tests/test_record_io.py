@@ -129,6 +129,49 @@ def test_parse_edf_empty_digital_range_names_its_field():
     assert "digital range must be positive, got [5, 5]" in str(err.value)
 
 
+# byte offset, width and message name of each numeric static-header
+# field, and of each numeric subheader field of signal 1 in a
+# two-signal file (field-major: signal 0's cell, then signal 1's)
+EDF_NUMERIC_CELLS = [
+    (184, 8, "header size"), (236, 8, "record count"),
+    (244, 8, "record duration"), (252, 4, "signal count"),
+    (472, 8, "physical minimum"), (488, 8, "physical maximum"),
+    (504, 8, "digital minimum"), (520, 8, "digital maximum"),
+    (696, 8, "samples per record"),
+]
+
+
+@pytest.mark.parametrize("offset, width, what", EDF_NUMERIC_CELLS)
+def test_parse_edf_non_numeric_field_names_its_cell(offset, width, what):
+    data = bytearray(pack_edf())
+    data[offset:offset + width] = b"oops".ljust(width)
+    with pytest.raises(ParseError) as err:
+        parse_edf(bytes(data), channel="ECG")
+    assert err.value.offset == offset
+    assert f"non-numeric {what} field 'oops'" in str(err.value)
+
+
+@pytest.mark.parametrize("spr, offset", [(("-2", "4"), 688),
+                                         (("2", "-4"), 696)])
+def test_parse_edf_negative_samples_per_record(spr, offset):
+    # a negative count once shifted the picked signal's slice into its
+    # neighbour's samples, whichever signal carried it
+    with pytest.raises(ParseError) as err:
+        parse_edf(pack_edf(spr=spr, n_records="-1"), channel="ECG")
+    assert err.value.offset == offset
+    assert "samples per record must be >= 0" in str(err.value)
+
+
+def test_parse_edf_unpicked_signal_may_hold_no_samples():
+    digital = np.array([7, -7, 0, 1023, -1024, 2047, 3, -3])
+    rec = parse_edf(pack_edf(spr=("0", "4"),
+                             payload=digital.astype("<i2").tobytes()),
+                    channel="ECG")
+    want = (digital + 2048.0) * 10.0 / 4095.0 - 5.0
+    assert rec.fs == 4.0
+    assert np.allclose(rec.samples, want, rtol=0, atol=1e-12)
+
+
 def test_parse_edf_header_size_mismatch():
     with pytest.raises(ParseError):
         parse_edf(pack_edf(header_bytes=9999), channel="ECG")

@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,7 +133,8 @@ def test_read_cohort_csv_on_any_bytes(data):
         predictions, afb_by_pid, n_excluded = read
         assert set(predictions) == set(afb_by_pid) and n_excluded >= 0
         assert all(isinstance(v, bool) for v in predictions.values())
-        assert all(isinstance(v, float) for v in afb_by_pid.values())
+        assert all(isinstance(v, float) and 0.0 <= v <= 100.0
+                   for v in afb_by_pid.values())
 
 
 def oracle_parse_rr_csv(text: str):
@@ -267,6 +269,31 @@ def rr_texts(draw):
 def test_parse_rr_csv_matches_row_oracle(text):
     assert rr_outcome(parse_rr_csv, text) == rr_outcome(oracle_parse_rr_csv,
                                                         text)
+
+
+@pytest.mark.parametrize("text, error, row", [
+    # two rules broken on one row: the oracle checks a row's time is a
+    # number, then finite, then increasing, then its label
+    ("1.0\n-inf\n", ParseError, 2),
+    ("1.0,AF\n-inf\n", ParseError, 2),
+    ("1.0\n2.0\n1.5,AF\n", OrderingError, 3),
+    ("1.0,AF\n0.5\n", OrderingError, 2),
+    ("1.0,AF\nxyz\n", ParseError, 2),
+    # an earlier row breaks a rule first
+    ("2.0\n1.0\nxyz\n", OrderingError, 2),
+    ("1.0,AF\n2.0\nxyz\n", ParseError, 2),
+    ("inf\n1.0\n", ParseError, 1),
+    ("xyz,AF\n1.0\n", ParseError, 1),
+    ("", None, None), ("\n \n", None, None), ("1.0\n", None, None),
+    ("1.0,AF\n", None, None), ("-0.0,AF, 3\n", None, None),
+])
+def test_parse_rr_csv_rule_precedence(text, error, row):
+    outcome = rr_outcome(parse_rr_csv, text)
+    assert outcome == rr_outcome(oracle_parse_rr_csv, text)
+    if error is None:
+        assert outcome[0] == np.float64
+    else:
+        assert outcome[0] is error and f"at row {row}" in outcome[1]
 
 
 def parses_or_refuses(parse, *args) -> None:
