@@ -6,7 +6,13 @@ moving-window integration, adaptive dual thresholds on the integrated
 and band-passed signals with search-back at 1.66x the recent mean RR,
 a 200 ms refractory period, T-wave rejection by slope comparison within
 360 ms, and fiducial refinement to the band-passed local maximum within
-+-50 ms.
++-50 ms. As in Pan & Tompkins (IEEE TBME 1985) and Hamilton & Tompkins
+(IEEE TBME 1986), the thresholds weigh only integration peaks that
+dominate their neighbourhood: a local maximum c of the integrated
+signal m is a candidate iff m[c] >= max(m[c-h .. c+h]), h half the
+refractory period in samples (13 at 128 Hz). The window is cut at both
+ends of the record, and equal values dominate, so both of two equal
+maxima within h samples stay candidates.
 
 The test detector is structurally different on purpose: band-pass
 0.5-40 Hz, a centered 100 ms moving-RMS envelope, one adaptive
@@ -107,6 +113,22 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
             ).astype(np.int64)
 
 
+def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
+    # The candidates c, ascending, with x[c] >= max(x[c-h .. c+h]), the
+    # window cut at both ends of x; needs x >= 0. Equal values dominate,
+    # so both of two tied maxima within h stay.
+    k = int(np.searchsorted(cand, x.shape[0] - 1 - h, side="right"))
+    # For cand[:k] the window ends inside x: it is the trailing window of
+    # 2h+1 samples ending at c+h, and |x| = x.
+    bound = kernels.trailing_max(x, cand[:k] + h, 2 * h + 1)
+    # The at most h later ones run past the last sample: their maxima
+    # over [c-h, end] are suffix maxima of the last 2h+1 samples.
+    lo = max(x.shape[0] - 1 - 2 * h, 0)
+    tail = np.maximum.accumulate(x[lo:][::-1])[::-1]
+    bound = np.concatenate([bound, tail[np.maximum(cand[k:] - h, 0) - lo]])
+    return cand[x[cand] >= bound]
+
+
 def _bandpass(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarray:
     sos = butter(2, [lo, hi], btype="bandpass", output="sos", fs=fs)
     return sosfiltfilt(sos, x)
@@ -156,7 +178,10 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
     mwi = _trailing_mean(deriv * deriv, n_mwi)
 
-    cand = _local_maxima(mwi)
+    # Only the integration peak that dominates its half-refractory
+    # neighbourhood is weighed; a ripple maximum beside it is not.
+    n_ref = _samples_for(REFRACTORY_REFERENCE_S, fs)
+    cand = _dominant(mwi, _local_maxima(mwi), n_ref // 2)
     if cand.shape[0] == 0:
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
 
@@ -176,7 +201,6 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     floor_i = THRESHOLD_FLOOR_FRACTION * float(np.max(mwi))
     floor_f = THRESHOLD_FLOOR_FRACTION * float(np.max(np.abs(bp)))
 
-    n_ref = _samples_for(REFRACTORY_REFERENCE_S, fs)
     n_twave = _samples_for(TWAVE_WINDOW_S, fs)
     accept = kernels.pt_decide(cand, peaki, peakf, slope,
                                spki, npki, spkf, npkf,

@@ -229,9 +229,10 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
 
     ``channel`` selects the signal by case-insensitive substring of its
     label, or by index. Raises ParseError (with the byte offset) on a
-    malformed or non-finite numeric header field or a negative samples
-    per record, and ParseError when the calibration gives a non-finite
-    sample; ChannelNotFoundError when no label matches, and
+    malformed or non-finite numeric header field, a negative samples per
+    record, or 0 samples per record on the picked signal (another signal
+    may hold none), and ParseError when the calibration gives a
+    non-finite sample; ChannelNotFoundError when no label matches, and
     TruncationError when the payload is shorter than the header promises.
     """
     if len(data) < 256:
@@ -268,6 +269,9 @@ def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
                              offset=sig["samples_per_record"][i][0])
 
     ch = _select_channel(labels, channel)
+    if spr[ch] == 0:
+        raise ParseError("the picked signal has 0 samples per record",
+                         offset=sig["samples_per_record"][ch][0])
 
     record_samples = sum(spr)
     record_size = 2 * record_samples

@@ -204,7 +204,8 @@ def score_detection(truth, detected, tol=0.050):
     return matched / len(truth), matched / det.shape[0]
 
 
-@pytest.mark.parametrize("snr_db,floor", [(None, 0.999), (10.0, 0.99)])
+@pytest.mark.parametrize("snr_db,floor", [(None, 0.999), (10.0, 0.99),
+                                          (5.0, 0.999), (0.0, 0.98)])
 def test_detector_accuracy_on_rendered_ecg(snr_db, floor):
     # 30 minutes at a nominal 60 bpm
     spec = SynthSpec(rhythm_program=[(1800.0, "NSR")], seed=42,

@@ -15,6 +15,7 @@ from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                process_entry, process_patient,
                                read_manifest, result_to_dict, run_cohort)
 from afscreen.qrs import RPeakSeries
+from afscreen.quality import TOO_NOISY
 from afscreen.record_io import encode_212, write_edf
 
 from conftest import make_series
@@ -336,6 +337,20 @@ def test_wfdb_entry_honours_channel(tmp_path, nsr_record):
     assert peaks["resp"] == peaks[0] == 0
     with pytest.raises(ChannelNotFoundError):
         process_entry(entry, AVNN_STUMP, PipelineConfig(channel="PPG"))
+
+
+def test_minus_5_db_night_is_too_noisy(tmp_path):
+    # the benchmark's -5 dB EDF night: at that noise the two detectors
+    # agree too rarely for the recording to be screened
+    spec = synth.SynthSpec(rhythm_program=[(3600.0, "NSR"), (3600.0, "AF")],
+                           seed=4, noise_snr_db=-5.0)
+    record, _, _ = synth.synth_record(spec, patient_id="loud")
+    (tmp_path / "loud.edf").write_bytes(write_edf(record))
+    entry = ManifestEntry(path=str(tmp_path / "loud.edf"), fmt="edf",
+                          patient_id="loud")
+    result = process_entry(entry, AVNN_STUMP, PipelineConfig())
+    assert result.qc.status == TOO_NOISY
+    assert result.afb is None
 
 
 # ---------------------------------------------------------------------------

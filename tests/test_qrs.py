@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d
 
 from afscreen import kernels, qrs, quality, synth
@@ -203,6 +206,14 @@ def oracle_fiducials(bp, beats, n_mwi, n_refine):
     return np.asarray(fiducials, dtype=np.int64)
 
 
+def oracle_dominant(x, cand, h):
+    # the candidates c with x[c] >= every sample within h of c
+    last = x.shape[0] - 1
+    return np.array([c for c in cand
+                     if x[c] >= max(x[max(c - h, 0):min(c + h, last) + 1])],
+                    dtype=np.int64)
+
+
 def edge_record(fs=128.0):
     """Flat-topped beats every 110 samples, the first peaking within
     n_mwi samples of the start and the last within n_refine of the end,
@@ -236,6 +247,93 @@ def test_trailing_abs_max_matches_full_length_kernel(n):
                                    rng.choice(400, size=60)]))
     assert np.array_equal(kernels.trailing_max(x, at, n),
                           full_length_trailing_max(x, at, n))
+
+
+@pytest.mark.parametrize("h", [0, 1, 13, 100])
+def test_dominant_matches_loop_oracle(monkeypatch, h):
+    # non-negative values on grids coarse enough to tie often; lengths
+    # run from shorter than one window to several blocks, and the
+    # candidates include every sample, so some lie within h of both ends
+    rng = np.random.default_rng(h)
+    default_block = kernels._BLOCK
+    signals = []
+    for size in (3, h + 2, 2 * h + 1, 2 * h + 3, 150, 700):
+        coarse = rng.integers(0, 5, size=size) / 4.0
+        coarse[rng.random(size) < 0.5] = 0.0
+        signals += [coarse, rng.integers(0, 64, size=size) / 8.0]
+    for x in signals:
+        size = x.shape[0]
+        for cand in (qrs._local_maxima(x), np.arange(size),
+                     np.unique(rng.choice(size, size=size // 3 + 1))):
+            cand = cand.astype(np.int64)
+            want = oracle_dominant(x, cand, h)
+            for block in (1, 7, 64, default_block):
+                monkeypatch.setattr(kernels, "_BLOCK", block)
+                got = qrs._dominant(x, cand, h)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (size, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 300),
+                elements=st.floats(min_value=0.0, allow_nan=False,
+                                   allow_infinity=False)),
+       data=st.data())
+def test_dominant_on_any_nonnegative_array(x, data):
+    h = data.draw(st.integers(0, x.shape[0] + 2), label="h")
+    cand = np.array(sorted(data.draw(
+        st.sets(st.integers(0, x.shape[0] - 1)), label="cand")),
+        dtype=np.int64)
+    block = data.draw(st.sampled_from([1, 7, 64, kernels._BLOCK]),
+                      label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", block)
+        assert np.array_equal(qrs._dominant(x, cand, h),
+                              oracle_dominant(x, cand, h))
+
+
+@pytest.mark.parametrize("fs,h", [(128.0, 13), (250.0, 25)])
+def test_reference_weighs_only_dominant_integration_peaks(monkeypatch,
+                                                          fs, h):
+    # h is half the 200 ms refractory period in samples; at 0 dB the
+    # integrated signal ripples, so many local maxima are not dominant
+    seen = {}
+    local_maxima, pt_decide = qrs._local_maxima, kernels.pt_decide
+
+    def spy_local_maxima(x):
+        seen["mwi"] = x.copy()
+        return local_maxima(x)
+
+    def spy_pt_decide(cand, *args):
+        seen["cand"] = cand.copy()
+        return pt_decide(cand, *args)
+
+    monkeypatch.setattr(qrs, "_local_maxima", spy_local_maxima)
+    monkeypatch.setattr(kernels, "pt_decide", spy_pt_decide)
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "AF")], seed=2, fs=fs,
+                           noise_snr_db=0.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="ripple")
+    detect_reference(rec)
+    everything = local_maxima(seen["mwi"])
+    want = oracle_dominant(seen["mwi"], everything, h)
+    assert want.shape[0] < everything.shape[0] / 2
+    assert np.array_equal(seen["cand"], want)
+
+
+@pytest.mark.parametrize("fs", [128.0, 250.0])
+@pytest.mark.parametrize("snr", [None, 10.0])
+def test_dominance_moves_no_peak_on_clean_records(monkeypatch, fs, snr):
+    # Weighing only dominant integration peaks changes detections only
+    # where a ripple maximum used to win, which clean records lack.
+    spec = synth.SynthSpec(rhythm_program=[(600.0, "NSR"), (600.0, "AF"),
+                                           (600.0, "ECTOPY")],
+                           seed=8, fs=fs, noise_snr_db=snr)
+    rec, _, _ = synth.synth_record(spec, patient_id="clean")
+    got = detect_reference(rec).times
+    monkeypatch.setattr(qrs, "_dominant", lambda x, cand, h: cand)
+    want = detect_reference(rec).times
+    assert len(want) > 1800
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n_mwi,n_refine", [(20, 7), (38, 13), (3, 3)])

@@ -162,6 +162,21 @@ def test_parse_edf_negative_samples_per_record(spr, offset):
     assert "samples per record must be >= 0" in str(err.value)
 
 
+@pytest.mark.parametrize("spr, channel, offset", [
+    (("2", "0"), "ECG", 696),
+    (("0", "0"), "ECG", 696),
+    (("0", "0"), 0, 688),
+    (("0", "4"), "resp", 688),
+])
+def test_parse_edf_picked_signal_without_samples(spr, channel, offset):
+    # with n_records -1 and every signal empty, the payload once read as
+    # truncated ("expected 0 bytes, found 24")
+    with pytest.raises(ParseError) as err:
+        parse_edf(pack_edf(spr=spr, n_records="-1"), channel=channel)
+    assert err.value.offset == offset
+    assert "0 samples per record" in str(err.value)
+
+
 def test_parse_edf_unpicked_signal_may_hold_no_samples():
     digital = np.array([7, -7, 0, 1023, -1024, 2047, 3, -3])
     rec = parse_edf(pack_edf(spr=("0", "4"),
