@@ -30,9 +30,7 @@ error stops the run; per-patient failures go to the error ledger.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -122,17 +120,13 @@ def _run_config(command: str, args: argparse.Namespace,
     return run
 
 
+def _json_text(doc: dict) -> str:
+    """The one JSON form of every artifact: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _provenance_lines(run_config: dict) -> list[str]:
-    return [f"generator={VERSION}",
-            "config=" + json.dumps(run_config, sort_keys=True,
-                                   separators=(",", ":"))]
-
-
-def _csv_buffer(header_lines=()) -> tuple:
-    """A CSV buffer that starts with one "# " comment per header line."""
-    buf = io.StringIO()
-    buf.writelines(f"# {line}\n" for line in header_lines)
-    return buf, csv.writer(buf, lineterminator="\n")
+    return [f"generator={VERSION}", "config=" + _json_text(run_config)]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -190,22 +184,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = forest.train(X, y, n_estimators=cv.n_estimators,
                          max_depth=cv.max_depth, seed=args.seed)
 
-    payload = json.loads(forest.save_model(model))
-    payload["generator"] = VERSION
-    payload["config"] = run_config
     out = Path(args.out)
-    _write_text(out, json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")))
+    _write_text(out, _json_text({**json.loads(forest.save_model(model)),
+                                 "generator": VERSION, "config": run_config}))
 
-    buf, writer = _csv_buffer(_provenance_lines(run_config))
-    buf.write(f"# selected={cv.n_estimators}x{cv.max_depth}\n")
-    writer.writerow(["n_estimators", "max_depth", "mean_auroc",
-                     "folds_used"])
-    for n_est, depth, auc, folds in cv.rows:
-        writer.writerow([n_est, depth, _fmt_opt(auc), folds])
+    rows = [["n_estimators", "max_depth", "mean_auroc", "folds_used"]]
+    rows += [[n, d, _fmt_opt(auc), folds] for n, d, auc, folds in cv.rows]
     report_path = Path(args.cv_report) if args.cv_report \
         else out.with_suffix(out.suffix + ".cv.csv")
-    _write_text(report_path, buf.getvalue())
+    _write_text(report_path, pipeline.csv_text(
+        rows, _provenance_lines(run_config)
+        + [f"selected={cv.n_estimators}x{cv.max_depth}"]))
 
     print(f"trained on {len(y)} windows from "
           f"{len(set(groups.tolist()))} patients; "
@@ -229,20 +218,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     for r in results:
-        doc = {"generator": VERSION, "config": run_config}
-        doc.update(pipeline.result_to_dict(r))
         _write_text(out_dir / f"{r.patient_id}.json",
-                    json.dumps(doc, sort_keys=True, separators=(",", ":")))
-
+                    _json_text({**pipeline.result_to_dict(r),
+                                "generator": VERSION, "config": run_config}))
     _write_text(out_dir / "cohort.csv",
-                pipeline.cohort_csv(results,
-                                    _provenance_lines(run_config)))
-
-    buf, writer = _csv_buffer()
-    writer.writerow(["patient_id", "error"])
-    for pid, msg in report.errors:
-        writer.writerow([pid, msg])
-    _write_text(out_dir / "errors.csv", buf.getvalue())
+                pipeline.cohort_csv(results, _provenance_lines(run_config)))
+    _write_text(out_dir / "errors.csv", pipeline.csv_text(
+        [["patient_id", "error"], *report.errors]))
 
     print(f"processed {report.n_processed}/{report.n_patients} patients: "
           f"{report.n_prominent} prominent AF, {report.n_excluded} "
@@ -269,35 +251,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             alpha=config.ni_alpha)
 
     out_dir = Path(args.out_dir)
-    buf, writer = _csv_buffer(_provenance_lines(run_config))
-    writer.writerow(["stratum", "tp", "fp", "tn", "fn",
-                     "se", "sp", "ppv", "npv", "f1"])
+    provenance = _provenance_lines(run_config)
+    rows = [["stratum", "tp", "fp", "tn", "fn",
+             "se", "sp", "ppv", "npv", "f1"]]
     for name, stratum in (("all", report.overall),
                           ("ahi_lt_cutoff", report.low_ahi),
                           ("ahi_ge_cutoff", report.high_ahi)):
         c, m = stratum.counts, stratum.derived
-        writer.writerow([name, c.tp, c.fp, c.tn, c.fn,
-                         _fmt_opt(m.se), _fmt_opt(m.sp), _fmt_opt(m.ppv),
-                         _fmt_opt(m.npv), _fmt_opt(m.f1)])
+        rows.append([name, c.tp, c.fp, c.tn, c.fn,
+                     *map(_fmt_opt, (m.se, m.sp, m.ppv, m.npv, m.f1))])
     ni = report.noninferiority
-    writer.writerow(["noninferiority_z", _fmt_opt(ni.z)])
-    writer.writerow(["noninferiority_p", _fmt_opt(ni.p)])
-    writer.writerow(["noninferior", _fmt_opt(ni.noninferior)])
-    writer.writerow(["n_missing_ahi", report.n_missing_ahi])
-    writer.writerow(["n_unlabeled", report.n_unlabeled])
-    writer.writerow(["n_excluded", n_excluded])
-    _write_text(out_dir / "strata_report.csv", buf.getvalue())
+    rows += [["noninferiority_z", _fmt_opt(ni.z)],
+             ["noninferiority_p", _fmt_opt(ni.p)],
+             ["noninferior", _fmt_opt(ni.noninferior)],
+             ["n_missing_ahi", report.n_missing_ahi],
+             ["n_unlabeled", report.n_unlabeled],
+             ["n_excluded", n_excluded]]
+    _write_text(out_dir / "strata_report.csv",
+                pipeline.csv_text(rows, provenance))
 
     scores = [(afb_by_pid[pid], metas[pid].reference_af_label)
               for pid in sorted(afb_by_pid)
               if metas[pid].reference_af_label != "unknown"]
     auc, points = stats.auroc(scores)
-    buf, writer = _csv_buffer(_provenance_lines(run_config))
-    buf.write(f"# afb_auroc={_fmt_opt(auc)}\n")
-    writer.writerow(["fpr", "tpr"])
-    for fpr, tpr in points:
-        writer.writerow([repr(fpr), repr(tpr)])
-    _write_text(out_dir / "roc_points.csv", buf.getvalue())
+    _write_text(out_dir / "roc_points.csv", pipeline.csv_text(
+        [["fpr", "tpr"], *([repr(fpr), repr(tpr)] for fpr, tpr in points)],
+        provenance + [f"afb_auroc={_fmt_opt(auc)}"]))
 
     print(f"strata report: {out_dir / 'strata_report.csv'}")
     print(f"roc points: {out_dir / 'roc_points.csv'}")
@@ -361,17 +340,15 @@ def cmd_qc(args: argparse.Namespace) -> int:
                                       dump=args.dump_detector)
 
     dump_dir = Path(args.dump_dir) if args.dump_dir else Path(args.out).parent
-    buf, writer = _csv_buffer(_provenance_lines(run_config))
-    writer.writerow(["patient_id", "status", "n_peaks", "exclusion_rate"])
+    ledger = [["patient_id", "status", "n_peaks", "exclusion_rate"]]
     for pid, (qc, peaks) in rows:
         if peaks is not None:
-            _write_text(dump_dir / f"{pid}.peaks.csv",
-                        "".join(f"{float(t)!r}\n" for t in peaks))
-        writer.writerow([pid, qc.status, qc.n_peaks_reference,
-                         repr(float(qc.exclusion_rate))])
-    for pid, msg in errors:
-        writer.writerow([pid, "error", "", msg])
-    _write_text(Path(args.out), buf.getvalue())
+            _write_text(dump_dir / f"{pid}.peaks.csv", write_rr_csv(peaks))
+        ledger.append([pid, qc.status, qc.n_peaks_reference,
+                       repr(float(qc.exclusion_rate))])
+    ledger += [[pid, "error", "", msg] for pid, msg in errors]
+    _write_text(Path(args.out),
+                pipeline.csv_text(ledger, _provenance_lines(run_config)))
     print(f"qc ledger: {args.out} ({len(rows)} recordings, "
           f"{len(errors)} errors)")
     return 0

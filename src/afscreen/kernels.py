@@ -5,9 +5,10 @@
   candidate arrays.
 * ``refractory_pick``: the refractory thinning both detectors apply.
 * ``trailing_max``: trailing-window maxima of |x| read at the detectors'
-  candidates only: the reference detector's band-passed peak and slope,
-  and the test detector's threshold. It works on blocks of samples, so
-  it never holds a full-length copy of the signal.
+  candidates only: the reference detector's dominance scan over its
+  integration peaks, its band-passed peak and slope, and the test
+  detector's threshold. It works on blocks of samples, so it never
+  holds a full-length copy of the signal.
 
 The window features are not kernels: ``features`` and ``quality``
 compute them for all of a night's windows at once.

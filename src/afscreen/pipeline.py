@@ -137,12 +137,22 @@ def _read_table(path: str | Path, required: set[str], what: str,
         raise ParseError(f"{what}: {e}") from None
 
 
+def csv_text(rows, comments=()) -> str:
+    """CSV text: one "# " line per comment, which _read_table skips,
+    then the rows; every line ends in a bare newline."""
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in comments)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Load a cohort manifest CSV.
 
     Required columns: path, format, patient_id. Optional: ahi,
     reference_label, annotations. Relative paths resolve against the
-    manifest's own directory.
+    manifest's own directory. A patient_id is unique and a file name
+    (no "/", "\\" or NUL, not "." or ".."), as outputs are named after it.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []
@@ -157,6 +167,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         pid = row["patient_id"].strip()
         if not pid:
             raise ConfigurationError(f"manifest row {i}: empty patient_id")
+        if pid in (".", "..") or any(c in pid for c in "/\\\0"):
+            raise ConfigurationError(
+                f"manifest row {i}: patient_id {pid!r} is not a file name")
         if pid in seen:
             raise ConfigurationError(
                 f"manifest row {i}: duplicate patient_id {pid!r}")
@@ -226,8 +239,7 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
         return ref, None, annotations
     if entry.fmt == "edf":
         record = parse_edf(Path(entry.path).read_bytes(),
-                           channel="ECG" if config.channel is None
-                           else config.channel)
+                           channel=config.channel)
     else:
         head = Path(entry.path)
         record = parse_wfdb(_read_text(head),
@@ -337,12 +349,12 @@ def run_cohort(entries: list[ManifestEntry], model: ForestModel,
 
 
 def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
-              dump: str | None) -> tuple[RecordingQC, np.ndarray | None]:
+              dump: str | None) -> tuple[RecordingQC, RPeakSeries | None]:
     ref, test, _ = _load(entry, config)
     qc = _analyze(ref, test, config)[3]
     if dump is None or test is None:
         return qc, None
-    return qc, (ref if dump == REFERENCE else test).times
+    return qc, ref if dump == REFERENCE else test
 
 
 def qc_cohort(entries: list[ManifestEntry], config: PipelineConfig,
@@ -351,7 +363,7 @@ def qc_cohort(entries: list[ManifestEntry], config: PipelineConfig,
     """Quality-gate every manifest entry without classifying it.
 
     Returns (pid, (qc, peaks)) for each recording, where peaks are the
-    peak times of the detector named by dump ("reference" or "test";
+    RPeakSeries of the detector named by dump ("reference" or "test";
     None for an RR entry or without dump), and the error ledger, both
     sorted by patient id.
     """
@@ -413,31 +425,32 @@ def result_to_dict(result: PatientResult) -> dict:
 
 def cohort_csv(results: list[PatientResult], header_lines: list[str]) -> str:
     """Cohort summary CSV, one row per patient, sorted by patient_id."""
-    buf = io.StringIO()
-    buf.writelines(f"# {line}\n" for line in header_lines)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "status", "n_peaks", "exclusion_rate",
-                     "n_windows", "n_included", "afb", "prominent_af"])
-    for r in results:
-        writer.writerow([
-            r.patient_id, r.qc.status, r.qc.n_peaks_reference,
-            repr(float(r.qc.exclusion_rate)),
-            len(r.bsqi), np.count_nonzero(r.included),
-            "" if r.afb is None else repr(float(r.afb)),
-            "" if r.prominent_af is None else str(r.prominent_af).lower(),
-        ])
-    return buf.getvalue()
+    rows = [["patient_id", "status", "n_peaks", "exclusion_rate",
+             "n_windows", "n_included", "afb", "prominent_af"]]
+    rows += [[r.patient_id, r.qc.status, r.qc.n_peaks_reference,
+              repr(float(r.qc.exclusion_rate)),
+              len(r.bsqi), np.count_nonzero(r.included),
+              "" if r.afb is None else repr(float(r.afb)),
+              "" if r.prominent_af is None else str(r.prominent_af).lower()]
+             for r in results]
+    return csv_text(rows, header_lines)
 
 
 def read_cohort_csv(path: str | Path,
                     ) -> tuple[dict[str, bool], dict[str, float], int]:
     """({pid: prominent_af}, {pid: afb}, number excluded) of a cohort_csv
-    file; prominent_af must be true, false or empty (excluded), and afb
-    of a row that is not excluded a percentage in [0, 100]."""
+    file; each patient_id appears once, prominent_af must be true, false
+    or empty (excluded), and afb of a row that is not excluded a
+    percentage in [0, 100]."""
     predictions, afb_by_pid, n_excluded = {}, {}, 0
+    seen: set[str] = set()
     for i, row in _read_table(path, {"patient_id", "afb", "prominent_af"},
                               f"cohort CSV {path}"):
-        flag, afb = row["prominent_af"], row["afb"]
+        pid, flag, afb = row["patient_id"], row["prominent_af"], row["afb"]
+        if pid in seen:
+            raise ConfigurationError(
+                f"{path} row {i}: duplicate patient_id {pid!r}")
+        seen.add(pid)
         if flag == "":
             n_excluded += 1
             continue
@@ -453,6 +466,6 @@ def read_cohort_csv(path: str | Path,
         if not 0.0 <= value <= 100.0:
             raise ConfigurationError(
                 f"{path} row {i}: afb {afb!r} must lie in [0, 100]")
-        afb_by_pid[row["patient_id"]] = value
-        predictions[row["patient_id"]] = flag == "true"
+        afb_by_pid[pid] = value
+        predictions[pid] = flag == "true"
     return predictions, afb_by_pid, n_excluded

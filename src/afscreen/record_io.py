@@ -1,8 +1,8 @@
 """Recording and annotation I/O.
 
 Readers for the three supported on-disk forms of a single-channel ECG
-recording, plus the matching writers used by the synthetic generators
-and the test suite:
+recording, plus the matching writers used by the synthetic generators,
+qc's peak dumps and the test suite:
 
 * EDF: 256-byte fixed-width ASCII header, one 256-byte subheader per
   signal, then data records of 16-bit little-endian two's-complement
@@ -44,6 +44,7 @@ OTHER = "OTHER"
 
 EDF_DIGITAL_MIN = -32768
 EDF_DIGITAL_MAX = 32767
+DEFAULT_CHANNEL = "ECG"  # the label substring a channel of None selects
 
 
 @dataclass
@@ -209,7 +210,9 @@ def _check_finite(physical: np.ndarray) -> None:
         raise ParseError("calibration gives non-finite samples")
 
 
-def _select_channel(labels: list[str], channel: str | int) -> int:
+def _select_channel(labels: list[str], channel: str | int | None) -> int:
+    if channel is None:
+        channel = DEFAULT_CHANNEL
     if isinstance(channel, int):
         if not 0 <= channel < len(labels):
             raise ChannelNotFoundError(
@@ -224,16 +227,17 @@ def _select_channel(labels: list[str], channel: str | int) -> int:
         f"no signal label contains {channel!r} (labels: {labels})")
 
 
-def parse_edf(data: bytes, channel: str | int = "ECG") -> EcgRecord:
+def parse_edf(data: bytes, channel: str | int | None = None) -> EcgRecord:
     """Decode one channel of an EDF byte string into physical units.
 
     ``channel`` selects the signal by case-insensitive substring of its
-    label, or by index. Raises ParseError (with the byte offset) on a
-    malformed or non-finite numeric header field, a negative samples per
-    record, or 0 samples per record on the picked signal (another signal
-    may hold none), and ParseError when the calibration gives a
-    non-finite sample; ChannelNotFoundError when no label matches, and
-    TruncationError when the payload is shorter than the header promises.
+    label, or by index; None means "ECG". Raises ParseError (with the
+    byte offset) on a malformed or non-finite numeric header field, a
+    negative samples per record, or 0 samples per record on the picked
+    signal (another signal may hold none), and ParseError when the
+    calibration gives a non-finite sample; ChannelNotFoundError when no
+    label matches, and TruncationError when the payload is shorter than
+    the header promises.
     """
     if len(data) < 256:
         raise TruncationError(256, len(data), what="EDF static header")
@@ -367,41 +371,27 @@ def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
     digital = np.clip(digital, EDF_DIGITAL_MIN, EDF_DIGITAL_MAX)
     payload = digital.astype("<i2").tobytes()
 
-    def pad(text: str, width: int) -> bytes:
+    # one signal: one cell per field, in table order; unnamed cells blank
+    values = {"version": "0", "patient": record.patient_id.replace("\n", " "),
+              "start_date": "01.01.00", "start_time": "00.00.00",
+              "header_bytes": str(256 + 256), "n_records": str(n_records),
+              "record_duration": _format_edf_float(float(duration)),
+              "n_signals": "1", "label": label, "dimension": "mV",
+              "physical_min": _format_edf_float(pmin),
+              "physical_max": _format_edf_float(pmax),
+              "digital_min": str(EDF_DIGITAL_MIN),
+              "digital_max": str(EDF_DIGITAL_MAX),
+              "samples_per_record": str(spr)}
+    head = []
+    for name, width in _EDF_HEAD_FIELDS + _EDF_SIGNAL_FIELDS:
+        text = values.get(name, "")
         if not text.isascii():
-            raise ConfigurationError(
-                f"EDF field value {text!r} is not ASCII")
-        b = text.encode("ascii")
-        if len(b) > width:
+            raise ConfigurationError(f"EDF field value {text!r} is not ASCII")
+        if len(text) > width:
             raise ConfigurationError(
                 f"EDF field value {text!r} exceeds {width} characters")
-        return b.ljust(width)
-
-    head = b"".join([
-        pad("0", 8),
-        pad(record.patient_id.replace("\n", " "), 80),
-        pad("", 80),
-        pad("01.01.00", 8),
-        pad("00.00.00", 8),
-        pad(str(256 + 256), 8),
-        pad("", 44),
-        pad(str(n_records), 8),
-        pad(_format_edf_float(float(duration)), 8),
-        pad("1", 4),
-    ])
-    sig = b"".join([
-        pad(label, 16),
-        pad("", 80),
-        pad("mV", 8),
-        pad(_format_edf_float(pmin), 8),
-        pad(_format_edf_float(pmax), 8),
-        pad(str(EDF_DIGITAL_MIN), 8),
-        pad(str(EDF_DIGITAL_MAX), 8),
-        pad("", 80),
-        pad(str(spr), 8),
-        pad("", 32),
-    ])
-    return head + sig + payload
+        head.append(text.ljust(width))
+    return "".join(head).encode("ascii") + payload
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +521,8 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
         raise UnsupportedFormatError(
             f"WFDB format {fmt} not supported (only 212 and 16)")
 
-    if channel is None:
-        ch = 0 if n_sig == 1 else _select_channel(names, "ECG")
-    else:
-        ch = _select_channel(names, channel)
+    ch = 0 if channel is None and n_sig == 1 \
+        else _select_channel(names, channel)
 
     if fmt == 212:
         flat = decode_212(dat_bytes)
@@ -660,17 +648,12 @@ def _rr_columns(lines: list[str], split: bool,
 
 def write_rr_csv(peaks: RPeakSeries,
                  annotations: RhythmAnnotations | None = None) -> str:
-    """Serialize peaks (and per-beat rhythm labels, if given) to CSV text."""
-    lines = []
-    for t in peaks.times:
-        t = float(t)
-        if annotations is None:
-            lines.append(repr(t))
-        else:
-            label = OTHER
-            for start, end, rhythm in annotations.episodes:
-                if start <= t <= end:
-                    label = rhythm
-                    break
-            lines.append(f"{t!r},{label}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Serialize peaks to CSV text, one ``repr`` beat time per line; with
+    annotations, each beat's rhythm (OTHER outside every episode) follows
+    after a comma."""
+    times = peaks.times.tolist()
+    if annotations is None:
+        return "".join(f"{t!r}\n" for t in times)
+    labels = [next((rhythm for start, end, rhythm in annotations.episodes
+                    if start <= t <= end), OTHER) for t in times]
+    return "".join(f"{t!r},{label}\n" for t, label in zip(times, labels))

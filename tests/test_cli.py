@@ -208,6 +208,34 @@ def test_evaluate_outputs(cohort, tmp_path):
     assert body[-1] == "1.0,1.0"
 
 
+# ---------------------------------------------------------------------------
+# artifact layouts
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_json_artifacts_are_canonical(cohort, tmp_path):
+    assert run_predict(cohort, tmp_path / "out", workers=1) == 0
+    paths = [cohort / "model.json", *sorted((tmp_path / "out").glob("*.json"))]
+    assert len(paths) == 7  # the model and six patients; ghost has none
+    for path in paths:
+        text = path.read_text()
+        assert canonical(json.loads(text)) == text, path.name
+
+
+def test_csv_config_line_is_the_json_config(cohort, tmp_path):
+    assert run_predict(cohort, tmp_path / "out", workers=1) == 0
+    out = tmp_path / "out"
+    pairs = [(cohort / "model.json.cv.csv", cohort / "model.json")]
+    pairs += [(out / "cohort.csv", path) for path in sorted(out.glob("*.json"))]
+    for csv_path, json_path in pairs:
+        config = json.loads(json_path.read_text())["config"]
+        lines = csv_path.read_text().split("\n")
+        assert lines[1] == "# config=" + canonical(config), json_path.name
+
+
 def one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -223,6 +251,22 @@ BAD_MANIFESTS = {
                  "manifest line 3 is not UTF-8 text"),
     "path": (b"format,patient_id,path\nrr,p1\n",
              "manifest row 2: empty path"),
+    # outputs are named after the patient_id; this one once made predict
+    # write <out-dir>/../../escaped.json
+    "patient_id": (b"path,format,patient_id\na0.csv,rr,p0\n"
+                   b"a0.csv,rr,../../escaped\n",
+                   "manifest row 3: patient_id '../../escaped' is not a "
+                   "file name"),
+    "patient_id_dots": (b"path,format,patient_id\na0.csv,rr,..\n",
+                        "manifest row 2: patient_id '..' is not a file "
+                        "name"),
+    "patient_id_backslash": (b"path,format,patient_id\na0.csv,rr,a\\b\n",
+                             "manifest row 2: patient_id 'a\\\\b' is not "
+                             "a file name"),
+    # once a ValueError traceback after the whole cohort had run
+    "patient_id_nul": (b"path,format,patient_id\na0.csv,rr,p\x00q\n",
+                       "manifest row 2: patient_id 'p\\x00q' is not a file "
+                       "name"),
 }
 
 
@@ -266,6 +310,10 @@ BAD_COHORT_CSVS = {
     # a short row's missing patient_id reads as empty, not as None
     "short": ("afb,prominent_af,patient_id\n100.0,true\n",
               "no reference metadata for patients"),
+    # the second row once replaced the first one's label
+    "duplicate": ("patient_id,afb,prominent_af\na0,100.0,true\n"
+                  "a0,0.0,false\n",
+                  "row 3: duplicate patient_id 'a0'"),
 }
 
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afscreen.errors import (ChannelNotFoundError, ContractViolationError,
-                             OrderingError, ParseError, TruncationError,
+from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
+                             ContractViolationError, OrderingError,
+                             ParseError, TruncationError,
                              UnsupportedFormatError)
 from afscreen.record_io import (AF, OTHER, EcgRecord, RhythmAnnotations,
                                 decode_212, encode_212, parse_edf,
@@ -72,6 +73,14 @@ def test_parse_edf_channel_by_index():
     digital = np.array([7, -7, 3, -3])
     want = (digital + 2048.0) * 2.0 / 4095.0 - 1.0
     assert np.allclose(first.samples, want, rtol=0, atol=1e-12)
+
+
+def test_parse_edf_channel_none_means_ecg():
+    data = pack_edf()
+    ecg = parse_edf(data, channel="ECG").samples
+    assert np.array_equal(parse_edf(data).samples, ecg)
+    assert np.array_equal(parse_edf(data, channel=None).samples, ecg)
+    assert np.array_equal(parse_edf(data, channel=1).samples, ecg)
 
 
 def test_parse_edf_channel_substring_case_insensitive():
@@ -227,6 +236,38 @@ def test_edf_write_fractional_fs_uses_longer_records():
     back = parse_edf(write_edf(rec), channel="ECG")
     assert back.fs == 127.5
     assert back.samples.shape[0] >= 1275
+
+
+def test_write_edf_header_cells():
+    rec = EcgRecord(patient_id="p7", samples=np.linspace(-1.5, 2.25, 300),
+                    fs=128.0)
+    data = write_edf(rec)
+    # (offset, width, text) of every cell: 10 header, 10 signal fields
+    cells = [(0, 8, "0"), (8, 80, "p7"), (88, 80, ""), (168, 8, "01.01.00"),
+             (176, 8, "00.00.00"), (184, 8, "512"), (192, 44, ""),
+             (236, 8, "3"), (244, 8, "1"), (252, 4, "1"),
+             (256, 16, "ECG"), (272, 80, ""), (352, 8, "mV"),
+             (360, 8, "-1.5"), (368, 8, "2.25"), (376, 8, "-32768"),
+             (384, 8, "32767"), (392, 80, ""), (472, 8, "128"),
+             (480, 32, "")]
+    assert len(data) == 512 + 2 * 3 * 128
+    for offset, width, text in cells:
+        cell = data[offset:offset + width]
+        assert cell == text.encode().ljust(width), offset
+    assert sum(width for _, width, _ in cells) == 512
+
+
+@pytest.mark.parametrize("patient_id, label, message", [
+    ("p" * 81, "ECG", "EDF field value 'ppp.*' exceeds 80 characters"),
+    ("p7", "ECG" * 6, "EDF field value 'ECGECG.*' exceeds 16 characters"),
+    ("p\u00e9", "ECG", "EDF field value 'p\u00e9' is not ASCII"),
+    ("p7", "\u00e9CG", "EDF field value '\u00e9CG' is not ASCII"),
+])
+def test_write_edf_rejects_cells_it_cannot_encode(patient_id, label,
+                                                  message):
+    rec = EcgRecord(patient_id=patient_id, samples=np.zeros(128), fs=128.0)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        write_edf(rec, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +493,15 @@ def test_rr_csv_round_trip_with_labels():
     assert np.array_equal(peaks.times, times)
     af_spans = [(s, e) for s, e, r in back.episodes if r == AF]
     assert af_spans == [(times[1], times[10]), (times[30], times[39])]
+
+
+def test_write_rr_csv_text():
+    peaks = make_series([0.5, 1.25, 2.0, 3.0])
+    assert write_rr_csv(peaks) == "0.5\n1.25\n2.0\n3.0\n"
+    ann = RhythmAnnotations([(1.25, 2.0, AF)])
+    assert write_rr_csv(peaks, ann) == \
+        "0.5,OTHER\n1.25,AF\n2.0,AF\n3.0,OTHER\n"
+    assert write_rr_csv(make_series([])) == ""
 
 
 def test_rr_csv_round_trip_times_exact():
