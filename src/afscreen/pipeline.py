@@ -1,12 +1,15 @@
 """Per-patient orchestration and cohort batch runs.
 
-One patient flows through: reference detection -> test detection ->
-60-beat windowing -> per-window bsqi -> recording-level QC -> features
--> forest inference -> AF burden. predict, qc and train share one
-analysis path: _load turns a manifest entry into its peaks, and
-_analyze turns the peaks into the windows as arrays (the (n, 60) beat
-times, each window's bsqi and the inclusion verdicts) and the QC
-verdict. predict classifies the result, train labels it, qc reports it.
+One patient flows through: reference and test detection -> 60-beat
+windowing -> per-window bsqi -> recording-level QC -> features -> forest
+inference -> AF burden. predict, qc and train share one analysis path:
+_load turns a manifest entry into its peaks, and _analyze turns the
+peaks into the windows as arrays (the (n, 60) beat times, each window's
+bsqi and the inclusion verdicts) and the QC verdict. predict classifies
+the result, train labels it, qc reports it. _load runs the two detectors
+side by side, the test detector on a second thread joined before it
+returns; they share only the read-only record, so the peaks are
+identical to those of running them one after the other.
 The included windows of an accepted recording are featurized as one
 matrix and scored by one forest call. A PatientResult keeps the window
 arrays; result_to_dict and cohort_csv derive the rows they write.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -151,8 +154,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
     Required columns: path, format, patient_id. Optional: ahi,
     reference_label, annotations. Relative paths resolve against the
-    manifest's own directory. A patient_id is unique and a file name
-    (no "/", "\\" or NUL, not "." or ".."), as outputs are named after it.
+    manifest's own directory, and a path holding NUL is refused. A
+    patient_id is unique and a file name (no "/", "\\" or NUL, not "."
+    or ".."), as outputs are named after it.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []
@@ -190,6 +194,11 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ConfigurationError(
                 f"manifest row {i}, column ahi: {e}") from None
         ann = (row.get("annotations") or "").strip() or None
+        for column, cell in (("path", rel), ("annotations", ann or "")):
+            if "\0" in cell:
+                raise ConfigurationError(
+                    f"manifest row {i}, column {column}: {cell!r} is not "
+                    f"a path")
         entries.append(ManifestEntry(
             path=str((base / rel).resolve()),
             fmt=fmt,
@@ -246,7 +255,12 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
                             head.with_suffix(".dat").read_bytes(),
                             channel=config.channel)
     record.patient_id = entry.patient_id
-    return detect_reference(record), detect_test(record), annotations
+    # The reference detector's error wins, as in serial order: it
+    # leaves the block before the test detector's result is asked for.
+    with ThreadPoolExecutor(1) as thread:
+        test = thread.submit(detect_test, record)
+        ref = detect_reference(record)
+    return ref, test.result(), annotations
 
 
 def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
@@ -289,7 +303,8 @@ def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
 
 def process_patient(record: EcgRecord, model: ForestModel,
                     config: PipelineConfig) -> PatientResult:
-    """Run the full signal path for one recording."""
+    """Run the full signal path for one recording, the detectors one
+    after the other on the calling thread."""
     ref = detect_reference(record)
     test = detect_test(record)
     return _classify(record.patient_id, ref, test, model, config)

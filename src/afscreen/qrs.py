@@ -24,6 +24,16 @@ Both detectors run at the native sampling rate with zero-phase
 second-order-section filters, are deterministic, and return peak times
 in seconds. Thresholds adapt to the signal, so detections are invariant
 to positive rescaling of the input.
+
+Each detector keeps its working set to one or two signal-length arrays,
+bit for bit with the full-length forms. sosfiltfilt writes the odd
+extension into one buffer and filters it forward, then backward, in
+place, a block of _BLOCK samples at a time with the filter state carried
+from block to block. The reference detector squares its derivative a
+block at a time into the array that the trailing mean then overwrites,
+and recomputes the derivative for each block of candidates to take
+their slopes. The test detector's envelope is a running mean worked out
+in place over the squared band-pass.
 """
 
 from __future__ import annotations
@@ -33,8 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from . import kernels
 from .errors import ContractViolationError, UnsupportedRateError
@@ -64,6 +73,10 @@ THRESHOLD_FLOOR_FRACTION = 1e-3
 TEST_FLOOR_FRACTION = 2e-2
 MIN_FS_HZ = 100.0
 MIN_DURATION_S = 10.0
+
+# Samples per block of the blocked filter, derivative and means; each
+# block's temporaries hold a few times _BLOCK samples.
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -129,20 +142,132 @@ def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
     return cand[x[cand] >= bound]
 
 
+def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfiltfilt(sos, x) of a 1-D x, bit for bit, in one
+    buffer.
+
+    The odd extension of x by 3 * ntaps samples at each end goes into
+    one buffer. sosfilt runs over it forward from the state sosfilt_zi
+    scaled by the first sample, then backward from that scaled by the
+    last, a block at a time: the state carries from block to block, and
+    each block's output overwrites it in place. sosfilt takes one sample
+    through every section before the next, so blocks change no value.
+    The result is a view of the buffer.
+    """
+    n_sections = sos.shape[0]
+    ntaps = 2 * n_sections + 1 - min(int(np.sum(sos[:, 2] == 0)),
+                                     int(np.sum(sos[:, 5] == 0)))
+    edge = 3 * ntaps
+    size = x.shape[0]
+    if size <= edge:
+        raise ValueError(f"the input must be longer than {edge} samples")
+    buf = np.empty(size + 2 * edge, np.result_type(sos, x))
+    buf[:edge] = 2 * x[0] - x[edge:0:-1]
+    buf[edge:-edge] = x
+    buf[-edge:] = 2 * x[-1] - x[-2:-edge - 2:-1]
+    zi = sosfilt_zi(sos)
+    z = zi * buf[0]
+    for lo in range(0, buf.shape[0], _BLOCK):
+        block = buf[lo:lo + _BLOCK]
+        block[:], z = sosfilt(sos, block, zi=z)
+    z = zi * buf[-1]
+    for hi in range(buf.shape[0], 0, -_BLOCK):
+        block = buf[max(hi - _BLOCK, 0):hi][::-1]
+        block[:], z = sosfilt(sos, block, zi=z)
+    return buf[edge:-edge]
+
+
 def _bandpass(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarray:
     sos = butter(2, [lo, hi], btype="bandpass", output="sos", fs=fs)
     return sosfiltfilt(sos, x)
 
 
+def _derivative(bp: np.ndarray, fs: float, lo: int, hi: int) -> np.ndarray:
+    # Five-point derivative over [lo, hi), centered form of
+    # (1/8T)(2dx1 + dx2); zero at the two samples at each end.
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 2), min(hi, bp.shape[0] - 2)
+    if a < b:
+        out[a - lo:b - lo] = (fs / 8.0) * (
+            2.0 * (bp[a + 1:b + 1] - bp[a - 1:b - 1])
+            + (bp[a + 2:b + 2] - bp[a - 2:b - 2]))
+    return out
+
+
+def _squared_derivative(bp: np.ndarray, fs: float) -> np.ndarray:
+    # The squared derivative, a block at a time into one array.
+    out = np.empty_like(bp)
+    for lo in range(0, bp.shape[0], _BLOCK):
+        d = _derivative(bp, fs, lo, min(lo + _BLOCK, bp.shape[0]))
+        np.multiply(d, d, out=out[lo:lo + d.shape[0]])
+    return out
+
+
+def _slope(bp: np.ndarray, fs: float, cand: np.ndarray, n: int
+           ) -> np.ndarray:
+    # kernels.trailing_max(derivative, cand, n) without the full-length
+    # derivative: for each block of candidates within _BLOCK samples of
+    # its first, the derivative over the block's windows only. A window
+    # cut at the start is cut at sample 0 in both.
+    out = np.empty(cand.shape[0])
+    k = 0
+    while k < cand.shape[0]:
+        k_end = k + int(np.searchsorted(cand[k:], cand[k] + _BLOCK))
+        lo = max(int(cand[k]) - n + 1, 0)
+        d = _derivative(bp, fs, lo, int(cand[k_end - 1]) + 1)
+        out[k:k_end] = kernels.trailing_max(d, cand[k:k_end] - lo, n)
+        k = k_end
+    return out
+
+
 def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
     # Mean over [i-n+1, i], shortened at the start; needs len(x) >= n.
-    # Overwrites x with its running sum.
+    # Overwrites x with its running sum, then with the means, a block at
+    # a time from the end, and returns x.
     csum = np.cumsum(x, out=x)
-    out = np.empty_like(x)
-    out[:n] = csum[:n] / np.arange(1, n + 1)
-    np.subtract(csum[n:], csum[:-n], out=out[n:])
-    out[n:] /= n
-    return out
+    for hi in range(x.shape[0], n, -_BLOCK):
+        lo = max(hi - _BLOCK, n)
+        # the later means are written; csum[lo-n:hi-n] is still whole
+        np.subtract(csum[lo:hi], csum[lo - n:hi - n], out=x[lo:hi])
+        x[lo:hi] /= n
+    x[:n] = csum[:n] / np.arange(1, n + 1)
+    return x
+
+
+def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
+    """scipy.ndimage.uniform_filter1d(x, n, mode="nearest"), bit for
+    bit, in place: the mean of x[i - n//2 .. i - n//2 + n - 1], the
+    input extended by its edge samples.
+
+    As in ndimage, the sum of the first window is taken in order, and
+    each later sum is the one before plus (entering - leaving) sample;
+    each mean is that sum / n. A block's differences are summed by one
+    cumsum seeded with the sum so far. The buffer w keeps the input
+    samples that later windows still need after x is overwritten.
+    """
+    size = x.shape[0]
+    left = n // 2
+    right = n - 1 - left
+    last = x[-1]
+    # w[:n] holds the extended input from the sample leaving at a block's
+    # first output a on: x[a-1-left .. a-1+right], clipped to the record
+    w = np.empty(min(_BLOCK, size) + n, x.dtype)
+    w[:n] = x[np.clip(np.arange(-left, right + 1), 0, size - 1)]
+    total = np.cumsum(w[:n])[-1]
+    x[0] = total / n
+    for lo in range(1, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        m = hi - lo
+        k = max(min(hi + right, size) - (lo + right), 0)
+        w[n:n + k] = x[lo + right:lo + right + k]
+        w[n + k:n + m] = last
+        d = np.subtract(w[n:n + m], w[:m])
+        d[0] += total
+        np.cumsum(d, out=d)
+        total = d[-1]
+        np.divide(d, n, out=x[lo:hi])
+        w[:n] = w[m:m + n]
+    return x
 
 
 def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
@@ -169,14 +294,8 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
 
     bp = _bandpass(x, fs, 5.0, 15.0)
-
-    # Five-point derivative, centered form of (1/8T)(2dx1 + dx2).
-    deriv = np.zeros_like(bp)
-    deriv[2:-2] = (fs / 8.0) * (2.0 * (bp[3:-1] - bp[1:-3])
-                                + (bp[4:] - bp[:-4]))
-
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
-    mwi = _trailing_mean(deriv * deriv, n_mwi)
+    mwi = _trailing_mean(_squared_derivative(bp, fs), n_mwi)
 
     # Only the integration peak that dominates its half-refractory
     # neighbourhood is weighed; a ripple maximum beside it is not.
@@ -190,7 +309,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # steepest local slope (for the T-wave test).
     peaki = mwi[cand]
     peakf = kernels.trailing_max(bp, cand, n_mwi + 1)
-    slope = kernels.trailing_max(deriv, cand, n_mwi + 1)
+    slope = _slope(bp, fs, cand, n_mwi + 1)
 
     n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
     abs_learn = np.abs(bp[:n_learn])
@@ -199,7 +318,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     spkf = float(np.max(abs_learn))
     npkf = 0.5 * float(np.mean(abs_learn))
     floor_i = THRESHOLD_FLOOR_FRACTION * float(np.max(mwi))
-    floor_f = THRESHOLD_FLOOR_FRACTION * float(np.max(np.abs(bp)))
+    floor_f = THRESHOLD_FLOOR_FRACTION * float(max(bp.max(), -bp.min()))
 
     n_twave = _samples_for(TWAVE_WINDOW_S, fs)
     accept = kernels.pt_decide(cand, peaki, peakf, slope,
@@ -227,8 +346,7 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     bp = _bandpass(x, fs, 0.5, 40.0)
     n_rms = max(_samples_for(RMS_WINDOW_S, fs), 1)
     # bp serves only the envelope, which is worked out in place
-    env = uniform_filter1d(np.square(bp, out=bp), n_rms, mode="nearest")
-    np.sqrt(env, out=env)
+    env = np.sqrt(_running_mean(np.square(bp, out=bp), n_rms), out=bp)
 
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from afscreen import cli, forest, synth
+from afscreen import cli, forest, pipeline, synth
 from afscreen.cli import main
+from afscreen.errors import ContractViolationError
 from afscreen.pipeline import PipelineConfig
 from afscreen.record_io import write_edf, write_rr_csv
 
@@ -267,6 +268,14 @@ BAD_MANIFESTS = {
     "patient_id_nul": (b"path,format,patient_id\na0.csv,rr,p\x00q\n",
                        "manifest row 2: patient_id 'p\\x00q' is not a file "
                        "name"),
+    # once a ValueError traceback from resolving the path
+    "path_nul": (b"path,format,patient_id\na\x000.csv,rr,p1\n",
+                 "manifest row 2, column path: 'a\\x000.csv' is not a "
+                 "path"),
+    "annotations_nul": (b"path,format,patient_id,annotations\n"
+                        b"a0.csv,rr,p1,a\x00.csv\n",
+                        "manifest row 2, column annotations: 'a\\x00.csv' "
+                        "is not a path"),
 }
 
 
@@ -412,6 +421,39 @@ def test_undecodable_entry_lands_in_errors_csv(cohort, tmp_path):
             if r and not r.startswith("#")]
     assert [r.split(",")[:2] for r in body[1:]] == \
         [["a0", "accepted"], ["pbin", "error"]]
+
+
+def fail(message):
+    def detect(record):
+        raise ContractViolationError(message)
+    return detect
+
+
+@pytest.mark.parametrize("failing,logged", [
+    (("test",), "ContractViolationError: test detector failed"),
+    # the reference detector's error, as when the two ran in turn
+    (("reference", "test"),
+     "ContractViolationError: reference detector failed"),
+])
+def test_detector_error_lands_in_errors_csv(cohort, tmp_path, monkeypatch,
+                                            failing, logged):
+    record, _, _ = synth.synth_record(
+        synth.SynthSpec(rhythm_program=[(60.0, "NSR")], seed=3),
+        patient_id="s")
+    (tmp_path / "s.edf").write_bytes(write_edf(record))
+    (tmp_path / "m.csv").write_text(
+        f"path,format,patient_id\n{cohort / 'a0.csv'},rr,a0\n"
+        "s.edf,edf,s\n")
+    for name in failing:
+        monkeypatch.setattr(pipeline, f"detect_{name}",
+                            fail(f"{name} detector failed"))
+    code = main(["predict", "--manifest", str(tmp_path / "m.csv"),
+                 "--model", str(cohort / "model.json"),
+                 "--out-dir", str(tmp_path / "out"), "--workers", "1",
+                 *SMALL])
+    assert code == 0
+    errors = (tmp_path / "out" / "errors.csv").read_text()
+    assert errors == f"patient_id,error\ns,{logged}\n"
 
 
 def test_bad_wfdb_header_lands_in_both_ledgers(cohort, tmp_path):

@@ -1,20 +1,21 @@
 """Per-patient orchestration, manifests, and cohort batch behavior."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from afscreen import pipeline, synth
 from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
-                             ParseError)
+                             ContractViolationError, ParseError)
 from afscreen.features import FEATURE_NAMES
 from afscreen.forest import ForestModel
 from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                cohort_csv, collect_training_windows,
                                process_entry, process_patient,
                                read_manifest, result_to_dict, run_cohort)
-from afscreen.qrs import RPeakSeries
+from afscreen.qrs import RPeakSeries, detect_reference, detect_test
 from afscreen.quality import TOO_NOISY
 from afscreen.record_io import encode_212, write_edf
 
@@ -337,6 +338,54 @@ def test_wfdb_entry_honours_channel(tmp_path, nsr_record):
     assert peaks["resp"] == peaks[0] == 0
     with pytest.raises(ChannelNotFoundError):
         process_entry(entry, AVNN_STUMP, PipelineConfig(channel="PPG"))
+
+
+def edf_entry(tmp_path, record):
+    (tmp_path / "r.edf").write_bytes(write_edf(record))
+    return ManifestEntry(path=str(tmp_path / "r.edf"), fmt="edf",
+                         patient_id="p")
+
+
+def test_load_runs_the_test_detector_on_a_second_thread(tmp_path,
+                                                       nsr_record,
+                                                       monkeypatch):
+    entry = edf_entry(tmp_path, nsr_record)
+    threads = {}
+
+    def spy(name, detect):
+        def run(record):
+            threads[name] = threading.get_ident()
+            return detect(record)
+        return run
+
+    for name in ("detect_reference", "detect_test"):
+        monkeypatch.setattr(pipeline, name,
+                            spy(name, getattr(pipeline, name)))
+    before = threading.active_count()
+    ref, test, _ = pipeline._load(entry, PipelineConfig())
+    assert threading.active_count() == before
+    assert threads["detect_reference"] == threading.get_ident()
+    assert threads["detect_test"] != threading.get_ident()
+    record = pipeline.parse_edf((tmp_path / "r.edf").read_bytes())
+    assert np.array_equal(ref.times, detect_reference(record).times)
+    assert np.array_equal(test.times, detect_test(record).times)
+
+
+@pytest.mark.parametrize("failing", [("reference",), ("test",),
+                                     ("reference", "test")])
+def test_load_joins_its_thread_when_a_detector_raises(tmp_path, nsr_record,
+                                                      monkeypatch, failing):
+    entry = edf_entry(tmp_path, nsr_record)
+    for name in failing:
+        def detect(record, name=name):
+            raise ContractViolationError(f"{name} failed")
+        monkeypatch.setattr(pipeline, f"detect_{name}", detect)
+    before = threading.active_count()
+    with pytest.raises(ContractViolationError) as err:
+        pipeline._load(entry, PipelineConfig())
+    assert threading.active_count() == before
+    # with both failing, the reference detector's error wins
+    assert str(err.value) == f"{failing[0]} failed"
 
 
 def test_minus_5_db_night_is_too_noisy(tmp_path):

@@ -8,12 +8,16 @@ shifted index.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.ndimage import maximum_filter1d
+from scipy.ndimage import maximum_filter1d, uniform_filter1d
+from scipy.signal import butter
+from scipy.signal import sosfiltfilt as scipy_sosfiltfilt
 
 from afscreen import kernels, qrs, quality, synth
 from afscreen.errors import ContractViolationError, UnsupportedRateError
@@ -400,3 +404,112 @@ def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
         want = detect(rec).times
         assert len(want) > seconds / 2
         assert times.dtype == want.dtype and np.array_equal(times, want)
+
+
+# ---------------------------------------------------------------------------
+# the blocked, in-place kernels against the full-length forms
+# ---------------------------------------------------------------------------
+
+def full_derivative(bp, fs):
+    # the five-point derivative over the whole signal at once
+    deriv = np.zeros_like(bp)
+    deriv[2:-2] = (fs / 8.0) * (2.0 * (bp[3:-1] - bp[1:-3])
+                                + (bp[4:] - bp[:-4]))
+    return deriv
+
+
+@pytest.mark.parametrize("fs", [100.0, 128.0, 250.0, 360.0, 500.0])
+@pytest.mark.parametrize("band", [(5.0, 15.0), (0.5, 40.0)])
+def test_sosfiltfilt_matches_scipy(monkeypatch, fs, band):
+    # the odd extension adds 3 * 5 samples at each end of a two-section
+    # filter; lengths put the buffer just either side of block multiples
+    sos = butter(2, list(band), btype="bandpass", output="sos", fs=fs)
+    edge = 15
+    rng = np.random.default_rng(int(fs))
+    for block in (7, 64, qrs._BLOCK):
+        monkeypatch.setattr(qrs, "_BLOCK", block)
+        sizes = {edge + 1, edge + 2}
+        for k in (1, 2, 3):
+            sizes |= {k * block - 2 * edge + d for d in (-1, 0, 1)}
+        for size in sorted(s for s in sizes if s > edge):
+            x = np.cumsum(rng.normal(size=size))
+            want = scipy_sosfiltfilt(sos, x)
+            got = qrs.sosfiltfilt(sos, x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (block, size)
+    with pytest.raises(ValueError):
+        qrs.sosfiltfilt(sos, np.ones(edge))
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 14, 50, 59])
+def test_running_mean_matches_uniform_filter(monkeypatch, n):
+    # lengths from below one window to several blocks
+    rng = np.random.default_rng(n)
+    for block in (1, 7, 64, qrs._BLOCK):
+        monkeypatch.setattr(qrs, "_BLOCK", block)
+        for size in (1, 2, n - 1, n, n + 1, 3 * n + 2, 200, 1000):
+            if size < 1:
+                continue
+            x = rng.normal(size=size) ** 2 * 10.0 ** rng.uniform(-6, 6)
+            want = uniform_filter1d(x, n, mode="nearest")
+            got = qrs._running_mean(x.copy(), n)
+            assert np.array_equal(got, want), (block, size)
+
+
+def test_running_mean_matches_uniform_filter_over_a_night():
+    # the test detector's 100 ms window at 128 Hz over 8 h of samples
+    x = np.random.default_rng(5).normal(size=3_686_400) ** 2
+    want = uniform_filter1d(x, 13, mode="nearest")
+    got = qrs._running_mean(x, 13)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 20, 57])
+def test_blocked_integration_matches_loop(monkeypatch, n):
+    # squared derivative a block at a time, then the in-place mean,
+    # against the loop oracle over the full-length derivative
+    rng = np.random.default_rng(n)
+    fs = 128.0
+    bp = rng.normal(size=700)
+    want = full_derivative(bp, fs)
+    want = oracle_trailing_mean(want * want, n)
+    for block in (1, 7, 64, qrs._BLOCK):
+        monkeypatch.setattr(qrs, "_BLOCK", block)
+        got = qrs._trailing_mean(qrs._squared_derivative(bp, fs), n)
+        assert np.array_equal(got, want), block
+
+
+@pytest.mark.parametrize("n", [1, 20, 39])
+def test_slope_matches_full_derivative(monkeypatch, n):
+    # values on a coarse grid tie often; candidates sit at both ends of
+    # the record and on either side of every block edge
+    rng = np.random.default_rng(n)
+    fs = 128.0
+    bp = rng.integers(-8, 9, size=600) / 8.0
+    deriv = full_derivative(bp, fs)
+    for block in (1, 7, 64, qrs._BLOCK):
+        monkeypatch.setattr(qrs, "_BLOCK", block)
+        edges = np.arange(0, 600, block)
+        cand = np.unique(np.clip(np.concatenate(
+            [[0, 1, 2, 597, 598, 599], edges - 1, edges, edges + 1,
+             rng.choice(600, size=40)]), 0, 599)).astype(np.int64)
+        want = kernels.trailing_max(deriv, cand, n)
+        assert np.array_equal(qrs._slope(bp, fs, cand, n), want), block
+
+
+@pytest.mark.parametrize("detect,bound", [(detect_reference, 3.0),
+                                          (detect_test, 2.0)])
+def test_detector_memory_is_bounded(detect, bound):
+    # peak Python-tracked allocation over one hour at 128 Hz, as a
+    # multiple of the record's own bytes (measured: 2.6x and 1.6x)
+    spec = synth.SynthSpec(rhythm_program=[(1800.0, "NSR"), (1800.0, "AF")],
+                           seed=4, noise_snr_db=10.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="memory")
+    detect(rec)
+    tracemalloc.start()
+    try:
+        detect(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * rec.samples.nbytes

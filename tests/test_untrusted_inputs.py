@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afscreen.errors import AfscreenError, OrderingError, ParseError
+from afscreen.errors import (AfscreenError, ConfigurationError, OrderingError,
+                             ParseError)
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
     save_model
-from afscreen.pipeline import (ManifestEntry, PipelineConfig,
+from afscreen.pipeline import (ManifestEntry, PipelineConfig, csv_text,
                                read_cohort_csv, read_manifest, run_cohort)
 from afscreen.qrs import RPeakSeries
 from afscreen.record_io import (AF, OTHER, EcgRecord, RhythmAnnotations,
@@ -115,12 +116,36 @@ def read_or_refuse(read, data: bytes):
 @given(table_bytes(["path", "format", "patient_id", "ahi",
                     "reference_label", "annotations"],
                    ["", " ", "rr", "EDF", "wfdb", "mp3", "p1", "a.csv",
-                    "1.5", "-2", "nan", "1e400", "abc", "AF", "nonAF",
-                    "#", '"']))
+                    "a\x000.csv", "\x00", "1.5", "-2", "nan", "1e400",
+                    "abc", "AF", "nonAF", "#", '"']))
 def test_read_manifest_on_any_bytes(data):
     entries = read_or_refuse(read_manifest, data)
     for e in entries or []:
         assert isinstance(e, ManifestEntry) and e.path and e.patient_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a0.csv", "d/b.csv", "a\x000.csv",
+                                           "\x00"]),
+                          st.sampled_from(["", "a.csv", "a\x00.csv"])),
+                min_size=1, max_size=3))
+def test_read_manifest_refuses_nul_in_a_path_cell(cells):
+    # well-formed rows, so every row reaches the path checks
+    rows = [["path", "format", "patient_id", "annotations"]]
+    rows += [[path, "rr", f"p{i}", ann] for i, (path, ann) in enumerate(cells)]
+    nul = [(i, column) for i, row in enumerate(cells, start=2)
+           for column, cell in zip(("path", "annotations"), row)
+           if "\0" in cell]
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "m.csv"
+        manifest.write_text(csv_text(rows))
+        if not nul:
+            assert len(read_manifest(manifest)) == len(cells)
+            return
+        with pytest.raises(ConfigurationError) as err:
+            read_manifest(manifest)
+    row, column = nul[0]
+    assert str(err.value).startswith(f"manifest row {row}, column {column}: ")
 
 
 @settings(max_examples=300, deadline=None)
