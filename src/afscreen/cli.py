@@ -131,7 +131,7 @@ def _provenance_lines(run_config: dict) -> list[str]:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def _fmt_opt(value) -> str:
@@ -322,7 +322,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     edf_path = out_dir / f"{args.patient_id}.edf"
     edf_path.write_bytes(edf)
     rr_path = out_dir / f"{args.patient_id}.rr.csv"
-    rr_path.write_text(write_rr_csv(peaks, annotations))
+    _write_text(rr_path, write_rr_csv(peaks, annotations))
     print(f"wrote {edf_path} ({record.duration_s:.0f} s at "
           f"{record.fs:g} Hz) and {rr_path} ({len(peaks)} beats)")
     return 0

@@ -4,11 +4,12 @@
   decision over its candidate peaks, a loop over memoryviews of the
   candidate arrays.
 * ``refractory_pick``: the refractory thinning both detectors apply.
-* ``trailing_max``: trailing-window maxima of |x| read at the detectors'
-  candidates only: the reference detector's dominance scan over its
-  integration peaks, its band-passed peak and slope, and the test
-  detector's threshold. It works on blocks of samples, so it never
-  holds a full-length copy of the signal.
+* ``trailing_max``: windowed maxima of |x| read at given indices only,
+  the window cut at both ends: the reference detector's dominance test
+  over its integration peaks, its band-passed peak and slope, and the
+  test detector's threshold. It reads the signal a block at a time by
+  slicing, so it never holds a full-length copy, and a signal computed
+  slice by slice serves too.
 
 The window features are not kernels: ``features`` and ``quality``
 compute them for all of a night's windows at once.
@@ -20,26 +21,27 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Samples per block of trailing_max; each of its two work buffers holds
-# a block and its halo.
+# Samples per block of trailing_max and of the filter, derivative and
+# means in qrs, which read it at call time.
 _BLOCK = 1 << 15
 
 
 def trailing_max(x, at, n):
     """max(|x[i-n+1 .. i]|) for each index i of the ascending array `at`,
-    the window cut at the start.
+    the window cut at both ends: i may lie past the last sample while
+    its window holds one. x is read only as slices x[lo:hi].
 
     The indices are answered a block at a time: those within _BLOCK
     samples of the block's first index, from the samples of the block
-    and the n-1 before it (its halo). The work is two buffers of at
-    most _BLOCK + n - 1 samples each (about 0.5 MB for float64 at the
-    detectors' n), allocated once per call and reused by every block.
-    In a block, log2(n) doubling passes over |x| turn each sample into
-    the maximum of the p samples ending there, p the largest power of two
-    <= n, and the answer at i is max(m[i], m[i-(n-p)]), whose windows
-    together cover [i-n+1, i]. A maximum rounds nothing, so the result
-    equals the full-length trailing maximum read at `at`, bit for bit.
-    Stretches holding no index of `at` are skipped.
+    and the n-1 before it (its halo), and 0 past the last sample, which
+    no |x| falls below. The work is two buffers of at most _BLOCK + n - 1
+    samples each (about 0.5 MB for float64 at the detectors' n),
+    allocated once per call and reused by every block. In a block,
+    log2(n) doubling passes turn each sample into the maximum of the p
+    samples ending there, p the largest power of two <= n, and the
+    answer at i is max(m[i], m[i-(n-p)]), whose windows together cover
+    [i-n+1, i]. A maximum rounds nothing, so the result equals the
+    full-length windowed maximum read at `at`, bit for bit.
     """
     n = int(n)
     out = np.empty(at.shape[0], x.dtype)
@@ -47,7 +49,7 @@ def trailing_max(x, at, n):
         return out
     p = 1 << (n.bit_length() - 1)
     shift = n - p
-    size = min(_BLOCK + n - 1, x.shape[0])
+    size = min(_BLOCK + n - 1, int(at[-1]) + 1)
     work = np.empty(size, x.dtype), np.empty(size, x.dtype)
     k = 0
     while k < at.shape[0]:
@@ -56,7 +58,9 @@ def trailing_max(x, at, n):
         lo = max(first - n + 1, 0)
         hi = int(at[k_end - 1]) + 1
         m, t = work[0][:hi - lo], work[1][:hi - lo]
-        np.abs(x[lo:hi], out=m)
+        end = min(hi, x.shape[0])
+        np.abs(x[lo:end], out=m[:end - lo])
+        m[end - lo:] = 0
         w = 1
         while w < p and w < m.shape[0]:
             t[:w] = m[:w]

@@ -117,13 +117,24 @@ class CohortReport:
     errors: list  # (patient_id, message)
 
 
+def _read_text(path: str | Path, what: str | None = None) -> str:
+    """A text input's content, read as UTF-8 whatever the locale; bytes
+    that are not UTF-8 raise ParseError naming the line and offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{what or path} line {line} is not UTF-8 text: "
+                         f"{e.reason}", offset=e.start) from None
+
+
 def _read_table(path: str | Path, required: set[str], what: str,
                 ) -> list[tuple[int, dict]]:
     """(row number, row) of each record of a CSV file, from row 2; lines
     starting with '#' are comments, a short row's missing cells empty."""
-    data = Path(path).read_bytes()
+    lines = io.StringIO(_read_text(path, what), newline="")
     try:
-        lines = io.StringIO(data.decode(), newline="")
         reader = csv.DictReader((ln for ln in lines if not ln.startswith("#")),
                                 restval="")
         columns = set(reader.fieldnames or [])
@@ -132,10 +143,6 @@ def _read_table(path: str | Path, required: set[str], what: str,
                 f"{what} must declare columns {sorted(required)}, "
                 f"found {sorted(columns)}")
         return list(enumerate(reader, start=2))
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise ParseError(f"{what} line {line} is not UTF-8 text: {e.reason}",
-                         offset=e.start) from None
     except csv.Error as e:
         raise ParseError(f"{what}: {e}") from None
 
@@ -207,15 +214,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             annotations_path=str((base / ann).resolve()) if ann else None,
         ))
     return entries
-
-
-def _read_text(path: str | Path) -> str:
-    """A text input's content; undecodable bytes raise ParseError."""
-    try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path} is not a text file: {e.reason}",
-                         offset=e.start) from None
 
 
 def _load(entry: ManifestEntry, config: PipelineConfig,

@@ -22,18 +22,22 @@ index downstream.
 
 Both detectors run at the native sampling rate with zero-phase
 second-order-section filters, are deterministic, and return peak times
-in seconds. Thresholds adapt to the signal, so detections are invariant
-to positive rescaling of the input.
+in seconds. Thresholds adapt to the signal, and each band-pass output is
+scaled by the power of two that brings its peak magnitude into
+[0.5, 1), so detections are invariant to positive rescaling of the
+input: bit for bit for x * 2^k, tested for k from -1000 to 1000.
 
 Each detector keeps its working set to one or two signal-length arrays,
-bit for bit with the full-length forms. sosfiltfilt writes the odd
-extension into one buffer and filters it forward, then backward, in
-place, a block of _BLOCK samples at a time with the filter state carried
-from block to block. The reference detector squares its derivative a
-block at a time into the array that the trailing mean then overwrites,
-and recomputes the derivative for each block of candidates to take
-their slopes. The test detector's envelope is a running mean worked out
-in place over the squared band-pass.
+bit for bit with the full-length forms, a block of kernels._BLOCK
+samples at a time. sosfiltfilt writes the odd extension into one buffer
+and filters it forward, then backward, in place, with the filter state
+carried from block to block. The reference detector squares its
+derivative a block at a time into the array that the trailing mean then
+overwrites. Every windowed maximum, in the dominance test and for the
+band-passed peak and the slope, is one kernels.trailing_max call; the
+slopes come from a view of the derivative that computes only the slices
+read. The test detector's envelope is a running mean worked out in
+place over the squared band-pass.
 """
 
 from __future__ import annotations
@@ -73,10 +77,6 @@ THRESHOLD_FLOOR_FRACTION = 1e-3
 TEST_FLOOR_FRACTION = 2e-2
 MIN_FS_HZ = 100.0
 MIN_DURATION_S = 10.0
-
-# Samples per block of the blocked filter, derivative and means; each
-# block's temporaries hold a few times _BLOCK samples.
-_BLOCK = 1 << 15
 
 
 @dataclass
@@ -130,16 +130,7 @@ def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
     # The candidates c, ascending, with x[c] >= max(x[c-h .. c+h]), the
     # window cut at both ends of x; needs x >= 0. Equal values dominate,
     # so both of two tied maxima within h stay.
-    k = int(np.searchsorted(cand, x.shape[0] - 1 - h, side="right"))
-    # For cand[:k] the window ends inside x: it is the trailing window of
-    # 2h+1 samples ending at c+h, and |x| = x.
-    bound = kernels.trailing_max(x, cand[:k] + h, 2 * h + 1)
-    # The at most h later ones run past the last sample: their maxima
-    # over [c-h, end] are suffix maxima of the last 2h+1 samples.
-    lo = max(x.shape[0] - 1 - 2 * h, 0)
-    tail = np.maximum.accumulate(x[lo:][::-1])[::-1]
-    bound = np.concatenate([bound, tail[np.maximum(cand[k:] - h, 0) - lo]])
-    return cand[x[cand] >= bound]
+    return cand[x[cand] >= kernels.trailing_max(x, cand + h, 2 * h + 1)]
 
 
 def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -147,9 +138,9 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     buffer.
 
     The odd extension of x by 3 * ntaps samples at each end goes into
-    one buffer. sosfilt runs over it forward from the state sosfilt_zi
-    scaled by the first sample, then backward from that scaled by the
-    last, a block at a time: the state carries from block to block, and
+    one buffer. sosfilt runs over it forward, then over its reversed
+    view, each pass from the state sosfilt_zi scaled by its first sample
+    and a block at a time: the state carries from block to block, and
     each block's output overwrites it in place. sosfilt takes one sample
     through every section before the next, so blocks change no value.
     The result is a view of the buffer.
@@ -166,20 +157,23 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     buf[edge:-edge] = x
     buf[-edge:] = 2 * x[-1] - x[-2:-edge - 2:-1]
     zi = sosfilt_zi(sos)
-    z = zi * buf[0]
-    for lo in range(0, buf.shape[0], _BLOCK):
-        block = buf[lo:lo + _BLOCK]
-        block[:], z = sosfilt(sos, block, zi=z)
-    z = zi * buf[-1]
-    for hi in range(buf.shape[0], 0, -_BLOCK):
-        block = buf[max(hi - _BLOCK, 0):hi][::-1]
-        block[:], z = sosfilt(sos, block, zi=z)
+    for run in (buf, buf[::-1]):
+        z = zi * run[0]
+        for lo in range(0, run.shape[0], kernels._BLOCK):
+            block = run[lo:lo + kernels._BLOCK]
+            block[:], z = sosfilt(sos, block, zi=z)
     return buf[edge:-edge]
 
 
 def _bandpass(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarray:
+    # The output is scaled in place by the power of two that brings its
+    # peak magnitude into [0.5, 1). That is exact, so no detection
+    # moves, and the squares and sums after it neither overflow nor
+    # underflow at any input scale.
     sos = butter(2, [lo, hi], btype="bandpass", output="sos", fs=fs)
-    return sosfiltfilt(sos, x)
+    bp = sosfiltfilt(sos, x)
+    np.ldexp(bp, -math.frexp(max(bp.max(), -bp.min()))[1], out=bp)
+    return bp
 
 
 def _derivative(bp: np.ndarray, fs: float, lo: int, hi: int) -> np.ndarray:
@@ -194,29 +188,22 @@ def _derivative(bp: np.ndarray, fs: float, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+class _DerivativeView:
+    # The derivative of bp as one array whose slice [lo:hi] is computed
+    # when it is read: kernels.trailing_max takes the slopes from it.
+    def __init__(self, bp: np.ndarray, fs: float) -> None:
+        self.bp, self.fs, self.shape, self.dtype = bp, fs, bp.shape, bp.dtype
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return _derivative(self.bp, self.fs, s.start, s.stop)
+
+
 def _squared_derivative(bp: np.ndarray, fs: float) -> np.ndarray:
     # The squared derivative, a block at a time into one array.
     out = np.empty_like(bp)
-    for lo in range(0, bp.shape[0], _BLOCK):
-        d = _derivative(bp, fs, lo, min(lo + _BLOCK, bp.shape[0]))
+    for lo in range(0, bp.shape[0], kernels._BLOCK):
+        d = _derivative(bp, fs, lo, min(lo + kernels._BLOCK, bp.shape[0]))
         np.multiply(d, d, out=out[lo:lo + d.shape[0]])
-    return out
-
-
-def _slope(bp: np.ndarray, fs: float, cand: np.ndarray, n: int
-           ) -> np.ndarray:
-    # kernels.trailing_max(derivative, cand, n) without the full-length
-    # derivative: for each block of candidates within _BLOCK samples of
-    # its first, the derivative over the block's windows only. A window
-    # cut at the start is cut at sample 0 in both.
-    out = np.empty(cand.shape[0])
-    k = 0
-    while k < cand.shape[0]:
-        k_end = k + int(np.searchsorted(cand[k:], cand[k] + _BLOCK))
-        lo = max(int(cand[k]) - n + 1, 0)
-        d = _derivative(bp, fs, lo, int(cand[k_end - 1]) + 1)
-        out[k:k_end] = kernels.trailing_max(d, cand[k:k_end] - lo, n)
-        k = k_end
     return out
 
 
@@ -225,8 +212,8 @@ def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
     # Overwrites x with its running sum, then with the means, a block at
     # a time from the end, and returns x.
     csum = np.cumsum(x, out=x)
-    for hi in range(x.shape[0], n, -_BLOCK):
-        lo = max(hi - _BLOCK, n)
+    for hi in range(x.shape[0], n, -kernels._BLOCK):
+        lo = max(hi - kernels._BLOCK, n)
         # the later means are written; csum[lo-n:hi-n] is still whole
         np.subtract(csum[lo:hi], csum[lo - n:hi - n], out=x[lo:hi])
         x[lo:hi] /= n
@@ -251,12 +238,12 @@ def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
     last = x[-1]
     # w[:n] holds the extended input from the sample leaving at a block's
     # first output a on: x[a-1-left .. a-1+right], clipped to the record
-    w = np.empty(min(_BLOCK, size) + n, x.dtype)
+    w = np.empty(min(kernels._BLOCK, size) + n, x.dtype)
     w[:n] = x[np.clip(np.arange(-left, right + 1), 0, size - 1)]
     total = np.cumsum(w[:n])[-1]
     x[0] = total / n
-    for lo in range(1, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
+    for lo in range(1, size, kernels._BLOCK):
+        hi = min(lo + kernels._BLOCK, size)
         m = hi - lo
         k = max(min(hi + right, size) - (lo + right), 0)
         w[n:n + k] = x[lo + right:lo + right + k]
@@ -290,7 +277,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     _check_record(record)
     x = record.samples
     fs = record.fs
-    if np.ptp(x) == 0:
+    if x.max() == x.min():
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
 
     bp = _bandpass(x, fs, 5.0, 15.0)
@@ -301,15 +288,13 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # neighbourhood is weighed; a ripple maximum beside it is not.
     n_ref = _samples_for(REFRACTORY_REFERENCE_S, fs)
     cand = _dominant(mwi, _local_maxima(mwi), n_ref // 2)
-    if cand.shape[0] == 0:
-        return RPeakSeries(times=np.empty(0), source=REFERENCE)
 
     # Per-candidate context over the trailing integration window: the
     # band-passed peak that produced the integration peak and the
     # steepest local slope (for the T-wave test).
     peaki = mwi[cand]
     peakf = kernels.trailing_max(bp, cand, n_mwi + 1)
-    slope = _slope(bp, fs, cand, n_mwi + 1)
+    slope = kernels.trailing_max(_DerivativeView(bp, fs), cand, n_mwi + 1)
 
     n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
     abs_learn = np.abs(bp[:n_learn])
@@ -326,8 +311,6 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
                                floor_i, floor_f, n_ref, n_twave)
 
     acc = cand[accept]
-    if acc.shape[0] == 0:
-        return RPeakSeries(times=np.empty(0), source=REFERENCE)
     n_refine = _samples_for(REFINE_WINDOW_S, fs)
     fid = np.unique(_fiducials(bp, acc, n_mwi, n_refine))
     keep = kernels.refractory_pick(fid, np.int64(n_ref))
@@ -340,13 +323,16 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     _check_record(record)
     x = record.samples
     fs = record.fs
-    if np.ptp(x) == 0:
+    if x.max() == x.min():
         return RPeakSeries(times=np.empty(0), source=TEST)
 
     bp = _bandpass(x, fs, 0.5, 40.0)
     n_rms = max(_samples_for(RMS_WINDOW_S, fs), 1)
-    # bp serves only the envelope, which is worked out in place
-    env = np.sqrt(_running_mean(np.square(bp, out=bp), n_rms), out=bp)
+    # bp serves only the envelope, which is worked out in place. The
+    # running sum's rounding residue can take a mean over a flat stretch
+    # below 0, so the means are clamped at 0 before the square root.
+    env = _running_mean(np.square(bp, out=bp), n_rms)
+    env = np.sqrt(np.maximum(env, 0.0, out=env), out=env)
 
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))
@@ -356,8 +342,6 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     threshold = (TEST_THRESHOLD_FRACTION
                  * kernels.trailing_max(env, cand, n_trail))
     cand = cand[env[cand] > np.maximum(threshold, floor)]
-    if cand.shape[0] == 0:
-        return RPeakSeries(times=np.empty(0), source=TEST)
 
     n_ref = _samples_for(REFRACTORY_TEST_S, fs)
     keep = kernels.refractory_pick(cand, np.int64(n_ref))

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigurationError, ContractViolationError
 from .record_io import AF, NON_AF, PatientMeta
@@ -92,20 +91,25 @@ def auroc(scores) -> tuple[float | None, list[tuple[float, float]]]:
     n0 = s.shape[0] - n1
     if n1 == 0 or n0 == 0:
         return None, []
-    ranks = rankdata(s)
-    auc = (float(ranks[pos].sum()) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
+    # One ROC point per group of tied scores, from the highest down. A
+    # group's fp - fp_prev negatives lie below the tp_prev positives of
+    # the groups above and tie with its own tp - tp_prev, so twice the
+    # Mann-Whitney U sums (fp - fp_prev) * (tp + tp_prev), exactly.
     order = np.argsort(-s, kind="mergesort")
     ss = s[order]
     tps = np.cumsum(pos[order])
-    ns = np.arange(1, s.shape[0] + 1)
     last_of_group = np.flatnonzero(
         np.concatenate([ss[:-1] != ss[1:], [True]]))
     points = [(0.0, 0.0)]
-    for i in last_of_group:
-        fp = int(ns[i] - tps[i])
-        points.append((fp / n0, int(tps[i]) / n1))
-    return auc, points
+    two_u = tp_prev = fp_prev = 0
+    for i in last_of_group.tolist():
+        tp = int(tps[i])
+        fp = i + 1 - tp
+        two_u += (fp - fp_prev) * (tp + tp_prev)
+        tp_prev, fp_prev = tp, fp
+        points.append((fp / n0, tp / n1))
+    return two_u / (2 * n1 * n0), points
 
 
 def normal_cdf(z: float) -> float:

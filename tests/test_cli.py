@@ -1,10 +1,16 @@
 """End-to-end command-line runs against small synthetic cohorts."""
 
+import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import afscreen
 from afscreen import cli, forest, pipeline, synth
 from afscreen.cli import main
 from afscreen.errors import ContractViolationError
@@ -517,6 +523,51 @@ def test_qc_byte_identical_across_workers(tmp_path):
     assert sorted(outputs[0]) == ["qc.csv", "s1.peaks.csv", "s2.peaks.csv"]
     assert outputs[0] == outputs[1]
     assert b"\ngone,error,,FileNotFoundError" in outputs[0]["qc.csv"]
+
+
+def test_qc_ledger_does_not_depend_on_the_locale(tmp_path):
+    # a UTF-8 manifest naming patient "p\u00e9", and an RR file that is
+    # not UTF-8: under the C locale with UTF-8 mode off, qc once ended
+    # in a UnicodeEncodeError and left an empty ledger
+    write_rr(tmp_path / "a.csv", [(120.0, "NSR")], seed=1)
+    (tmp_path / "bad.csv").write_bytes(b"0.5\n1.\xe9\n")
+    (tmp_path / "m.csv").write_bytes(
+        "path,format,patient_id\na.csv,rr,p\u00e9\nbad.csv,rr,bad\n"
+        .encode("utf-8"))
+    src = str(Path(afscreen.__file__).parents[1])
+    ledgers = []
+    for locale in ({"PYTHONUTF8": "1"},
+                   {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                    "LC_ALL": "C"}):
+        env = {**os.environ, "PYTHONPATH": src, **locale}
+        run = subprocess.run(
+            [sys.executable, "-m", "afscreen.cli", "qc", "--manifest",
+             str(tmp_path / "m.csv"), "--out", str(tmp_path / "qc.csv"),
+             "--workers", "1", *SMALL],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        ledgers.append((tmp_path / "qc.csv").read_bytes())
+    assert ledgers[0] == ledgers[1]
+    assert "\np\u00e9,accepted,".encode("utf-8") in ledgers[0]
+    assert b"\nbad,error,,ParseError: " in ledgers[0]
+
+
+def test_every_text_file_call_names_its_encoding():
+    # open, read_text and write_text otherwise use the locale's
+    # encoding; binary files go through read_bytes and write_bytes
+    calls = 0
+    for path in Path(afscreen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in ("open", "read_text", "write_text"):
+                calls += 1
+                assert any(k.arg == "encoding" for k in node.keywords), \
+                    f"{path.name}:{node.lineno}"
+    assert calls > 0
 
 
 # ---------------------------------------------------------------------------

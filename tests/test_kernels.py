@@ -26,6 +26,11 @@ def oracle_trailing_max(x, n):
     return np.array([max(x[max(0, i - n + 1):i + 1]) for i in range(len(x))])
 
 
+def oracle_windowed_max(x, at, n):
+    # the maximum over the samples of [i-n+1, i] that exist, for each i
+    return np.array([max(x[max(0, i - n + 1):i + 1]) for i in at])
+
+
 def oracle_refractory(idx, gap):
     kept = []
     last = None
@@ -210,14 +215,36 @@ def test_trailing_max_matches_oracle(n, monkeypatch):
                 elements=st.floats(allow_nan=False, allow_infinity=False)),
        data=st.data())
 def test_trailing_max_on_any_finite_array(x, data):
+    # indices run up to the last one whose window still holds a sample
     n = data.draw(st.integers(1, 2 * x.shape[0] + 2), label="n")
-    at = np.array(sorted(data.draw(st.lists(st.integers(0, x.shape[0] - 1)),
+    last = x.shape[0] + n - 2
+    at = np.array(sorted(data.draw(st.lists(st.integers(0, last)),
                                    label="at")), dtype=np.int64)
     block = data.draw(st.sampled_from([1, 7, 64, kernels._BLOCK]),
                       label="block")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK", block)
-        check_trailing_max(x, at, n, oracle_trailing_max(np.abs(x), n))
+        got = kernels.trailing_max(x, at, n)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, oracle_windowed_max(np.abs(x), at, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 151, 999, 1500])
+def test_trailing_max_past_the_last_sample(n, monkeypatch):
+    # indices from inside the record up to the last one whose window
+    # still holds a sample, on either side of the block edges
+    x = RNG.integers(-6, 7, size=400) / 4.0
+    last = x.shape[0] + n - 2
+    for block in (1, 7, 64, kernels._BLOCK):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        edges = np.arange(0, last + block, block)
+        at = np.concatenate([[0, 399, 400, last], edges - 1, edges,
+                             edges + 1, RNG.integers(0, last + 1, size=60)])
+        at = np.unique(at[(at >= 0) & (at <= last)]).astype(np.int64)
+        got = kernels.trailing_max(x, at, n)
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, oracle_windowed_max(np.abs(x), at, n)), \
+            block
 
 
 def test_refractory_pick_matches_oracle():

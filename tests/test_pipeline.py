@@ -340,6 +340,40 @@ def test_wfdb_entry_honours_channel(tmp_path, nsr_record):
         process_entry(entry, AVNN_STUMP, PipelineConfig(channel="PPG"))
 
 
+def test_process_entry_is_invariant_to_the_file_scale(tmp_path,
+                                                     nsr_record):
+    # format-212 gains of 1e300 and 1e-300 and an EDF physical range of
+    # +-1.5e200 scale the samples to near the ends of the float range,
+    # where the detectors once found nothing or overflowed
+    def result(name, fmt):
+        entry = ManifestEntry(path=str(tmp_path / name), fmt=fmt,
+                              patient_id="p")
+        return result_to_dict(process_entry(entry, AVNN_STUMP,
+                                            PipelineConfig()))
+
+    ecg = np.clip(np.round(nsr_record.samples * 200.0), -2048, 2047)
+    (tmp_path / "w.dat").write_bytes(encode_212(ecg))
+    wfdb = []
+    for gain in ("200", "1e300", "1e-300"):
+        (tmp_path / "w.hea").write_text(
+            f"w 1 {nsr_record.fs:g} {ecg.shape[0]}\n"
+            f"w.dat 212 {gain} 12 0 0 0 0 ECG\n")
+        wfdb.append(result("w.hea", "wfdb"))
+    assert wfdb[0]["qc"]["n_peaks_reference"] > 100
+    assert wfdb[1] == wfdb[0] and wfdb[2] == wfdb[0]
+
+    # one payload under two physical ranges, the second 1e200 times the
+    # first; a one-signal header keeps them at bytes 360 and 368
+    edf = bytearray(write_edf(nsr_record))
+    edf_results = []
+    for lo, hi in (("-1.5", "1.5"), ("-1.5e200", "1.5e200")):
+        edf[360:376] = lo.ljust(8).encode() + hi.ljust(8).encode()
+        (tmp_path / "e.edf").write_bytes(edf)
+        edf_results.append(result("e.edf", "edf"))
+    assert edf_results[0]["qc"]["n_peaks_reference"] > 100
+    assert edf_results[1] == edf_results[0]
+
+
 def edf_entry(tmp_path, record):
     (tmp_path / "r.edf").write_bytes(write_edf(record))
     return ManifestEntry(path=str(tmp_path / "r.edf"), fmt="edf",

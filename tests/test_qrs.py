@@ -8,11 +8,12 @@ shifted index.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
@@ -173,6 +174,54 @@ def test_amplitude_scale_invariance_general(c):
         assert np.array_equal(detect(scaled).times, detect(rec).times)
 
 
+@functools.cache
+def zero_db_record():
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "AF")], seed=2,
+                           noise_snr_db=0.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="scale")
+    return rec, [detect(rec).times for detect in (detect_reference,
+                                                  detect_test)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-1000)
+@example(k=1000)
+def test_amplitude_scale_invariance_over_the_float_range(k):
+    # x * 2^k for k from -1000 to 1000: the samples stay normal floats,
+    # where the squares and sums of an unscaled band-pass once
+    # overflowed or underflowed to no detections
+    rec, want = zero_db_record()
+    scaled = EcgRecord(patient_id="scale", samples=np.ldexp(rec.samples, k),
+                       fs=rec.fs)
+    for detect, times in zip((detect_reference, detect_test), want):
+        assert np.array_equal(detect(scaled).times, times)
+
+
+def test_a_lead_off_stretch_leaves_the_test_detector_working():
+    # 10 min of one value in a clean 30 min night: the running mean's
+    # rounding residue went below 0 there, and the square root's NaN
+    # once took every test detection of the night away
+    spec = synth.SynthSpec(rhythm_program=[(1800.0, "NSR")], seed=0)
+    rec, _, _ = synth.synth_record(spec, patient_id="leadoff")
+    x = rec.samples.copy()
+    x[int(600 * rec.fs):int(1200 * rec.fs)] = 0.0
+    rec = EcgRecord(patient_id="leadoff", samples=x, fs=rec.fs)
+    ref = len(detect_reference(rec))
+    assert ref > 1400
+    assert abs(len(detect_test(rec)) - ref) <= 0.01 * ref
+
+
+@pytest.mark.parametrize("x", [np.r_[np.zeros(3840), np.ones(3840)],
+                               np.r_[1.0, np.zeros(7679)]])
+def test_step_and_impulse_records_detect_without_warnings(x):
+    # warnings are errors here; both once took a square root of a
+    # negative mean
+    rec = EcgRecord(patient_id="edge", samples=x, fs=128.0)
+    for detect in (detect_reference, detect_test):
+        assert len(detect(rec)) <= 2
+
+
 def test_series_requires_strict_increase():
     with pytest.raises(ContractViolationError):
         RPeakSeries(times=np.array([1.0, 1.0, 2.0]), source="reference")
@@ -192,10 +241,13 @@ def oracle_trailing_mean(x, n):
 
 
 def full_length_trailing_max(x, at, n):
-    # max(|x[i-n+1 .. i]|) at every sample, the window cut at the start,
-    # read at `at`: a positive origin pulls the window toward earlier
-    # samples, and (n-1)//2 is the largest legal shift
-    return maximum_filter1d(np.abs(x), size=n, mode="nearest",
+    # max(|x[i-n+1 .. i]|) at every sample and at the n-1 past the last,
+    # the window cut at both ends, read at `at`: x is read as one slice
+    # and padded with zeros, which no |x| falls below; a positive origin
+    # pulls the window toward earlier samples, and (n-1)//2 is the
+    # largest legal shift
+    full = np.concatenate([np.abs(x[0:x.shape[0]]), np.zeros(n - 1)])
+    return maximum_filter1d(full, size=n, mode="nearest",
                             origin=(n - 1) // 2)[at]
 
 
@@ -426,8 +478,8 @@ def test_sosfiltfilt_matches_scipy(monkeypatch, fs, band):
     sos = butter(2, list(band), btype="bandpass", output="sos", fs=fs)
     edge = 15
     rng = np.random.default_rng(int(fs))
-    for block in (7, 64, qrs._BLOCK):
-        monkeypatch.setattr(qrs, "_BLOCK", block)
+    for block in (7, 64, kernels._BLOCK):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         sizes = {edge + 1, edge + 2}
         for k in (1, 2, 3):
             sizes |= {k * block - 2 * edge + d for d in (-1, 0, 1)}
@@ -445,8 +497,8 @@ def test_sosfiltfilt_matches_scipy(monkeypatch, fs, band):
 def test_running_mean_matches_uniform_filter(monkeypatch, n):
     # lengths from below one window to several blocks
     rng = np.random.default_rng(n)
-    for block in (1, 7, 64, qrs._BLOCK):
-        monkeypatch.setattr(qrs, "_BLOCK", block)
+    for block in (1, 7, 64, kernels._BLOCK):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         for size in (1, 2, n - 1, n, n + 1, 3 * n + 2, 200, 1000):
             if size < 1:
                 continue
@@ -473,28 +525,33 @@ def test_blocked_integration_matches_loop(monkeypatch, n):
     bp = rng.normal(size=700)
     want = full_derivative(bp, fs)
     want = oracle_trailing_mean(want * want, n)
-    for block in (1, 7, 64, qrs._BLOCK):
-        monkeypatch.setattr(qrs, "_BLOCK", block)
+    for block in (1, 7, 64, kernels._BLOCK):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         got = qrs._trailing_mean(qrs._squared_derivative(bp, fs), n)
         assert np.array_equal(got, want), block
 
 
 @pytest.mark.parametrize("n", [1, 20, 39])
 def test_slope_matches_full_derivative(monkeypatch, n):
-    # values on a coarse grid tie often; candidates sit at both ends of
-    # the record and on either side of every block edge
+    # the slopes are trailing_max over the derivative view, read a slice
+    # at a time; values on a coarse grid tie often, and the indices sit
+    # at both ends of the record, past its end and on either side of
+    # every block edge
     rng = np.random.default_rng(n)
     fs = 128.0
     bp = rng.integers(-8, 9, size=600) / 8.0
     deriv = full_derivative(bp, fs)
-    for block in (1, 7, 64, qrs._BLOCK):
-        monkeypatch.setattr(qrs, "_BLOCK", block)
+    last = 600 + n - 2  # the last index whose window holds a sample
+    for block in (1, 7, 64, kernels._BLOCK):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         edges = np.arange(0, 600, block)
-        cand = np.unique(np.clip(np.concatenate(
-            [[0, 1, 2, 597, 598, 599], edges - 1, edges, edges + 1,
-             rng.choice(600, size=40)]), 0, 599)).astype(np.int64)
-        want = kernels.trailing_max(deriv, cand, n)
-        assert np.array_equal(qrs._slope(bp, fs, cand, n), want), block
+        at = np.unique(np.clip(np.concatenate(
+            [[0, 1, 2, 597, 598, 599, last], edges - 1, edges, edges + 1,
+             rng.choice(600, size=40)]), 0, last)).astype(np.int64)
+        got = kernels.trailing_max(qrs._DerivativeView(bp, fs), at, n)
+        want = full_length_trailing_max(deriv, at, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), block
 
 
 @pytest.mark.parametrize("detect,bound", [(detect_reference, 3.0),

@@ -1,9 +1,12 @@
 """Metrics, AUROC, the non-inferiority test, and AHI stratification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afscreen import stats
 from afscreen.errors import ConfigurationError, ContractViolationError
@@ -162,6 +165,24 @@ def test_noninferiority_wald_formula():
 
 # ---------------------------------------------------------------------------
 # AUROC
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                          | st.floats(0.0, 1.0), st.booleans()),
+                max_size=80))
+def test_auroc_is_the_pairwise_count_correctly_rounded(pairs):
+    # every positive-negative pair, a tie worth one half, counted
+    # exactly; few distinct scores make ties common
+    n1 = sum(y for _, y in pairs)
+    n0 = len(pairs) - n1
+    auc, points = auroc(pairs)
+    if n1 == 0 or n0 == 0:
+        assert (auc, points) == (None, [])
+        return
+    twice = sum(2 if p > q else 1 if p == q else 0
+                for p, y in pairs if y for q, z in pairs if not z)
+    assert auc == float(Fraction(twice, 2 * n1 * n0))
 
 
 def test_auroc_perfect_and_reversed():
