@@ -17,8 +17,10 @@ maxima within h samples stay candidates.
 The test detector is structurally different on purpose: band-pass
 0.5-40 Hz, a centered 100 ms moving-RMS envelope, one adaptive
 threshold at 0.6x the trailing 2 s envelope maximum, and a 250 ms
-refractory period. Disagreement between the two drives the beat-quality
-index downstream.
+refractory period. Its envelope is the reference detector's trailing
+mean over the squared band-pass, each value placed at its window's
+centre; it ends half a window before the record does. Disagreement
+between the two drives the beat-quality index downstream.
 
 Both detectors run at the native sampling rate with zero-phase
 second-order-section filters, are deterministic, and return peak times
@@ -36,8 +38,8 @@ derivative a block at a time into the array that the trailing mean then
 overwrites. Every windowed maximum, in the dominance test and for the
 band-passed peak and the slope, is one kernels.trailing_max call; the
 slopes come from a view of the derivative that computes only the slices
-read. The test detector's envelope is a running mean worked out in
-place over the squared band-pass.
+read. Both detectors' sliding means are one _trailing_mean call, worked
+out in place.
 """
 
 from __future__ import annotations
@@ -165,15 +167,18 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return buf[edge:-edge]
 
 
-def _bandpass(x: np.ndarray, fs: float, lo: float, hi: float) -> np.ndarray:
+def _bandpass(x: np.ndarray, fs: float, lo: float,
+              hi: float) -> tuple[np.ndarray, float]:
     # The output is scaled in place by the power of two that brings its
     # peak magnitude into [0.5, 1). That is exact, so no detection
     # moves, and the squares and sums after it neither overflow nor
-    # underflow at any input scale.
+    # underflow at any input scale. Returns the output and its peak
+    # magnitude, which is the frexp mantissa.
     sos = butter(2, [lo, hi], btype="bandpass", output="sos", fs=fs)
     bp = sosfiltfilt(sos, x)
-    np.ldexp(bp, -math.frexp(max(bp.max(), -bp.min()))[1], out=bp)
-    return bp
+    peak, exp = math.frexp(max(bp.max(), -bp.min()))
+    np.ldexp(bp, -exp, out=bp)
+    return bp, peak
 
 
 def _derivative(bp: np.ndarray, fs: float, lo: int, hi: int) -> np.ndarray:
@@ -221,42 +226,6 @@ def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _running_mean(x: np.ndarray, n: int) -> np.ndarray:
-    """scipy.ndimage.uniform_filter1d(x, n, mode="nearest"), bit for
-    bit, in place: the mean of x[i - n//2 .. i - n//2 + n - 1], the
-    input extended by its edge samples.
-
-    As in ndimage, the sum of the first window is taken in order, and
-    each later sum is the one before plus (entering - leaving) sample;
-    each mean is that sum / n. A block's differences are summed by one
-    cumsum seeded with the sum so far. The buffer w keeps the input
-    samples that later windows still need after x is overwritten.
-    """
-    size = x.shape[0]
-    left = n // 2
-    right = n - 1 - left
-    last = x[-1]
-    # w[:n] holds the extended input from the sample leaving at a block's
-    # first output a on: x[a-1-left .. a-1+right], clipped to the record
-    w = np.empty(min(kernels._BLOCK, size) + n, x.dtype)
-    w[:n] = x[np.clip(np.arange(-left, right + 1), 0, size - 1)]
-    total = np.cumsum(w[:n])[-1]
-    x[0] = total / n
-    for lo in range(1, size, kernels._BLOCK):
-        hi = min(lo + kernels._BLOCK, size)
-        m = hi - lo
-        k = max(min(hi + right, size) - (lo + right), 0)
-        w[n:n + k] = x[lo + right:lo + right + k]
-        w[n + k:n + m] = last
-        d = np.subtract(w[n:n + m], w[:m])
-        d[0] += total
-        np.cumsum(d, out=d)
-        total = d[-1]
-        np.divide(d, n, out=x[lo:hi])
-        w[:n] = w[m:m + n]
-    return x
-
-
 def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
                n_refine: int) -> np.ndarray:
     # For each beat index c: the band-passed maximum over [c-n_mwi, c],
@@ -280,7 +249,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     if x.max() == x.min():
         return RPeakSeries(times=np.empty(0), source=REFERENCE)
 
-    bp = _bandpass(x, fs, 5.0, 15.0)
+    bp, peak = _bandpass(x, fs, 5.0, 15.0)
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
     mwi = _trailing_mean(_squared_derivative(bp, fs), n_mwi)
 
@@ -303,7 +272,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     spkf = float(np.max(abs_learn))
     npkf = 0.5 * float(np.mean(abs_learn))
     floor_i = THRESHOLD_FLOOR_FRACTION * float(np.max(mwi))
-    floor_f = THRESHOLD_FLOOR_FRACTION * float(max(bp.max(), -bp.min()))
+    floor_f = THRESHOLD_FLOOR_FRACTION * peak
 
     n_twave = _samples_for(TWAVE_WINDOW_S, fs)
     accept = kernels.pt_decide(cand, peaki, peakf, slope,
@@ -326,13 +295,17 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     if x.max() == x.min():
         return RPeakSeries(times=np.empty(0), source=TEST)
 
-    bp = _bandpass(x, fs, 0.5, 40.0)
+    bp, _ = _bandpass(x, fs, 0.5, 40.0)
     n_rms = max(_samples_for(RMS_WINDOW_S, fs), 1)
-    # bp serves only the envelope, which is worked out in place. The
-    # running sum's rounding residue can take a mean over a flat stretch
+    # bp serves only the envelope, which is worked out in place. A
+    # difference of running sums can take a mean over a flat stretch
     # below 0, so the means are clamped at 0 before the square root.
-    env = _running_mean(np.square(bp, out=bp), n_rms)
+    env = _trailing_mean(np.square(bp, out=bp), n_rms)
     env = np.sqrt(np.maximum(env, 0.0, out=env), out=env)
+    # The mean over [j-n_rms+1, j] belongs to its window's centre j-r,
+    # r = n_rms-1-n_rms//2: env[r:] is the centred envelope, which ends
+    # r samples (half a window) before the record does.
+    env = env[n_rms - 1 - n_rms // 2:]
 
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))

@@ -324,6 +324,17 @@ def _format_edf_float(v: float, width: int = 8) -> str:
     raise ConfigurationError(f"cannot format {v} in {width} ASCII characters")
 
 
+def _edf_bound(v: float, side: float) -> float:
+    # The printed value of v, moved outward (side -1 below, +1 above) by
+    # steps from 1e-5 of |v|, doubling, until it holds v: no sample is
+    # clipped, and the range stays as tight as the printing allows at
+    # any scale.
+    bound, step = v, max(abs(v) * 1e-5, math.ulp(0.0))
+    while side * (float(_format_edf_float(bound)) - v) < 0:
+        bound, step = v + side * step, 2.0 * step
+    return float(_format_edf_float(bound))
+
+
 def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
     """Encode a record as a single-signal EDF byte string.
 
@@ -342,12 +353,7 @@ def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
         hi += 1.0
     # Quantize against the values the parser will read back, not the raw
     # extrema, so digital payloads are stable across write/parse cycles.
-    pmin = float(_format_edf_float(lo))
-    pmax = float(_format_edf_float(hi))
-    if pmin > lo:
-        pmin = float(_format_edf_float(lo - abs(lo) * 1e-5 - 1e-9))
-    if pmax < hi:
-        pmax = float(_format_edf_float(hi + abs(hi) * 1e-5 + 1e-9))
+    pmin, pmax = _edf_bound(lo, -1.0), _edf_bound(hi, 1.0)
 
     spr = None
     for k in range(1, 61):

@@ -199,9 +199,9 @@ def test_amplitude_scale_invariance_over_the_float_range(k):
 
 
 def test_a_lead_off_stretch_leaves_the_test_detector_working():
-    # 10 min of one value in a clean 30 min night: the running mean's
-    # rounding residue went below 0 there, and the square root's NaN
-    # once took every test detection of the night away
+    # 10 min of one value in a clean 30 min night: the running sum's
+    # rounding residue can take a mean below 0 there, and the square
+    # root's NaN once took every test detection of the night away
     spec = synth.SynthSpec(rhythm_program=[(1800.0, "NSR")], seed=0)
     rec, _, _ = synth.synth_record(spec, patient_id="leadoff")
     x = rec.samples.copy()
@@ -440,6 +440,55 @@ def test_detect_reference_matches_loop_oracles_at_edges(monkeypatch,
         assert np.any(bp[fid] == bp[fid + 1])
 
 
+def oracle_detect_test(rec):
+    # The test detector with a centred envelope from
+    # scipy.ndimage.uniform_filter1d, the squared band-pass extended by
+    # its edge samples, and loops for the threshold and refractory steps
+    fs = rec.fs
+    bp, _ = qrs._bandpass(rec.samples, fs, 0.5, 40.0)
+    n_rms = max(qrs._samples_for(qrs.RMS_WINDOW_S, fs), 1)
+    env = uniform_filter1d(np.square(bp), n_rms, mode="nearest")
+    env = np.sqrt(np.maximum(env, 0.0))
+    n_trail = max(qrs._samples_for(qrs.TRAIL_WINDOW_S, fs), 1)
+    floor = qrs.TEST_FLOOR_FRACTION * float(np.max(env))
+    n_ref = qrs._samples_for(REFRACTORY_TEST_S, fs)
+    kept = []
+    for c in qrs._local_maxima(env):
+        threshold = qrs.TEST_THRESHOLD_FRACTION * max(
+            env[max(c - n_trail + 1, 0):c + 1])
+        if env[c] > max(threshold, floor) and (
+                not kept or c - kept[-1] >= n_ref):
+            kept.append(c)
+    return np.asarray(kept, dtype=np.int64) / fs
+
+
+@pytest.mark.parametrize("fs", [128.0, 250.0, 360.0])
+@pytest.mark.parametrize("snr", [None, 10.0, 0.0, -5.0])
+def test_test_detector_matches_the_centred_envelope_oracle(fs, snr):
+    # The envelope is the trailing mean, each value placed at its
+    # window's centre, so only the record's first threshold window plus
+    # one envelope window may differ from a centred filter's peaks; the
+    # last half window has no envelope. 360 Hz gives an even 36-sample
+    # window, whose centre is n // 2 samples into it.
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "NSR"), (60.0, "AF")],
+                           seed=6, fs=fs, noise_snr_db=snr)
+    rec, _, _ = synth.synth_record(spec, patient_id="centre")
+    records = [rec]
+    if fs == 360.0 and snr == 10.0:
+        # 12-bit samples at 200 adu/mV, as a format-212 file holds them
+        digital = np.clip(np.round(rec.samples * 200.0), -2048, 2047)
+        records.append(EcgRecord(patient_id="centre", samples=digital / 200.0,
+                                 fs=fs))
+    for rec in records:
+        got, want = detect_test(rec).times, oracle_detect_test(rec)
+        lo = qrs.TRAIL_WINDOW_S + qrs.RMS_WINDOW_S
+        hi = rec.duration_s - qrs.RMS_WINDOW_S
+        got = got[(got >= lo) & (got <= hi)]
+        want = want[(want >= lo) & (want <= hi)]
+        assert want.shape[0] > 100
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("fs,seconds", [(128.0, 600.0), (1000.0, 80.0)])
 def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
                                                   seconds):
@@ -491,29 +540,6 @@ def test_sosfiltfilt_matches_scipy(monkeypatch, fs, band):
             assert np.array_equal(got, want), (block, size)
     with pytest.raises(ValueError):
         qrs.sosfiltfilt(sos, np.ones(edge))
-
-
-@pytest.mark.parametrize("n", [1, 2, 13, 14, 50, 59])
-def test_running_mean_matches_uniform_filter(monkeypatch, n):
-    # lengths from below one window to several blocks
-    rng = np.random.default_rng(n)
-    for block in (1, 7, 64, kernels._BLOCK):
-        monkeypatch.setattr(kernels, "_BLOCK", block)
-        for size in (1, 2, n - 1, n, n + 1, 3 * n + 2, 200, 1000):
-            if size < 1:
-                continue
-            x = rng.normal(size=size) ** 2 * 10.0 ** rng.uniform(-6, 6)
-            want = uniform_filter1d(x, n, mode="nearest")
-            got = qrs._running_mean(x.copy(), n)
-            assert np.array_equal(got, want), (block, size)
-
-
-def test_running_mean_matches_uniform_filter_over_a_night():
-    # the test detector's 100 ms window at 128 Hz over 8 h of samples
-    x = np.random.default_rng(5).normal(size=3_686_400) ** 2
-    want = uniform_filter1d(x, 13, mode="nearest")
-    got = qrs._running_mean(x, 13)
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 20, 57])

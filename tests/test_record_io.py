@@ -7,11 +7,14 @@ against the package's own writer.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afscreen import synth
 from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
                              ContractViolationError, OrderingError,
                              ParseError, TruncationError,
@@ -222,6 +225,31 @@ def test_edf_round_trip_is_byte_stable():
     first = write_edf(rec)
     second = write_edf(parse_edf(first, channel="ECG"))
     assert first == second
+
+
+@functools.cache
+def edf_round_trip(scale):
+    # a 60 s, 10 dB render times scale, and its EDF header and samples
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "NSR")], seed=1,
+                           noise_snr_db=10.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="scale")
+    x = rec.samples * scale
+    data = write_edf(EcgRecord(patient_id="scale", samples=x, fs=rec.fs))
+    return x, data, parse_edf(data, channel="ECG").samples[:x.shape[0]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7e-3, 3.3e-6, 1e-12, 1e-250])
+def test_edf_round_trip_keeps_every_sample_at_any_scale(scale):
+    # The printed physical range once fell short of the data in its last
+    # digit, which clipped the extreme sample, and was widened by an
+    # absolute 1e-9, which left a tiny record a few levels or one.
+    x, data, back = edf_round_trip(scale)
+    pmin, pmax = float(data[360:368]), float(data[368:376])
+    assert pmin <= x.min() and x.max() <= pmax
+    step = (pmax - pmin) / 65535.0
+    assert np.max(np.abs(back - x)) <= 0.5 * step * (1.0 + 1e-6)
+    levels = np.unique(edf_round_trip(1.0)[2]).shape[0]
+    assert np.unique(back).shape[0] >= levels / 2
 
 
 def test_edf_write_constant_signal():
