@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qc", help="run quality control only")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="QC ledger CSV path")
-    p.add_argument("--dump-detector", choices=["reference", "test"],
-                   default=None,
+    p.add_argument("--dump-detector",
+                   choices=[pipeline.REFERENCE, pipeline.TEST], default=None,
                    help="also dump this detector's peak times per patient")
     p.add_argument("--dump-dir", default=None,
                    help="directory for peak dumps (default: next to --out)")

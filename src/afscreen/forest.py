@@ -23,14 +23,16 @@ largest tree count, and scores the smaller grid points from its first
 trees.
 
 Models serialize to versioned JSON carrying a checksum of the declared
-feature order; loading against a different feature declaration fails.
+feature order; loading against a different feature declaration fails,
+as does a max_depth above MAX_DEPTH_LIMIT or a tree deeper than the
+file's own max_depth.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +54,10 @@ DEFAULT_MAX_DEPTH = 3
 DEFAULT_CV_FOLDS = 5
 # brackets the defaults: tree counts {10, 20, 50} x depths {2, 3, 5}
 DEFAULT_GRID = tuple((n, d) for n in (10, 20, 50) for d in (2, 3, 5))
+# The deepest tree train fits and load_model accepts. Fitting, checking
+# and voting recurse once per level, so this keeps every model far
+# inside Python's recursion limit wherever it is called from.
+MAX_DEPTH_LIMIT = 32
 
 
 @dataclass
@@ -60,8 +66,6 @@ class ForestModel:
     n_estimators: int
     max_depth: int
     seed: int
-    feature_names: tuple = FEATURE_NAMES
-    feature_checksum: str = field(default_factory=feature_order_checksum)
 
 
 def label_windows(times: np.ndarray, bsqi: np.ndarray,
@@ -143,6 +147,13 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     }
 
 
+def _check_hyperparameters(n_estimators: int, max_depth: int) -> None:
+    if n_estimators < 1 or not 1 <= max_depth <= MAX_DEPTH_LIMIT:
+        raise ConfigurationError(
+            f"n_estimators and max_depth must be positive, and max_depth "
+            f"at most {MAX_DEPTH_LIMIT}")
+
+
 def train(X: np.ndarray, y: np.ndarray,
           n_estimators: int = DEFAULT_N_ESTIMATORS,
           max_depth: int = DEFAULT_MAX_DEPTH,
@@ -151,9 +162,7 @@ def train(X: np.ndarray, y: np.ndarray,
 
     Deterministic given (row order, seed).
     """
-    if n_estimators < 1 or max_depth < 1:
-        raise ConfigurationError(
-            "n_estimators and max_depth must be positive")
+    _check_hyperparameters(n_estimators, max_depth)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.shape[0] == 0:
@@ -196,9 +205,9 @@ def _tree_vote_many(node, X: np.ndarray) -> np.ndarray:
 def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """Fraction of trees voting AF for each row of X."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
         raise ContractViolationError(
-            f"expected (n, {len(model.feature_names)}) feature matrix, "
+            f"expected (n, {len(FEATURE_NAMES)}) feature matrix, "
             f"got {X.shape}")
     votes = np.zeros(X.shape[0], dtype=np.int64)
     for tree in model.trees:
@@ -229,9 +238,8 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
     """
     if k < 2:
         raise ConfigurationError(f"grouped CV needs at least 2 folds, got {k}")
-    if any(n_est < 1 or depth < 1 for n_est, depth in grid):
-        raise ConfigurationError(
-            "n_estimators and max_depth must be positive")
+    for n_est, depth in grid:
+        _check_hyperparameters(n_est, depth)
     patients, patient_of = np.unique(np.asarray(groups),
                                      return_inverse=True)
     if len(patients) < k:
@@ -289,15 +297,16 @@ def save_model(model: ForestModel) -> bytes:
         "n_estimators": model.n_estimators,
         "max_depth": model.max_depth,
         "seed": model.seed,
-        "feature_names": list(model.feature_names),
-        "feature_checksum": model.feature_checksum,
+        "feature_names": list(FEATURE_NAMES),
+        "feature_checksum": feature_order_checksum(),
         "trees": model.trees,
     }
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode()
 
 
-def _check_tree(node) -> None:
+def _check_tree(node, levels: int) -> None:
+    # levels: the split levels allowed at and below this node
     if not isinstance(node, dict):
         raise ParseError("tree node is not an object")
     if "leaf" in node:
@@ -306,6 +315,8 @@ def _check_tree(node) -> None:
                 or not all(isinstance(c, int) and c >= 0 for c in counts)):
             raise ParseError(f"malformed leaf counts {counts!r}")
         return
+    if levels == 0:
+        raise ParseError("tree is deeper than the model's max_depth")
     for key in ("f", "thr", "l", "r"):
         if key not in node:
             raise ParseError(f"split node missing {key!r}")
@@ -319,8 +330,8 @@ def _check_tree(node) -> None:
         finite = False
     if not finite:
         raise ParseError(f"split threshold {thr!r} is not a finite number")
-    _check_tree(node["l"])
-    _check_tree(node["r"])
+    _check_tree(node["l"], levels - 1)
+    _check_tree(node["r"], levels - 1)
 
 
 def load_model(data: bytes | str) -> ForestModel:
@@ -328,6 +339,8 @@ def load_model(data: bytes | str) -> ForestModel:
         payload = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"malformed model file: {e}") from None
+    except RecursionError:
+        raise ParseError("malformed model file: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError("model file must hold a JSON object")
     version = payload.get("format_version")
@@ -338,26 +351,27 @@ def load_model(data: bytes | str) -> ForestModel:
     if payload.get("kind") != MODEL_KIND:
         raise CompatibilityError(
             f"not an {MODEL_KIND} model: kind={payload.get('kind')!r}")
-    checksum = payload.get("feature_checksum")
-    if checksum != feature_order_checksum():
+    if payload.get("feature_checksum") != feature_order_checksum():
         raise CompatibilityError(
             "model feature order does not match this build's feature "
             "declaration")
     for key in ("trees", "n_estimators", "max_depth", "seed"):
         if key not in payload:
             raise ParseError(f"model file missing {key!r}")
+    max_depth = payload["max_depth"]
+    if type(max_depth) is not int or not 1 <= max_depth <= MAX_DEPTH_LIMIT:
+        raise ParseError(f"model max_depth {max_depth!r} is not an integer "
+                         f"from 1 to {MAX_DEPTH_LIMIT}")
     trees = payload["trees"]
     if not isinstance(trees, list) or not trees:
         raise ParseError("model file holds no trees")
     for tree in trees:
-        _check_tree(tree)
+        _check_tree(tree, max_depth)
     names = payload.get("feature_names")
     if names != list(FEATURE_NAMES):
         raise ParseError(f"model feature_names {names!r} are not the "
                          f"declared {list(FEATURE_NAMES)!r}")
     return ForestModel(trees=trees,
                        n_estimators=payload["n_estimators"],
-                       max_depth=payload["max_depth"],
-                       seed=payload["seed"],
-                       feature_names=FEATURE_NAMES,
-                       feature_checksum=checksum)
+                       max_depth=max_depth,
+                       seed=payload["seed"])

@@ -46,7 +46,7 @@ from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
-from .qrs import REFERENCE, RPeakSeries, detect_reference, detect_test
+from .qrs import detect_reference, detect_test
 from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
 from .record_io import (
     AF,
@@ -55,6 +55,7 @@ from .record_io import (
     EcgRecord,
     PatientMeta,
     RhythmAnnotations,
+    RPeakSeries,
     parse_edf,
     parse_rr_csv,
     parse_wfdb,
@@ -361,6 +362,11 @@ def run_cohort(entries: list[ManifestEntry], model: ForestModel,
     return results, report
 
 
+# the detectors qc can dump
+REFERENCE = "reference"
+TEST = "test"
+
+
 def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
               dump: str | None) -> tuple[RecordingQC, RPeakSeries | None]:
     ref, test, _ = _load(entry, config)
@@ -376,7 +382,7 @@ def qc_cohort(entries: list[ManifestEntry], config: PipelineConfig,
     """Quality-gate every manifest entry without classifying it.
 
     Returns (pid, (qc, peaks)) for each recording, where peaks are the
-    RPeakSeries of the detector named by dump ("reference" or "test";
+    RPeakSeries of the detector named by dump (REFERENCE or TEST;
     None for an RR entry or without dump), and the error ledger, both
     sorted by patient id.
     """

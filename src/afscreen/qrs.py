@@ -17,17 +17,22 @@ maxima within h samples stay candidates.
 The test detector is structurally different on purpose: band-pass
 0.5-40 Hz, a centered 100 ms moving-RMS envelope, one adaptive
 threshold at 0.6x the trailing 2 s envelope maximum, and a 250 ms
-refractory period. Its envelope is the reference detector's trailing
-mean over the squared band-pass, each value placed at its window's
-centre; it ends half a window before the record does. Disagreement
-between the two drives the beat-quality index downstream.
+refractory period. In the first 2 s the threshold is 0.6x the maximum
+over the first 2 s: like the reference detector's learning phase, it
+is set by beats, not by the band-pass start transient alone. Its
+envelope is the reference detector's trailing mean over the squared
+band-pass, each value placed at its window's centre; it ends half a
+window before the record does. Disagreement between the two drives the
+beat-quality index downstream.
 
 Both detectors run at the native sampling rate with zero-phase
 second-order-section filters, are deterministic, and return peak times
-in seconds. Thresholds adapt to the signal, and each band-pass output is
-scaled by the power of two that brings its peak magnitude into
-[0.5, 1), so detections are invariant to positive rescaling of the
-input: bit for bit for x * 2^k, tested for k from -1000 to 1000.
+in seconds as an RPeakSeries, the type record_io declares beside
+EcgRecord and its RR CSV reader returns too. Thresholds adapt to the
+signal, and each band-pass output is scaled by the power of two that
+brings its peak magnitude into [0.5, 1), so detections are invariant
+to positive rescaling of the input: bit for bit for x * 2^k, tested
+for k from -1000 to 1000.
 
 Each detector keeps its working set to one or two signal-length arrays,
 bit for bit with the full-length forms, a block of kernels._BLOCK
@@ -45,20 +50,13 @@ out in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from . import kernels
 from .errors import ContractViolationError, UnsupportedRateError
-
-if TYPE_CHECKING:
-    from .record_io import EcgRecord
-
-REFERENCE = "reference"
-TEST = "test"
+from .record_io import EcgRecord, RPeakSeries
 
 REFRACTORY_REFERENCE_S = 0.200
 REFRACTORY_TEST_S = 0.250
@@ -79,29 +77,6 @@ THRESHOLD_FLOOR_FRACTION = 1e-3
 TEST_FLOOR_FRACTION = 2e-2
 MIN_FS_HZ = 100.0
 MIN_DURATION_S = 10.0
-
-
-@dataclass
-class RPeakSeries:
-    """Strictly increasing R-peak times (seconds) from one detector."""
-
-    times: np.ndarray
-    source: str
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1:
-            raise ContractViolationError("peak times must be 1-D")
-        if self.times.shape[0] > 1 and not np.all(np.diff(self.times) > 0):
-            raise ContractViolationError(
-                "peak times must be strictly increasing")
-        if self.source not in (REFERENCE, TEST):
-            raise ContractViolationError(
-                f"source must be {REFERENCE!r} or {TEST!r}, "
-                f"got {self.source!r}")
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
 
 
 def _check_record(record: EcgRecord) -> None:
@@ -247,7 +222,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     x = record.samples
     fs = record.fs
     if x.max() == x.min():
-        return RPeakSeries(times=np.empty(0), source=REFERENCE)
+        return RPeakSeries(times=np.empty(0))
 
     bp, peak = _bandpass(x, fs, 5.0, 15.0)
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
@@ -284,7 +259,7 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     fid = np.unique(_fiducials(bp, acc, n_mwi, n_refine))
     keep = kernels.refractory_pick(fid, np.int64(n_ref))
     times = fid[keep] / fs
-    return RPeakSeries(times=times, source=REFERENCE)
+    return RPeakSeries(times=times)
 
 
 def detect_test(record: EcgRecord) -> RPeakSeries:
@@ -293,7 +268,7 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     x = record.samples
     fs = record.fs
     if x.max() == x.min():
-        return RPeakSeries(times=np.empty(0), source=TEST)
+        return RPeakSeries(times=np.empty(0))
 
     bp, _ = _bandpass(x, fs, 0.5, 40.0)
     n_rms = max(_samples_for(RMS_WINDOW_S, fs), 1)
@@ -311,12 +286,15 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     floor = TEST_FLOOR_FRACTION * float(np.max(env))
 
     cand = _local_maxima(env)
-    # env is a square root, so the maximum of |env| is that of env
-    threshold = (TEST_THRESHOLD_FRACTION
-                 * kernels.trailing_max(env, cand, n_trail))
+    # env is a square root, so the maximum of |env| is that of env. A
+    # candidate in the first n_trail samples is weighed against the
+    # maximum over those samples, not over a window cut at sample 0,
+    # which there holds only the band-pass start transient.
+    threshold = TEST_THRESHOLD_FRACTION * kernels.trailing_max(
+        env, np.maximum(cand, n_trail - 1), n_trail)
     cand = cand[env[cand] > np.maximum(threshold, floor)]
 
     n_ref = _samples_for(REFRACTORY_TEST_S, fs)
     keep = kernels.refractory_pick(cand, np.int64(n_ref))
     times = cand[keep] / fs
-    return RPeakSeries(times=times, source=TEST)
+    return RPeakSeries(times=times)

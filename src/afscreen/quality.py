@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .qrs import RPeakSeries
+from .record_io import RPeakSeries
 
 BSQI_THRESHOLD = 0.8
 MATCH_TOLERANCE_S = 0.150

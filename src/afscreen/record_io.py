@@ -13,6 +13,10 @@ qc's peak dumps and the test suite:
 * RR CSV: one beat time per row, ``t_seconds[,rhythm]``, the optional
   rhythm column compiled into rhythm episodes.
 
+The in-memory forms live here too: EcgRecord (samples), RPeakSeries
+(beat times, read from an RR CSV or found by qrs's detectors) and
+RhythmAnnotations (episodes).
+
 Only these formats are supported; anything else is rejected loudly.
 Channel selection is by case-insensitive substring on the signal label
 (default "ECG") or by integer index.
@@ -35,7 +39,6 @@ from .errors import (
     TruncationError,
     UnsupportedFormatError,
 )
-from .qrs import RPeakSeries
 
 AF = "AF"
 NON_AF = "nonAF"
@@ -83,6 +86,24 @@ class EcgRecord:
     @property
     def duration_s(self) -> float:
         return self.samples.shape[0] / self.fs
+
+
+@dataclass
+class RPeakSeries:
+    """Strictly increasing R-peak times (seconds)."""
+
+    times: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.times = np.asarray(self.times, dtype=np.float64)
+        if self.times.ndim != 1:
+            raise ContractViolationError("peak times must be 1-D")
+        if self.times.shape[0] > 1 and not np.all(np.diff(self.times) > 0):
+            raise ContractViolationError(
+                "peak times must be strictly increasing")
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
 
 
 @dataclass
@@ -577,7 +598,7 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     times, af = _rr_columns(lines, split="," in text)
-    peaks = RPeakSeries(times=times, source="reference")
+    peaks = RPeakSeries(times=times)
     if af is None:
         return peaks, None
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .qrs import RPeakSeries
-from .record_io import AF, OTHER, EcgRecord, RhythmAnnotations
+from .record_io import AF, OTHER, EcgRecord, RhythmAnnotations, RPeakSeries
 
 NSR = "NSR"
 ECTOPY = "ECTOPY"
@@ -107,8 +106,7 @@ def gen_rr(spec: SynthSpec) -> tuple[RPeakSeries, RhythmAnnotations]:
             beat_count += 1
         seg_start = seg_end
 
-    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64),
-                        source="reference")
+    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64))
     return peaks, RhythmAnnotations(episodes=episodes)
 
 

@@ -14,8 +14,7 @@ from afscreen.qrs import RPeakSeries
 
 
 def make_series(times) -> RPeakSeries:
-    return RPeakSeries(times=np.asarray(times, dtype=np.float64),
-                       source="reference")
+    return RPeakSeries(times=np.asarray(times, dtype=np.float64))
 
 
 @pytest.fixture(scope="session")

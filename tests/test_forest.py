@@ -144,6 +144,18 @@ def test_train_rejects_bad_hyperparameters():
         train(X, y, max_depth=0)
 
 
+def test_depth_beyond_the_limit_is_refused_and_the_limit_loads():
+    X, y, _ = separable_set()
+    deepest = forest.MAX_DEPTH_LIMIT
+    with pytest.raises(ConfigurationError, match="at most"):
+        train(X, y, max_depth=deepest + 1)
+    with pytest.raises(ConfigurationError, match="at most"):
+        cross_validate(X, y, np.arange(len(y)) % 5,
+                       grid=((10, 2), (10, deepest + 1)))
+    model = train(X, y, n_estimators=3, max_depth=deepest, seed=0)
+    assert load_model(save_model(model)) == model
+
+
 def test_train_rejects_nonfinite_features():
     X, y, _ = separable_set()
     X[0, FEATURE_NAMES.index("avnn")] = float("nan")
@@ -593,6 +605,21 @@ def test_load_rejects_non_finite_threshold(thr):
     with pytest.raises(ParseError, match="split threshold"):
         load_model(tampered(trees=[{"f": 0, "thr": thr, "l": LEAF,
                                     "r": LEAF}]))
+
+
+@pytest.mark.parametrize("depth", [0, -1, forest.MAX_DEPTH_LIMIT + 1,
+                                   10 ** 6, 2.0, "3", True, None])
+def test_load_rejects_max_depth_out_of_range(depth):
+    with pytest.raises(ParseError, match="max_depth"):
+        load_model(tampered(max_depth=depth))
+
+
+def test_load_rejects_tree_deeper_than_max_depth():
+    deep = {"f": 0, "thr": 1.0, "l": LEAF,
+            "r": {"f": 1, "thr": 2.0, "l": LEAF, "r": LEAF}}
+    assert load_model(tampered(max_depth=2, trees=[deep])).trees == [deep]
+    with pytest.raises(ParseError, match="deeper"):
+        load_model(tampered(max_depth=1, trees=[LEAF, deep]))
 
 
 def test_load_accepts_integer_threshold():

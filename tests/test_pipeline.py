@@ -540,8 +540,7 @@ def test_result_to_dict_rows():
     # 20 windows; the test detector finds only half the beats of
     # window 3, which scores 30 / 60 and is left out
     ref = rr_series([0.6] * 5 + [0.85] * 15)
-    test = RPeakSeries(times=np.delete(ref.times, range(180, 240, 2)),
-                       source="test")
+    test = RPeakSeries(times=np.delete(ref.times, range(180, 240, 2)))
     d = result_to_dict(pipeline._classify("x", ref, test, AVNN_STUMP,
                                           PipelineConfig()))
     assert (d["n_windows_total"], d["n_windows_included"]) == (20, 19)

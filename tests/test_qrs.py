@@ -70,6 +70,21 @@ def test_test_detector_agrees_with_reference_on_clean_signal():
     assert matched_fraction(test, ref) >= 0.99
 
 
+@pytest.mark.parametrize("fs", [128.0, 250.0, 360.0])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_test_detector_finds_only_beats_in_the_first_two_seconds(fs, seed):
+    # The band-pass start transient once set the threshold there, and
+    # the detector fired on it at the refractory rate before the first
+    # beat
+    spec = synth.SynthSpec(rhythm_program=[(30.0, "NSR")], seed=seed, fs=fs)
+    rec, truth, _ = synth.synth_record(spec, patient_id="start")
+    got = detect_test(rec).times
+    early, beats = got[got < 2.0], truth.times[truth.times < 2.0]
+    assert len(early) > 0
+    assert matched_fraction(beats, early) == 1.0
+    assert matched_fraction(early, beats) == 1.0
+
+
 def test_flat_signal_yields_empty_series():
     rec = EcgRecord(patient_id="flat", samples=np.zeros(128 * 60), fs=128.0)
     assert len(detect_reference(rec)) == 0
@@ -224,7 +239,7 @@ def test_step_and_impulse_records_detect_without_warnings(x):
 
 def test_series_requires_strict_increase():
     with pytest.raises(ContractViolationError):
-        RPeakSeries(times=np.array([1.0, 1.0, 2.0]), source="reference")
+        RPeakSeries(times=np.array([1.0, 1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

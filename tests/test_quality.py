@@ -11,8 +11,7 @@ from conftest import make_series
 
 
 def make_test_series(times):
-    return RPeakSeries(times=np.asarray(times, dtype=np.float64),
-                       source="test")
+    return RPeakSeries(times=np.asarray(times, dtype=np.float64))
 
 
 def oracle_bsqi(ref, test, tol):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afscreen.cli import main
 from afscreen.errors import (AfscreenError, ConfigurationError, OrderingError,
                              ParseError)
 from afscreen.forest import ForestModel, load_model, predict_proba_many, \
@@ -74,6 +75,32 @@ def test_load_model_on_any_json(doc):
        st.lists(NODES, min_size=1, max_size=2) | JSON)
 def test_load_model_on_any_model_like_json(overrides, trees):
     loads_or_refuses(json.dumps({**HEADER, "trees": trees, **overrides}))
+
+
+@pytest.mark.parametrize("levels", [40, 960, 2000])
+def test_deeply_nested_model_ends_predict_in_an_error_line(
+        levels, tmp_path, capsys):
+    # 2000 levels overflowed the JSON decoder's stack; 960 loaded from a
+    # shallow stack, and predict then overflowed the stack in its tree
+    # walk; 40 levels decode anywhere and reach the depth checks. Built
+    # as text: json.dumps would overflow too.
+    tree = ('{"f":0,"thr":1.0,"l":' * levels + '{"leaf":[1,0]}'
+            + ',"r":{"leaf":[0,1]}}' * levels)
+    for max_depth in (1, levels):
+        head = json.dumps({**HEADER, "max_depth": max_depth, "trees": []},
+                          separators=(",", ":"))
+        document = head.replace('"trees":[]', f'"trees":[{tree}]')
+        assert tree in document
+        with pytest.raises(ParseError):
+            load_model(document)
+    (tmp_path / "model.json").write_text(document)
+    (tmp_path / "a.rr.csv").write_bytes(rr_file(200))
+    (tmp_path / "m.csv").write_text("path,format,patient_id\na.rr.csv,rr,a\n")
+    code = main(["predict", "--manifest", str(tmp_path / "m.csv"),
+                 "--model", str(tmp_path / "model.json"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,8 +224,7 @@ def oracle_parse_rr_csv(text: str):
             raise ParseError(f"missing rhythm label at row {row}")
         times.append(t)
 
-    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64),
-                        source="reference")
+    peaks = RPeakSeries(times=np.asarray(times, dtype=np.float64))
     if rhythms is None:
         return peaks, None
 
@@ -381,7 +407,7 @@ def test_parse_wfdb_on_any_header(header):
 
 def rr_file(n_beats: int) -> bytes:
     times = 0.85 * np.arange(1, n_beats + 1)
-    return write_rr_csv(RPeakSeries(times=times, source="reference")).encode()
+    return write_rr_csv(RPeakSeries(times=times)).encode()
 
 
 # Each kind of manifest entry: its format, its file's name, and the error
