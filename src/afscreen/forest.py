@@ -365,6 +365,12 @@ def load_model(data: bytes | str) -> ForestModel:
     trees = payload["trees"]
     if not isinstance(trees, list) or not trees:
         raise ParseError("model file holds no trees")
+    n_estimators, seed = payload["n_estimators"], payload["seed"]
+    if type(n_estimators) is not int or n_estimators != len(trees):
+        raise ParseError(f"model n_estimators {n_estimators!r} is not the "
+                         f"integer {len(trees)}, its number of trees")
+    if type(seed) is not int:
+        raise ParseError(f"model seed {seed!r} is not an integer")
     for tree in trees:
         _check_tree(tree, max_depth)
     names = payload.get("feature_names")
@@ -372,6 +378,6 @@ def load_model(data: bytes | str) -> ForestModel:
         raise ParseError(f"model feature_names {names!r} are not the "
                          f"declared {list(FEATURE_NAMES)!r}")
     return ForestModel(trees=trees,
-                       n_estimators=payload["n_estimators"],
+                       n_estimators=n_estimators,
                        max_depth=max_depth,
-                       seed=payload["seed"])
+                       seed=seed)

@@ -46,7 +46,7 @@ from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
-from .qrs import detect_reference, detect_test
+from .qrs import detect_reference, detect_test, signal_filters
 from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
 from .record_io import (
     AF,
@@ -165,6 +165,13 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     manifest's own directory, and a path holding NUL is refused. A
     patient_id is unique and a file name (no "/", "\\" or NUL, not "."
     or ".."), as outputs are named after it.
+
+    A manifest with an edf or wfdb row loads scipy.signal here, through
+    qrs.signal_filters, before any entry starts: predict, qc and train
+    read the manifest in the parent process, so the pool's forked
+    workers inherit the module instead of each importing it again
+    (about 1 s per worker), and no entry's time holds the import. A
+    manifest of RR series only never loads it.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []
@@ -214,6 +221,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             meta=meta,
             annotations_path=str((base / ann).resolve()) if ann else None,
         ))
+    if any(e.fmt != "rr" for e in entries):
+        signal_filters()
     return entries
 
 

@@ -45,6 +45,15 @@ band-passed peak and the slope, is one kernels.trailing_max call; the
 slopes come from a view of the derivative that computes only the slices
 read. Both detectors' sliding means are one _trailing_mean call, worked
 out in place.
+
+scipy.signal is imported by signal_filters() alone, on first use:
+loading it takes about 1 s and 70 MB, and a cohort of RR series
+filters no signal. _bandpass and sosfiltfilt take the filters from it,
+so a direct detector or process_patient call pays the import on its
+first call. pipeline.read_manifest calls it before it returns a
+manifest with a signal row, so a cohort run pays it once, in the
+parent process, before any entry starts or the pool forks: forked
+workers inherit the module rather than each importing it again.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from . import kernels
 from .errors import ContractViolationError, UnsupportedRateError
@@ -110,6 +118,14 @@ def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
     return cand[x[cand] >= kernels.trailing_max(x, cand + h, 2 * h + 1)]
 
 
+def signal_filters():
+    """The scipy.signal module, imported on the first call (see the
+    module docstring). Python's import lock makes concurrent first
+    calls safe: each returns the one module."""
+    import scipy.signal
+    return scipy.signal
+
+
 def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """scipy.signal.sosfiltfilt(sos, x) of a 1-D x, bit for bit, in one
     buffer.
@@ -133,12 +149,13 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     buf[:edge] = 2 * x[0] - x[edge:0:-1]
     buf[edge:-edge] = x
     buf[-edge:] = 2 * x[-1] - x[-2:-edge - 2:-1]
-    zi = sosfilt_zi(sos)
+    signal = signal_filters()
+    zi = signal.sosfilt_zi(sos)
     for run in (buf, buf[::-1]):
         z = zi * run[0]
         for lo in range(0, run.shape[0], kernels._BLOCK):
             block = run[lo:lo + kernels._BLOCK]
-            block[:], z = sosfilt(sos, block, zi=z)
+            block[:], z = signal.sosfilt(sos, block, zi=z)
     return buf[edge:-edge]
 
 
@@ -149,7 +166,8 @@ def _bandpass(x: np.ndarray, fs: float, lo: float,
     # moves, and the squares and sums after it neither overflow nor
     # underflow at any input scale. Returns the output and its peak
     # magnitude, which is the frexp mantissa.
-    sos = butter(2, [lo, hi], btype="bandpass", output="sos", fs=fs)
+    sos = signal_filters().butter(2, [lo, hi], btype="bandpass",
+                                  output="sos", fs=fs)
     bp = sosfiltfilt(sos, x)
     peak, exp = math.frexp(max(bp.max(), -bp.min()))
     np.ldexp(bp, -exp, out=bp)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -538,7 +539,11 @@ def test_model_json_is_canonical():
 
 
 def tampered(**overrides):
+    # a tree list that replaces the trained one brings its own count,
+    # unless n_estimators is tampered with too
     payload = json.loads(save_model(train(*separable_set()[:2], seed=0)))
+    if isinstance(overrides.get("trees"), list):
+        payload["n_estimators"] = len(overrides["trees"])
     payload.update(overrides)
     return json.dumps(payload)
 
@@ -612,6 +617,25 @@ def test_load_rejects_non_finite_threshold(thr):
 def test_load_rejects_max_depth_out_of_range(depth):
     with pytest.raises(ParseError, match="max_depth"):
         load_model(tampered(max_depth=depth))
+
+
+@pytest.mark.parametrize("n", ["twenty", 1.0, True, None, [1], 0, 2, -1])
+def test_load_rejects_n_estimators_other_than_the_tree_count(n):
+    # tampered() holds one tree per estimator of the default forest
+    assert load_model(tampered()).n_estimators == forest.DEFAULT_N_ESTIMATORS
+    with pytest.raises(ParseError, match=f"n_estimators {re.escape(repr(n))}"):
+        load_model(tampered(trees=[LEAF], n_estimators=n))
+    trees = [LEAF] * forest.DEFAULT_N_ESTIMATORS
+    with pytest.raises(ParseError, match="n_estimators"):
+        load_model(tampered(trees=trees,
+                            n_estimators=forest.DEFAULT_N_ESTIMATORS + 1))
+
+
+@pytest.mark.parametrize("seed", [[None], "0", 0.0, True, None, {}])
+def test_load_rejects_seed_that_is_not_an_integer(seed):
+    assert load_model(tampered(seed=-7)).seed == -7
+    with pytest.raises(ParseError, match=f"seed {re.escape(repr(seed))}"):
+        load_model(tampered(seed=seed))
 
 
 def test_load_rejects_tree_deeper_than_max_depth():
