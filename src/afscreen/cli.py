@@ -13,12 +13,12 @@ Subcommands:
   qc        quality-gate recordings without classifying, optionally
             dumping either detector's peak times
 
-The analysis flags that train, predict, evaluate and qc share (one per
-PipelineConfig field, with the field's default), --workers, train's
---grid and --cv-folds, and synth's --fs, --snr and --seed can also be
-set through an environment variable named AFSCREEN_<FLAG> (dashes as
-underscores, upper case), e.g. AFSCREEN_WORKERS=4. Explicit flags win
-over the environment.
+train, predict, evaluate and qc each take, and record, just the
+analysis settings they read (SETTINGS). Those flags, --workers, --grid,
+--cv-folds and synth's --fs, --snr and --seed can also be set through an
+environment variable AFSCREEN_<FLAG> (dashes as underscores, upper
+case), e.g. AFSCREEN_WORKERS=4, read only by the commands taking that
+flag. Explicit flags win over the environment.
 
 All outputs embed the analysis configuration and the package version.
 Outputs contain no timestamps and inference uses no randomness, so
@@ -34,6 +34,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__, forest, pipeline, stats
@@ -57,9 +58,13 @@ def _env(flag: str, default, cast=str):
             f"{raw!r}") from None
 
 
-# Each PipelineConfig field's flag and help text. The default is read
-# from the dataclass, so every analysis default is declared there once.
-PIPELINE_FLAGS = {
+def _channel(text: str) -> str | int:
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+# Each analysis setting's flag and help text. Its default is declared
+# once, by what reads it: PipelineConfig, stats.stratify or forest.
+SETTINGS = {
     "bsqi_threshold": ("bsqi-threshold", "window inclusion threshold"),
     "afb_threshold_pct": ("afb-threshold",
                           "prominent-AF burden threshold, percent"),
@@ -78,42 +83,41 @@ PIPELINE_FLAGS = {
     "ni_alpha": ("ni-alpha", "non-inferiority significance level"),
     "seed": ("seed", "RNG seed for training"),
 }
+FIELDS = tuple(f.name for f in dataclasses.fields(pipeline.PipelineConfig))
+DEFAULTS = {**dataclasses.asdict(pipeline.PipelineConfig()),
+            "ahi_cutoff": stats.DEFAULT_AHI_CUTOFF,
+            "ni_margin": stats.DEFAULT_NI_MARGIN,
+            "ni_alpha": stats.DEFAULT_NI_ALPHA, "seed": forest.DEFAULT_SEED}
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(pipeline.PipelineConfig):
-        flag, text = PIPELINE_FLAGS[f.name]
-        if f.default is None:
-            cast = str
-        else:
-            cast = type(f.default)
-            text += f" (default {f.default:g})"
-        p.add_argument(f"--{flag}", dest=f.name, type=cast,
-                       metavar=flag.replace("-", "_").upper(),
-                       default=_env(flag, f.default, cast), help=text)
+def _add_flag(p: argparse.ArgumentParser, flag: str, default, cast=str,
+              **kwargs) -> None:
+    # an unset flag keeps its AFSCREEN_<FLAG> reader for _parse_args to call
+    p.add_argument(f"--{flag}", type=cast,
+                   default=partial(_env, flag, default, cast), **kwargs)
 
 
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int,
-                   default=_env("workers", None, int),
-                   help="process pool size (default: all cores)")
+def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        (flag, text), default = SETTINGS[name], DEFAULTS[name]
+        cast = _channel if default is None else type(default)
+        if default is not None:
+            text += f" (default {default:g})"
+        _add_flag(p, flag, default, cast, dest=name, help=text,
+                  metavar=flag.replace("-", "_").upper())
 
 
 def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    values = {f.name: getattr(args, f.name)
-              for f in dataclasses.fields(pipeline.PipelineConfig)}
-    channel = values["channel"]
-    if isinstance(channel, str) and channel.lstrip("-").isdigit():
-        values["channel"] = int(channel)
-    return pipeline.PipelineConfig(**values)
+    return pipeline.PipelineConfig(**{
+        name: getattr(args, name) for name in FIELDS if hasattr(args, name)})
 
 
-def _run_config(command: str, args: argparse.Namespace,
-                config: pipeline.PipelineConfig) -> dict:
+def _run_config(args: argparse.Namespace) -> dict:
     # Provenance block embedded in every artifact. Execution knobs that
     # never change results (worker count, output destinations) are left
     # out so reruns stay byte-identical wherever they land.
-    run = {"command": command, "pipeline": dataclasses.asdict(config)}
+    run = {"command": args.command, "pipeline": {
+        name: getattr(args, name) for name in SETTINGS if hasattr(args, name)}}
     for key in ("manifest", "model", "grid", "cv_folds", "predictions"):
         if hasattr(args, key):
             run[key] = getattr(args, key)
@@ -168,7 +172,8 @@ def _parse_grid(text: str) -> tuple:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    run_config = _run_config("train", args, config)
+    forest.check_seed(args.seed)  # before any recording is read
+    run_config = _run_config(args)
     entries = pipeline.read_manifest(args.manifest)
     X, y, groups, skipped = pipeline.collect_training_windows(entries,
                                                               config)
@@ -210,7 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    run_config = _run_config("predict", args, config)
+    run_config = _run_config(args)
     model = forest.load_model(Path(args.model).read_bytes())
     entries = pipeline.read_manifest(args.manifest)
     results, report = pipeline.run_cohort(entries, model, config,
@@ -238,17 +243,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    run_config = _run_config("evaluate", args, config)
+    run_config = _run_config(args)
     predictions, afb_by_pid, n_excluded = pipeline.read_cohort_csv(
         args.predictions)
     metas = {e.patient_id: e.meta
              for e in pipeline.read_manifest(args.manifest)}
 
-    report = stats.stratify(predictions, metas,
-                            ahi_cutoff=config.ahi_cutoff,
-                            margin=config.ni_margin,
-                            alpha=config.ni_alpha)
+    report = stats.stratify(predictions, metas, ahi_cutoff=args.ahi_cutoff,
+                            margin=args.ni_margin, alpha=args.ni_alpha)
 
     out_dir = Path(args.out_dir)
     provenance = _provenance_lines(run_config)
@@ -334,7 +336,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_qc(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    run_config = _run_config("qc", args, config)
+    run_config = _run_config(args)
     entries = pipeline.read_manifest(args.manifest)
     rows, errors = pipeline.qc_cohort(entries, config, workers=args.workers,
                                       dump=args.dump_detector)
@@ -358,7 +360,7 @@ def cmd_qc(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afscreen",
         description="AF screening from long single-channel ECG recordings")
@@ -371,20 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--cv-report", default=None,
                    help="CV table path (default: <out>.cv.csv)")
-    p.add_argument("--grid", default=_env("grid", None),
-                   help="hyperparameter grid like 10x2,20x3 "
-                        "(default: full bracket)")
-    p.add_argument("--cv-folds", type=int,
-                   default=_env("cv-folds", forest.DEFAULT_CV_FOLDS, int))
-    _add_pipeline_flags(p)
+    _add_flag(p, "grid", None, help="hyperparameter grid like 10x2,20x3 "
+                                    "(default: full bracket)")
+    _add_flag(p, "cv-folds", forest.DEFAULT_CV_FOLDS, int)
+    _add_settings(p, "bsqi_threshold", "match_tolerance_s", "channel", "seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify a cohort")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_workers_flag(p)
-    _add_pipeline_flags(p)
+    _add_flag(p, "workers", None, int, help="processes (default: all cores)")
+    _add_settings(p, *FIELDS)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate",
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="manifest carrying reference labels and AHI")
     p.add_argument("--out-dir", required=True)
-    _add_pipeline_flags(p)
+    _add_settings(p, "ahi_cutoff", "ni_margin", "ni_alpha")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic recording")
@@ -402,12 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patient-id", default="synth")
     p.add_argument("--program", required=True,
                    help="rhythm program like NSR:600,AF:1200")
-    p.add_argument("--fs", type=float,
-                   default=_env("fs", SynthSpec.fs, float))
-    p.add_argument("--snr", type=float, default=_env("snr", None, float),
-                   help="signal-power SNR in dB (default: noiseless)")
-    p.add_argument("--seed", type=int,
-                   default=_env("seed", SynthSpec.seed, int))
+    _add_flag(p, "fs", SynthSpec.fs, float)
+    _add_flag(p, "snr", None, float,
+              help="signal-power SNR in dB (default: noiseless)")
+    _add_flag(p, "seed", SynthSpec.seed, int)
     p.add_argument("--mean-rr", type=float, default=SynthSpec.mean_rr)
     p.add_argument("--nsr-sd", type=float, default=SynthSpec.nsr_sd)
     p.add_argument("--af-sd", type=float, default=SynthSpec.af_sd)
@@ -422,19 +420,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump this detector's peak times per patient")
     p.add_argument("--dump-dir", default=None,
                    help="directory for peak dumps (default: next to --out)")
-    _add_workers_flag(p)
-    _add_pipeline_flags(p)
+    _add_flag(p, "workers", None, int, help="processes (default: all cores)")
+    _add_settings(p, *(name for name in FIELDS if name != "afb_threshold_pct"))
     p.set_defaults(func=cmd_qc)
 
     return parser
 
 
+def _parse_args(argv=None) -> argparse.Namespace:
+    args = vars(_build_parser().parse_args(argv))  # see _add_flag
+    return argparse.Namespace(**{k: v() if isinstance(v, partial) else v
+                                 for k, v in args.items()})
+
+
 def main(argv=None) -> int:
     try:
-        # environment overrides are read while the parser is built, so
         # a bad AFSCREEN_* value must fail the same way flag errors do
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (AfscreenError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

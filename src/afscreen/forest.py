@@ -52,6 +52,7 @@ MODEL_KIND = "af-window-forest"
 DEFAULT_N_ESTIMATORS = 20
 DEFAULT_MAX_DEPTH = 3
 DEFAULT_CV_FOLDS = 5
+DEFAULT_SEED = 0
 # brackets the defaults: tree counts {10, 20, 50} x depths {2, 3, 5}
 DEFAULT_GRID = tuple((n, d) for n in (10, 20, 50) for d in (2, 3, 5))
 # The deepest tree train fits and load_model accepts. Fitting, checking
@@ -154,15 +155,21 @@ def _check_hyperparameters(n_estimators: int, max_depth: int) -> None:
             f"at most {MAX_DEPTH_LIMIT}")
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+
+
 def train(X: np.ndarray, y: np.ndarray,
           n_estimators: int = DEFAULT_N_ESTIMATORS,
           max_depth: int = DEFAULT_MAX_DEPTH,
-          seed: int = 0) -> ForestModel:
+          seed: int = DEFAULT_SEED) -> ForestModel:
     """Fit the forest on rows X with labels y (1 = AF, 0 = nonAF).
 
     Deterministic given (row order, seed).
     """
     _check_hyperparameters(n_estimators, max_depth)
+    check_seed(seed)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.shape[0] == 0:
@@ -224,7 +231,7 @@ class CvResult:
 
 def cross_validate(X: np.ndarray, y: np.ndarray, groups,
                    grid=DEFAULT_GRID, k: int = DEFAULT_CV_FOLDS,
-                   seed: int = 0) -> CvResult:
+                   seed: int = DEFAULT_SEED) -> CvResult:
     """Patient-grouped k-fold selection of (n_estimators, max_depth).
 
     groups holds each row's patient id; a patient's rows share a fold.
@@ -238,6 +245,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
     """
     if k < 2:
         raise ConfigurationError(f"grouped CV needs at least 2 folds, got {k}")
+    check_seed(seed)
     for n_est, depth in grid:
         _check_hyperparameters(n_est, depth)
     patients, patient_of = np.unique(np.asarray(groups),

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import quality, stats
+from . import quality
 from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
 from .features import FEATURE_NAMES, featurize
@@ -67,6 +68,12 @@ AF_PROBA = 0.5  # a window is AF iff its probability exceeds this
 
 @dataclass
 class PipelineConfig:
+    """The analysis settings this module reads: channel to load a
+    signal, match_tolerance_s and bsqi_threshold to score its windows,
+    min_reference_peaks and max_exclusion_rate for the recording's QC
+    verdict, afb_threshold_pct to flag prominent AF. Training reads the
+    first three only (collect_training_windows)."""
+
     bsqi_threshold: float = quality.BSQI_THRESHOLD
     afb_threshold_pct: float = 20.0
     match_tolerance_s: float = quality.MATCH_TOLERANCE_S
@@ -75,16 +82,16 @@ class PipelineConfig:
     # None: "ECG" for EDF; for WFDB the only signal of a single-signal
     # record, else "ECG" (the parsers' own defaults).
     channel: str | int | None = None
-    ahi_cutoff: float = stats.DEFAULT_AHI_CUTOFF
-    ni_margin: float = stats.DEFAULT_NI_MARGIN
-    ni_alpha: float = stats.DEFAULT_NI_ALPHA
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.bsqi_threshold <= 1.0:
             raise ConfigurationError("bsqi threshold must lie in [0, 1]")
         if not 0.0 <= self.afb_threshold_pct <= 100.0:
             raise ConfigurationError("afb threshold must lie in [0, 100]")
+        if not 0.0 < self.match_tolerance_s < math.inf:
+            raise ConfigurationError("match tolerance must be finite and > 0")
+        if self.min_reference_peaks < 0:
+            raise ConfigurationError("minimum peaks must be >= 0")
         if not 0.0 <= self.max_exclusion_rate <= 1.0:
             raise ConfigurationError("exclusion rate cap must lie in [0, 1]")
 
@@ -335,12 +342,15 @@ def _fan_out(task, entries: list[ManifestEntry], args: tuple,
              workers: int | None) -> tuple[list[tuple], list[tuple]]:
     """task(entry, *args) for every entry, on `workers` processes.
 
-    workers None means all cores. Returns the (patient_id, result)
-    pairs of the entries that finished and the (patient_id, message)
-    error ledger of those that raised, both sorted by patient id.
+    workers None means all cores; fewer than 1 is refused. Returns the
+    (patient_id, result) pairs of the entries that finished and the
+    (patient_id, message) error ledger of those that raised, both
+    sorted by patient id.
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     run = partial(_guarded, task)
     calls = [(e, *args) for e in entries]
     if workers <= 1 or len(entries) <= 1:
@@ -402,7 +412,8 @@ def collect_training_windows(entries: list[ManifestEntry],
                              config: PipelineConfig,
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                         int]:
-    """Assemble quality-gated, rhythm-labeled windows for training.
+    """Assemble the included, rhythm-labeled windows of every recording
+    for training, whatever the recording's QC verdict.
 
     RR entries take their beats from their own file and their rhythm
     from the annotations file the manifest names, else from their own

@@ -129,6 +129,10 @@ def noninferiority_ppv(high: ConfusionCounts, low: ConfusionCounts,
                        margin: float = DEFAULT_NI_MARGIN,
                        alpha: float = DEFAULT_NI_ALPHA) -> NIResult:
     """One-sided Wald test of H0: ppv_high <= ppv_low - margin."""
+    if not math.isfinite(margin):
+        raise ConfigurationError("non-inferiority margin must be finite")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("non-inferiority level must lie in (0, 1)")
     n_high = high.tp + high.fp
     n_low = low.tp + low.fp
     if n_high == 0 or n_low == 0:
@@ -175,6 +179,8 @@ def stratify(predictions: dict[str, bool],
     without an AHI value count in the overall column only; patients
     without a usable reference label are tallied and skipped.
     """
+    if not math.isfinite(ahi_cutoff):
+        raise ConfigurationError("AHI cutoff must be finite")
     missing = sorted(pid for pid in predictions if pid not in metas)
     if missing:
         raise ConfigurationError(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .record_io import AF, OTHER, EcgRecord, RhythmAnnotations, RPeakSeries
 
 NSR = "NSR"
@@ -71,6 +71,8 @@ class SynthSpec:
                     f"got {rhythm!r}")
         if self.ectopy_k < 2:
             raise ContractViolationError("ectopy_k must be >= 2")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_rr(spec: SynthSpec) -> tuple[RPeakSeries, RhythmAnnotations]:

@@ -345,7 +345,7 @@ def test_cli_artifacts_are_deterministic(tmp_path):
     screen = str(tmp_path / "data" / "screen.csv")
 
     train_argv = ["train", "--manifest", manifest, "--grid", "10x2",
-                  "--cv-folds", "2", "--seed", "5", "--min-peaks", "100"]
+                  "--cv-folds", "2", "--seed", "5"]
     assert main(train_argv + ["--out", str(tmp_path / "a" / "m.json")]) == 0
     assert main(train_argv + ["--out", str(tmp_path / "b" / "m.json")]) == 0
     assert ((tmp_path / "a" / "m.json").read_bytes()

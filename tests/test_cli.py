@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import afscreen
-from afscreen import cli, forest, pipeline, synth
+from afscreen import cli, forest, pipeline, stats, synth
 from afscreen.cli import main
-from afscreen.errors import ContractViolationError
+from afscreen.errors import ConfigurationError, ContractViolationError
 from afscreen.pipeline import PipelineConfig
 from afscreen.record_io import write_edf, write_rr_csv
 
@@ -54,8 +55,7 @@ def cohort(tmp_path_factory):
 
     model_path = root / "model.json"
     code = main(["train", "--manifest", str(root / "train.csv"),
-                 "--out", str(model_path), "--grid", "5x2,10x2",
-                 *SMALL])
+                 "--out", str(model_path), "--grid", "5x2,10x2"])
     assert code == 0
     return root
 
@@ -78,7 +78,7 @@ def test_train_outputs(cohort):
     payload = json.loads((cohort / "model.json").read_text())
     assert payload["generator"].startswith("afscreen-")
     assert payload["config"]["command"] == "train"
-    assert payload["config"]["pipeline"]["min_reference_peaks"] == 100
+    assert set(payload["config"]["pipeline"]) == RECORDED["train"]
 
     report = (cohort / "model.json.cv.csv").read_text().split("\n")
     assert report[0].startswith("# generator=afscreen-")
@@ -90,8 +90,7 @@ def test_train_outputs(cohort):
 
 def test_train_rejects_bad_grid(cohort, capsys):
     code = main(["train", "--manifest", str(cohort / "train.csv"),
-                 "--out", str(cohort / "m2.json"), "--grid", "bananas",
-                 *SMALL])
+                 "--out", str(cohort / "m2.json"), "--grid", "bananas"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (cohort / "m2.json").exists()
@@ -101,8 +100,7 @@ def test_train_rejects_bad_grid(cohort, capsys):
 def test_train_rejects_fewer_than_two_folds(cohort, tmp_path, capsys, folds):
     out = tmp_path / "m.json"
     code = main(["train", "--manifest", str(cohort / "train.csv"),
-                 "--out", str(out), "--grid", "5x2", "--cv-folds", folds,
-                 *SMALL])
+                 "--out", str(out), "--grid", "5x2", "--cv-folds", folds])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -189,7 +187,7 @@ def test_evaluate_outputs(cohort, tmp_path):
     code = main(["evaluate",
                  "--predictions", str(tmp_path / "pred" / "cohort.csv"),
                  "--manifest", str(cohort / "screen.csv"),
-                 "--out-dir", str(tmp_path / "eval"), *SMALL])
+                 "--out-dir", str(tmp_path / "eval")])
     assert code == 0
 
     lines = (tmp_path / "eval" / "strata_report.csv").read_text().split("\n")
@@ -615,41 +613,202 @@ def test_env_override_bad_value(tmp_path, monkeypatch, capsys):
     assert "AFSCREEN_MIN_PEAKS" in capsys.readouterr().err
 
 
-# each PipelineConfig field's flag, by the name users and scripts know
-FLAGS = {
-    "bsqi_threshold": "bsqi-threshold",
-    "afb_threshold_pct": "afb-threshold",
-    "match_tolerance_s": "match-tolerance",
-    "min_reference_peaks": "min-peaks",
-    "max_exclusion_rate": "max-exclusion-rate",
+# ---------------------------------------------------------------------------
+# analysis settings: each command takes, and records, just those it reads
+
+# each setting's flag, by the name users and scripts know, and its key in
+# an artifact's config.pipeline
+SETTING_OF_FLAG = {
+    "bsqi-threshold": "bsqi_threshold",
+    "match-tolerance": "match_tolerance_s",
+    "min-peaks": "min_reference_peaks",
+    "max-exclusion-rate": "max_exclusion_rate",
     "channel": "channel",
-    "ahi_cutoff": "ahi-cutoff",
-    "ni_margin": "ni-margin",
-    "ni_alpha": "ni-alpha",
+    "afb-threshold": "afb_threshold_pct",
+    "ahi-cutoff": "ahi_cutoff",
+    "ni-margin": "ni_margin",
+    "ni-alpha": "ni_alpha",
     "seed": "seed",
 }
-# a value other than any field's default, by the default's type
+QC_FLAGS = {"bsqi-threshold", "match-tolerance", "min-peaks",
+            "max-exclusion-rate", "channel"}
+COMMAND_FLAGS = {
+    "predict": QC_FLAGS | {"afb-threshold"},
+    "qc": QC_FLAGS,
+    # train keeps the included windows of every recording: the recording
+    # QC rules never changed its output
+    "train": {"bsqi-threshold", "match-tolerance", "channel", "seed"},
+    "evaluate": {"ahi-cutoff", "ni-margin", "ni-alpha"},
+}
+RECORDED = {command: {SETTING_OF_FLAG[flag] for flag in flags}
+            for command, flags in COMMAND_FLAGS.items()}
+REQUIRED = {
+    "train": ["--manifest", "m.csv", "--out", "m.json"],
+    "predict": ["--manifest", "m.csv", "--model", "m.json",
+                "--out-dir", "out"],
+    "evaluate": ["--predictions", "cohort.csv", "--manifest", "m.csv",
+                 "--out-dir", "out"],
+    "qc": ["--manifest", "m.csv", "--out", "qc.csv"],
+}
+# a value other than any setting's default, by the default's type
 OTHER = {float: ("0.5", 0.5), int: ("7", 7), type(None): ("II", "II")}
 
 
-def config_of(argv):
-    return cli._config_from(cli.build_parser().parse_args(
-        ["qc", "--manifest", "m.csv", "--out", "qc.csv", *argv]))
+def declared_default(name):
+    """A setting's default, as the code that reads it declares it."""
+    config = PipelineConfig()
+    if hasattr(config, name):
+        return getattr(config, name)
+    if name == "seed":
+        return inspect.signature(forest.train).parameters["seed"].default
+    param = {"ahi_cutoff": "ahi_cutoff", "ni_margin": "margin",
+             "ni_alpha": "alpha"}[name]
+    return inspect.signature(stats.stratify).parameters[param].default
 
 
-@pytest.mark.parametrize("name", [f.name for f in
-                                  dataclasses.fields(PipelineConfig)])
+def parsed(command, argv=()):
+    return cli._parse_args([command, *REQUIRED[command], *argv])
+
+
+def test_the_flag_table_covers_every_setting():
+    assert set(SETTING_OF_FLAG.values()) == set(cli.SETTINGS)
+    assert {f.name for f in dataclasses.fields(PipelineConfig)} == (
+        RECORDED["predict"])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_and_records_just_its_settings(command, capsys):
+    # a flag the command would ignore, such as predict --seed or
+    # train --min-peaks, is an unknown-flag usage error (exit 2); the
+    # flags it takes are parsed in the test below
+    for flag, name in SETTING_OF_FLAG.items():
+        if flag in COMMAND_FLAGS[command]:
+            continue
+        text, _ = OTHER[type(declared_default(name))]
+        with pytest.raises(SystemExit) as e:
+            parsed(command, [f"--{flag}", text])
+        assert e.value.code == 2
+        assert (f"unrecognized arguments: --{flag} {text}"
+                in capsys.readouterr().err)
+    run = cli._run_config(parsed(command))
+    assert run["command"] == command
+    assert set(run["pipeline"]) == RECORDED[command]
+
+
+def assert_setting(command, args, name, value):
+    """The setting reaches the namespace the command reads, the
+    config.pipeline it records and, for a PipelineConfig field, the
+    config it runs the pipeline with."""
+    assert getattr(args, name) == value
+    assert cli._run_config(args)["pipeline"][name] == value
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    if command != "evaluate" and name in fields:
+        assert getattr(cli._config_from(args), name) == value
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_OF_FLAG.values()))
 def test_every_config_field_has_its_flag_and_variable(name, monkeypatch):
-    default = getattr(PipelineConfig(), name)
-    assert getattr(config_of([]), name) == default
+    # each config.pipeline key, through every command that records it:
+    # its default, its flag and its AFSCREEN_* variable
+    flag = {v: k for k, v in SETTING_OF_FLAG.items()}[name]
+    commands = [c for c, flags in COMMAND_FLAGS.items() if flag in flags]
+    assert commands
+    default = declared_default(name)
     text, value = OTHER[type(default)]
-    assert getattr(config_of([f"--{FLAGS[name]}", text]), name) == value
-    monkeypatch.setenv("AFSCREEN_" + FLAGS[name].replace("-", "_").upper(),
-                       text)
-    assert getattr(config_of([]), name) == value
+    for command in commands:
+        assert_setting(command, parsed(command), name, default)
+        assert_setting(command, parsed(command, [f"--{flag}", text]), name,
+                       value)
+    monkeypatch.setenv("AFSCREEN_" + flag.replace("-", "_").upper(), text)
+    for command in commands:
+        assert_setting(command, parsed(command), name, value)
+
+
+def test_a_variable_is_read_only_by_the_commands_taking_its_flag(
+        monkeypatch):
+    monkeypatch.setenv("AFSCREEN_SEED", "soon")
+    monkeypatch.setenv("AFSCREEN_NI_ALPHA", "soon")
+    assert parsed("qc").min_reference_peaks == declared_default(
+        "min_reference_peaks")
+    with pytest.raises(ConfigurationError, match="AFSCREEN_SEED"):
+        parsed("train")
+    with pytest.raises(ConfigurationError, match="AFSCREEN_NI_ALPHA"):
+        parsed("evaluate")
 
 
 def test_numeric_channel_is_an_index(monkeypatch):
-    assert config_of(["--channel", "2"]).channel == 2
+    args = parsed("qc", ["--channel", "2"])
+    assert cli._config_from(args).channel == 2
+    assert cli._run_config(args)["pipeline"]["channel"] == 2
     monkeypatch.setenv("AFSCREEN_CHANNEL", "1")
-    assert config_of([]).channel == 1
+    assert cli._config_from(parsed("qc")).channel == 1
+
+
+# settings that were accepted although they gave wrong output or ended
+# in a traceback: each is now one error line before any output
+BAD_SETTINGS = {
+    # an accepted 5 dB recording became too_noisy
+    "match_tolerance_nan": ("qc", ["--match-tolerance", "nan"], {},
+                            "match tolerance must be finite and > 0"),
+    "match_tolerance_negative": ("predict", ["--match-tolerance", "-1"], {},
+                                 "match tolerance must be finite and > 0"),
+    "min_peaks_negative": ("qc", ["--min-peaks", "-5"], {},
+                           "minimum peaks must be >= 0"),
+    # every patient landed in the high-AHI stratum
+    "ahi_cutoff_nan": ("evaluate", ["--ahi-cutoff", "nan"], {},
+                       "AHI cutoff must be finite"),
+    # reported noninferior=true
+    "ni_alpha_above_one": ("evaluate", ["--ni-alpha", "7"], {},
+                           "non-inferiority level must lie in (0, 1)"),
+    # reported noninferior=false whatever p was
+    "ni_alpha_nan": ("evaluate", ["--ni-alpha", "nan"], {},
+                     "non-inferiority level must lie in (0, 1)"),
+    # gave z = 0 and p = 0.5
+    "ni_margin_nan": ("evaluate", ["--ni-margin", "nan"], {},
+                      "non-inferiority margin must be finite"),
+    # numpy's "expected non-negative integer" traceback
+    "seed_negative": ("train", ["--seed", "-1"], {}, "seed must be >= 0"),
+    "seed_variable_negative": ("train", [], {"AFSCREEN_SEED": "-2"},
+                               "seed must be >= 0"),
+    "synth_seed_negative": ("synth", ["--seed", "-1"], {},
+                            "seed must be >= 0"),
+    # ran serially without a word
+    "workers_zero": ("predict", ["--workers", "0"], {},
+                     "workers must be >= 1"),
+    "workers_negative": ("qc", ["--workers", "-3"], {},
+                         "workers must be >= 1"),
+    "workers_variable_zero": ("predict", [], {"AFSCREEN_WORKERS": "0"},
+                              "workers must be >= 1"),
+}
+
+
+def run_argv(cohort, tmp_path, command):
+    """A command's required flags for a run on the cohort, writing to
+    tmp_path / "out"."""
+    predictions = tmp_path / "cohort.csv"
+    predictions.write_text("patient_id,afb,prominent_af\n"
+                           "a1,100.0,true\nn1,0.0,false\n")
+    out = tmp_path / "out"
+    return {"train": ["--manifest", str(cohort / "train.csv"),
+                      "--out", str(out / "m.json"), "--grid", "5x2"],
+            "predict": ["--manifest", str(cohort / "screen.csv"),
+                        "--model", str(cohort / "model.json"),
+                        "--out-dir", str(out)],
+            "evaluate": ["--predictions", str(predictions),
+                         "--manifest", str(cohort / "screen.csv"),
+                         "--out-dir", str(out)],
+            "qc": ["--manifest", str(cohort / "screen.csv"),
+                   "--out", str(out / "qc.csv")],
+            "synth": ["--out-dir", str(out), "--program", "NSR:60"],
+            }[command]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_setting_is_one_error_line(cohort, tmp_path, capsys,
+                                       monkeypatch, case):
+    command, argv, env, message = BAD_SETTINGS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([command, *run_argv(cohort, tmp_path, command), *argv]) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Forest training, prediction, selection, and model serialization."""
 
+import inspect
 import json
 import math
 import re
@@ -143,6 +144,17 @@ def test_train_rejects_bad_hyperparameters():
         train(X, y, n_estimators=0)
     with pytest.raises(ConfigurationError):
         train(X, y, max_depth=0)
+    # numpy refuses a negative seed with a bare ValueError
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        train(X, y, seed=-1)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        cross_validate(X, y, np.arange(len(y)) % 5, seed=-1)
+
+
+def test_train_and_cv_share_one_default_seed():
+    for fit in (train, cross_validate):
+        assert inspect.signature(fit).parameters["seed"].default is \
+            forest.DEFAULT_SEED
 
 
 def test_depth_beyond_the_limit_is_refused_and_the_limit_loads():

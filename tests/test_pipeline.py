@@ -593,6 +593,24 @@ def test_pipeline_config_validation():
         PipelineConfig(max_exclusion_rate=-0.1)
 
 
+@pytest.mark.parametrize("setting", [
+    {"match_tolerance_s": float("nan")}, {"match_tolerance_s": -1.0},
+    {"match_tolerance_s": 0.0}, {"match_tolerance_s": float("inf")},
+    {"min_reference_peaks": -5}])
+def test_pipeline_config_refuses_settings_that_mislead(setting):
+    # a nan or negative tolerance matched no beat, so every signal
+    # recording came out too_noisy
+    with pytest.raises(ConfigurationError):
+        PipelineConfig(**setting)
+
+
+def test_run_cohort_refuses_fewer_than_one_worker(tmp_path):
+    for workers in (0, -3):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            run_cohort(cohort_entries(tmp_path), AVNN_STUMP, PipelineConfig(),
+                       workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # batched window scoring
 

@@ -128,7 +128,7 @@ def test_rr_cohort_runs_load_no_scipy(tmp_path):
         small = ["--min-peaks", "100", "--workers", "2"]
         codes = [
             main(["train", "--manifest", "m.csv", "--out", "model.json",
-                  "--grid", "5x2", "--min-peaks", "100"]),
+                  "--grid", "5x2"]),
             main(["predict", "--manifest", "m.csv", "--model",
                   "model.json", "--out-dir", "out", *small]),
             main(["qc", "--manifest", "m.csv", "--out", "qc.csv",

@@ -295,6 +295,19 @@ def test_stratify_wires_noninferiority():
     assert report.noninferiority.noninferior is True
 
 
+@pytest.mark.parametrize("setting", [
+    {"ahi_cutoff": math.nan}, {"ahi_cutoff": math.inf},
+    {"margin": math.nan}, {"margin": -math.inf},
+    {"alpha": 7.0}, {"alpha": math.nan}, {"alpha": 0.0}, {"alpha": 1.0}])
+def test_stratify_refuses_settings_that_mislead(setting):
+    # a nan cutoff put every patient in the high stratum; alpha 7 made
+    # every test noninferior and a nan alpha none; a nan margin gave
+    # z = 0 and p = 0.5
+    metas = {"a": meta(AF, 20.0), "b": meta(NON_AF, 10.0)}
+    with pytest.raises(ConfigurationError):
+        stratify({"a": True, "b": True}, metas, **setting)
+
+
 def test_stratify_rejects_unknown_patient():
     with pytest.raises(ConfigurationError) as err:
         stratify({"ghost": True}, {})

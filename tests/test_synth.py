@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from afscreen import features, quality, synth
-from afscreen.errors import ContractViolationError
+from afscreen.errors import ConfigurationError, ContractViolationError
 from afscreen.qrs import detect_reference, detect_test
 from afscreen.record_io import AF, OTHER
 from afscreen.synth import SynthSpec, gen_ecg, gen_rr, synth_record
@@ -91,6 +91,9 @@ def test_spec_validation():
         SynthSpec(rhythm_program=[(60.0, "JAZZ")])
     with pytest.raises(ContractViolationError):
         SynthSpec(rhythm_program=[(60.0, "ECTOPY")], ectopy_k=1)
+    # numpy refuses a negative seed with a bare ValueError
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        SynthSpec(rhythm_program=[(60.0, "NSR")], seed=-1)
 
 
 # ---------------------------------------------------------------------------
