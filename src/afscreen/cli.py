@@ -383,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_flag(p, "workers", None, int, help="processes (default: all cores)")
+    _add_flag(p, "workers", None, int,
+              help="processes (default: all usable cores)")
     _add_settings(p, *FIELDS)
     p.set_defaults(func=cmd_predict)
 
@@ -420,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also dump this detector's peak times per patient")
     p.add_argument("--dump-dir", default=None,
                    help="directory for peak dumps (default: next to --out)")
-    _add_flag(p, "workers", None, int, help="processes (default: all cores)")
+    _add_flag(p, "workers", None, int,
+              help="processes (default: all usable cores)")
     _add_settings(p, *(name for name in FIELDS if name != "afb_threshold_pct"))
     p.set_defaults(func=cmd_qc)
 

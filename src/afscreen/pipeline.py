@@ -6,10 +6,15 @@ inference -> AF burden. predict, qc and train share one analysis path:
 _load turns a manifest entry into its peaks, and _analyze turns the
 peaks into the windows as arrays (the (n, 60) beat times, each window's
 bsqi and the inclusion verdicts) and the QC verdict. predict classifies
-the result, train labels it, qc reports it. _load runs the two detectors
-side by side, the test detector on a second thread joined before it
-returns; they share only the read-only record, so the peaks are
-identical to those of running them one after the other.
+the result, train labels it, qc reports it. _detect runs the two
+detectors either one after the other or side by side, the test detector
+on a second thread joined before it returns; they share only the
+read-only record, so the peaks are the same either way. The caller that
+knows the worker count chooses: entries run in the calling process
+(one worker, one entry, training, a direct process_entry call) take the
+second thread, and so does a pool whose processes take at most half the
+usable cores; a pool that fills more of them runs the detectors one
+after the other, which costs it no time and saves the thread's memory.
 The included windows of an accepted recording are featurized as one
 matrix and scored by one forest call. A PatientResult keeps the window
 arrays; result_to_dict and cohort_csv derive the rows they write.
@@ -233,8 +238,26 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
+def _detect(record: EcgRecord, threaded: bool,
+            ) -> tuple[RPeakSeries, RPeakSeries]:
+    """(reference peaks, test peaks) of one record.
+
+    threaded runs the test detector on a second thread, joined before
+    this returns, while the calling thread runs the reference detector;
+    otherwise the two run one after the other on the calling thread.
+    The reference detector's error wins either way: it leaves the block
+    before the test detector's result is asked for.
+    """
+    if not threaded:
+        return detect_reference(record), detect_test(record)
+    with ThreadPoolExecutor(1) as thread:
+        test = thread.submit(detect_test, record)
+        ref = detect_reference(record)
+    return ref, test.result()
+
+
 def _load(entry: ManifestEntry, config: PipelineConfig,
-          rhythm: bool = False,
+          rhythm: bool = False, threaded: bool = True,
           ) -> tuple[RPeakSeries, RPeakSeries | None,
                      RhythmAnnotations | None]:
     """(reference peaks, test peaks, rhythm annotations) of one entry.
@@ -242,7 +265,7 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
     An RR entry's beats come from its own file; it has no test peaks.
     The annotations are an RR file's own rhythm column, or None; with
     rhythm, the manifest's annotations file takes precedence and
-    missing annotations are an error.
+    missing annotations are an error. threaded is _detect's.
     """
     ref = annotations = None
     if entry.fmt == "rr":
@@ -270,12 +293,8 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
                             head.with_suffix(".dat").read_bytes(),
                             channel=config.channel)
     record.patient_id = entry.patient_id
-    # The reference detector's error wins, as in serial order: it
-    # leaves the block before the test detector's result is asked for.
-    with ThreadPoolExecutor(1) as thread:
-        test = thread.submit(detect_test, record)
-        ref = detect_reference(record)
-    return ref, test.result(), annotations
+    ref, test = _detect(record, threaded)
+    return ref, test, annotations
 
 
 def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
@@ -318,16 +337,23 @@ def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
 
 def process_patient(record: EcgRecord, model: ForestModel,
                     config: PipelineConfig) -> PatientResult:
-    """Run the full signal path for one recording, the detectors one
-    after the other on the calling thread."""
-    ref = detect_reference(record)
-    test = detect_test(record)
+    """Run the full signal path for one recording.
+
+    The detectors run one after the other on the calling thread. The
+    benchmark's tracer keeps one span stack per process, and its test
+    checks the spans of this call, so it stays serial until the tracer
+    is replaced (ROADMAP item 2).
+    """
+    ref, test = _detect(record, threaded=False)
     return _classify(record.patient_id, ref, test, model, config)
 
 
 def process_entry(entry: ManifestEntry, model: ForestModel,
-                  config: PipelineConfig) -> PatientResult:
-    ref, test, _ = _load(entry, config)
+                  config: PipelineConfig, threaded: bool = True,
+                  ) -> PatientResult:
+    """One manifest entry's result; threaded is _detect's, and a pool
+    worker that shares the cores with others passes False."""
+    ref, test, _ = _load(entry, config, threaded=threaded)
     return _classify(entry.patient_id, ref, test, model, config)
 
 
@@ -338,25 +364,39 @@ def _guarded(task, args: tuple) -> tuple[bool, object]:
         return False, f"{type(e).__name__}: {e}"
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (taskset, a cpuset), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(task, entries: list[ManifestEntry], args: tuple,
              workers: int | None) -> tuple[list[tuple], list[tuple]]:
-    """task(entry, *args) for every entry, on `workers` processes.
+    """task(entry, *args, threaded) for every entry, on `workers`
+    processes, or one per entry if there are fewer entries.
 
-    workers None means all cores; fewer than 1 is refused. Returns the
-    (patient_id, result) pairs of the entries that finished and the
-    (patient_id, message) error ledger of those that raised, both
-    sorted by patient id.
+    workers None means all usable cores; fewer than 1 is refused.
+    threaded (_detect's) is True where, without a second detector
+    thread, a core would sit idle: entries run in this process (one
+    worker or one entry), or a pool whose busy processes take at most
+    half the usable cores. Returns the (patient_id, result) pairs of the
+    entries that finished and the (patient_id, message) error ledger of
+    those that raised, both sorted by patient id.
     """
+    cores = _usable_cores()
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cores
     elif workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    busy = min(workers, len(entries))
     run = partial(_guarded, task)
-    calls = [(e, *args) for e in entries]
-    if workers <= 1 or len(entries) <= 1:
+    calls = [(e, *args, busy <= 1 or 2 * busy <= cores) for e in entries]
+    if busy <= 1:
         outcomes = [run(c) for c in calls]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=busy) as pool:
             outcomes = list(pool.map(run, calls))
     done, errors = [], []
     for entry, (ok, out) in zip(entries, outcomes):
@@ -387,8 +427,9 @@ TEST = "test"
 
 
 def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
-              dump: str | None) -> tuple[RecordingQC, RPeakSeries | None]:
-    ref, test, _ = _load(entry, config)
+              dump: str | None, threaded: bool,
+              ) -> tuple[RecordingQC, RPeakSeries | None]:
+    ref, test, _ = _load(entry, config, threaded=threaded)
     qc = _analyze(ref, test, config)[3]
     if dump is None or test is None:
         return qc, None

@@ -62,9 +62,10 @@ class SynthSpec:
         if not self.rhythm_program:
             raise ContractViolationError("rhythm program must be non-empty")
         for duration, rhythm in self.rhythm_program:
-            if not duration > 0:
+            if not 0 < duration < math.inf:
                 raise ContractViolationError(
-                    f"program durations must be > 0, got {duration}")
+                    f"program durations must be finite and > 0, got "
+                    f"{duration}")
             if rhythm not in (NSR, AF, ECTOPY):
                 raise ContractViolationError(
                     f"rhythm must be one of {NSR!r}, {AF!r}, {ECTOPY!r}, "
@@ -73,6 +74,22 @@ class SynthSpec:
             raise ContractViolationError("ectopy_k must be >= 2")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        # a NaN interval never reaches a segment's end, so generation
+        # would run until memory ran out
+        if not 0.0 < self.mean_rr < math.inf:
+            raise ConfigurationError(
+                f"mean RR must be finite and > 0, got {self.mean_rr}")
+        for name, sd in (("NSR", self.nsr_sd), ("AF", self.af_sd)):
+            if not 0.0 <= sd < math.inf:
+                raise ConfigurationError(
+                    f"{name} RR SD must be finite and >= 0, got {sd}")
+        if not 0.0 < self.fs < math.inf:
+            raise ConfigurationError(
+                f"fs must be finite and > 0, got {self.fs}")
+        if self.noise_snr_db is not None and not math.isfinite(
+                self.noise_snr_db):
+            raise ConfigurationError(
+                f"SNR must be finite, got {self.noise_snr_db}")
 
 
 def gen_rr(spec: SynthSpec) -> tuple[RPeakSeries, RhythmAnnotations]:

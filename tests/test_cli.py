@@ -772,6 +772,28 @@ BAD_SETTINGS = {
                                "seed must be >= 0"),
     "synth_seed_negative": ("synth", ["--seed", "-1"], {},
                             "seed must be >= 0"),
+    # ran until killed, appending NaN beat times
+    "synth_mean_rr_nan": ("synth", ["--mean-rr", "nan"], {},
+                          "mean RR must be finite and > 0"),
+    "synth_nsr_sd_nan": ("synth", ["--nsr-sd", "nan"], {},
+                         "NSR RR SD must be finite and >= 0"),
+    # ran until killed, appending beats past an endless segment
+    "synth_duration_inf": ("synth", ["--program", "NSR:inf"], {},
+                           "program durations must be finite and > 0"),
+    # wrote files
+    "synth_mean_rr_negative": ("synth", ["--mean-rr", "-5"], {},
+                               "mean RR must be finite and > 0"),
+    "synth_af_sd_negative": ("synth", ["--af-sd", "-1"], {},
+                             "AF RR SD must be finite and >= 0"),
+    # a ValueError traceback
+    "synth_fs_nan": ("synth", ["--fs", "nan"], {},
+                     "fs must be finite and > 0"),
+    "synth_fs_zero": ("synth", ["--fs", "0"], {},
+                      "fs must be finite and > 0"),
+    # wrote NaN samples
+    "synth_snr_nan": ("synth", ["--snr", "nan"], {}, "SNR must be finite"),
+    "synth_snr_variable_inf": ("synth", [], {"AFSCREEN_SNR": "-inf"},
+                               "SNR must be finite"),
     # ran serially without a word
     "workers_zero": ("predict", ["--workers", "0"], {},
                      "workers must be >= 1"),

@@ -1,7 +1,9 @@
 """Per-patient orchestration, manifests, and cohort batch behavior."""
 
 import json
+import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -380,29 +382,44 @@ def edf_entry(tmp_path, record):
                          patient_id="p")
 
 
-def test_load_runs_the_test_detector_on_a_second_thread(tmp_path,
-                                                       nsr_record,
-                                                       monkeypatch):
-    entry = edf_entry(tmp_path, nsr_record)
-    threads = {}
-
+def spy_detectors(monkeypatch, seen):
+    """Wrap pipeline's two detectors so that each call reports its
+    process, record, detector and thread through seen(line)."""
     def spy(name, detect):
         def run(record):
-            threads[name] = threading.get_ident()
+            seen(f"{os.getpid()} {record.patient_id} {name} "
+                 f"{threading.get_ident()}")
             return detect(record)
         return run
 
-    for name in ("detect_reference", "detect_test"):
-        monkeypatch.setattr(pipeline, name,
-                            spy(name, getattr(pipeline, name)))
-    before = threading.active_count()
-    ref, test, _ = pipeline._load(entry, PipelineConfig())
-    assert threading.active_count() == before
-    assert threads["detect_reference"] == threading.get_ident()
-    assert threads["detect_test"] != threading.get_ident()
+    for name in ("reference", "test"):
+        monkeypatch.setattr(pipeline, f"detect_{name}",
+                            spy(name, getattr(pipeline, f"detect_{name}")))
+
+
+def test_load_runs_the_test_detector_on_a_second_thread(tmp_path,
+                                                       nsr_record,
+                                                       monkeypatch):
+    # threaded=False, a pool worker's mode on a host the pool fills,
+    # keeps both detectors on the calling thread; the peaks are the same
+    entry = edf_entry(tmp_path, nsr_record)
     record = pipeline.parse_edf((tmp_path / "r.edf").read_bytes())
-    assert np.array_equal(ref.times, detect_reference(record).times)
-    assert np.array_equal(test.times, detect_test(record).times)
+    want = detect_reference(record).times, detect_test(record).times
+    lines = []
+    spy_detectors(monkeypatch, lines.append)
+    # None: the default, for callers that run entries in their own process
+    for threaded in (None, True, False):
+        lines.clear()
+        before = threading.active_count()
+        kwargs = {} if threaded is None else {"threaded": threaded}
+        ref, test, _ = pipeline._load(entry, PipelineConfig(), **kwargs)
+        assert threading.active_count() == before
+        threads = {line.split()[2]: int(line.split()[3]) for line in lines}
+        assert threads["reference"] == threading.get_ident()
+        assert (threads["test"] != threading.get_ident()) == (
+            threaded is not False)
+        assert np.array_equal(ref.times, want[0])
+        assert np.array_equal(test.times, want[1])
 
 
 @pytest.mark.parametrize("failing", [("reference",), ("test",),
@@ -414,12 +431,125 @@ def test_load_joins_its_thread_when_a_detector_raises(tmp_path, nsr_record,
         def detect(record, name=name):
             raise ContractViolationError(f"{name} failed")
         monkeypatch.setattr(pipeline, f"detect_{name}", detect)
-    before = threading.active_count()
-    with pytest.raises(ContractViolationError) as err:
-        pipeline._load(entry, PipelineConfig())
-    assert threading.active_count() == before
-    # with both failing, the reference detector's error wins
-    assert str(err.value) == f"{failing[0]} failed"
+    for threaded in (True, False):
+        before = threading.active_count()
+        with pytest.raises(ContractViolationError) as err:
+            pipeline._load(entry, PipelineConfig(), threaded=threaded)
+        assert threading.active_count() == before
+        # with both failing, the reference detector's error wins
+        assert str(err.value) == f"{failing[0]} failed"
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked
+    for and runs the calls in this process, in order."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, calls):
+        return map(fn, calls)
+
+
+@pytest.mark.parametrize("cores, workers, n_entries, threaded", [
+    (2, 1, 3, True),      # entries run in this process
+    (2, 3, 1, True),      # one entry runs in this process
+    (2, 2, 3, False),     # the pool fills both cores
+    (2, None, 3, False),  # all usable cores
+    (4, 2, 3, True),      # two cores stay free for the second threads
+    (4, 3, 3, False),
+    (4, 3, 2, True),      # only two entries, so two busy processes
+    (1, None, 3, True),   # one usable core: one worker, in this process
+])
+def test_fan_out_threads_only_where_a_core_would_idle(
+        monkeypatch, cores, workers, n_entries, threaded):
+    sizes = []
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                        partial(InlinePool, sizes))
+    entries = [ManifestEntry(path="", fmt="rr", patient_id=f"p{i}")
+               for i in range(n_entries)]
+    done, errors = pipeline._fan_out(lambda entry, x, t: (x, t), entries,
+                                     ("x",), workers)
+    assert errors == []
+    assert done == [(e.patient_id, ("x", threaded)) for e in entries]
+    # a fork-started pool starts all its processes at once, so it gets
+    # no more than there are entries
+    busy = min(workers or cores, n_entries)
+    assert sizes == ([] if busy <= 1 else [busy])
+
+
+def test_fan_out_counts_the_cores_this_process_may_use(tmp_path,
+                                                      monkeypatch):
+    # under taskset or a cpuset the host's count would oversubscribe
+    sizes = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                        partial(InlinePool, sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    assert pipeline._usable_cores() == 3
+    pipeline.qc_cohort(cohort_entries(tmp_path), PipelineConfig())
+    assert sizes == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline._usable_cores() == 64
+
+
+@pytest.mark.parametrize("cohort", ["run_cohort", "qc_cohort"])
+def test_pool_workers_take_a_second_thread_only_with_cores_to_spare(
+        tmp_path, nsr_record, af_record, monkeypatch, cohort):
+    # each worker reports the thread of every detector call through a
+    # file; the core count is set before the pool forks
+    entries = []
+    for i, record in enumerate((nsr_record, af_record, nsr_record)):
+        (tmp_path / f"r{i}.edf").write_bytes(write_edf(record))
+        entries.append(ManifestEntry(path=str(tmp_path / f"r{i}.edf"),
+                                     fmt="edf", patient_id=f"p{i}"))
+    seen = tmp_path / "seen.txt"
+
+    def write_line(line):
+        with open(seen, "a") as f:
+            f.write(line + "\n")
+
+    spy_detectors(monkeypatch, write_line)
+
+    def run(workers):
+        if cohort == "run_cohort":
+            results, report = run_cohort(entries, AVNN_STUMP,
+                                         PipelineConfig(), workers=workers)
+            return [result_to_dict(r) for r in results], report
+        done, errors = pipeline.qc_cohort(entries, PipelineConfig(),
+                                          workers=workers, dump=pipeline.TEST)
+        return [(pid, qc, peaks.times.tolist())
+                for pid, (qc, peaks) in done], errors
+
+    outputs = {}
+    for cores in (2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cores=cores: set(range(cores)),
+                            raising=False)
+        seen.write_text("")
+        outputs[cores] = run(2)
+        threads = {}
+        for line in seen.read_text().splitlines():
+            pid, patient, detector, thread = line.split()
+            assert int(pid) != os.getpid()
+            threads[patient, detector] = (pid, thread)
+        assert len(threads) == 2 * len(entries)
+        for e in entries:
+            ref = threads[e.patient_id, "reference"]
+            test = threads[e.patient_id, "test"]
+            assert ref[0] == test[0]
+            # 2 workers fill 2 cores: one thread each; 4 cores leave two
+            assert (ref[1] != test[1]) == (cores == 4)
+    outputs["in-process"] = run(1)
+    assert outputs[2] == outputs[4] == outputs["in-process"]
 
 
 def test_minus_5_db_night_is_too_noisy(tmp_path):
