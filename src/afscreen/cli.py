@@ -173,6 +173,13 @@ def _parse_grid(text: str) -> tuple:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from(args)
     forest.check_seed(args.seed)  # before any recording is read
+    out = Path(args.out)
+    report_path = Path(args.cv_report) if args.cv_report \
+        else out.with_suffix(out.suffix + ".cv.csv")
+    if report_path.resolve() == out.resolve():
+        raise ConfigurationError(
+            f"the CV report {report_path} would overwrite the model "
+            f"{out}; give --cv-report another path")
     run_config = _run_config(args)
     entries = pipeline.read_manifest(args.manifest)
     X, y, groups, skipped = pipeline.collect_training_windows(entries,
@@ -189,14 +196,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = forest.train(X, y, n_estimators=cv.n_estimators,
                          max_depth=cv.max_depth, seed=args.seed)
 
-    out = Path(args.out)
     _write_text(out, _json_text({**json.loads(forest.save_model(model)),
                                  "generator": VERSION, "config": run_config}))
 
     rows = [["n_estimators", "max_depth", "mean_auroc", "folds_used"]]
     rows += [[n, d, _fmt_opt(auc), folds] for n, d, auc, folds in cv.rows]
-    report_path = Path(args.cv_report) if args.cv_report \
-        else out.with_suffix(out.suffix + ".cv.csv")
     _write_text(report_path, pipeline.csv_text(
         rows, _provenance_lines(run_config)
         + [f"selected={cv.n_estimators}x{cv.max_depth}"]))

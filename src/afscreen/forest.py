@@ -14,13 +14,15 @@ Training data is three aligned arrays: X, the (n, 9) feature matrix;
 y, the labels (1 = AF, 0 = nonAF); and groups, each window's patient
 id. label_windows makes one recording's X and y.
 
-Per-tree RNG streams are derived from (seed, tree_index), so training
-is deterministic and independent of tree scheduling, and a forest of n
-trees is the first n trees of any larger forest of the same depth.
+Each tree bootstraps from an RNG stream keyed by (seed, tree_index),
+and each of its nodes draws features from a stream keyed by (seed,
+tree_index, position), where the root is position 1 and node p has
+children 2p and 2p + 1. So training is deterministic, a forest of n
+trees is the first n trees of any larger forest, and a depth-d tree is
+the top d levels of any deeper tree with the same data, seed and index.
 Cross-validation folds group by patient so no patient spans a fold
-boundary; each fold fits one forest per grid depth, with that depth's
-largest tree count, and scores the smaller grid points from its first
-trees.
+boundary; each fold fits one forest and scores every grid point from
+its first trees, cut at the point's depth.
 
 Models serialize to versioned JSON carrying a checksum of the declared
 feature order; loading against a different feature declaration fails,
@@ -128,24 +130,42 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     return int(feats[j]), float(thr)
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
-          max_depth: int, n_sub: int, rng: np.random.Generator):
+def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, levels: int,
+          key: tuple[int, int], pos: int, counts: bool):
+    """The subtree at heap position pos, with at most levels split
+    levels, grown on rows idx; key is the tree's (seed, index). With
+    counts, split nodes keep their class counts under "n", so a tree cut
+    there votes as if the node were a leaf."""
     c1 = int(y[idx].sum())
     c0 = idx.shape[0] - c1
-    if depth >= max_depth or idx.shape[0] < 2 or c0 == 0 or c1 == 0:
+    if levels == 0 or idx.shape[0] < 2 or c0 == 0 or c1 == 0:
         return {"leaf": [c0, c1]}
-    feats = rng.choice(X.shape[1], size=n_sub, replace=False)
+    feats = np.random.default_rng((*key, pos)).choice(
+        X.shape[1], size=math.isqrt(X.shape[1]), replace=False)
     best = _best_split(X, y, idx, feats)
     if best is None:
         return {"leaf": [c0, c1]}
     f, thr = best
     mask = X[idx, f] <= thr
-    return {
+    node = {
         "f": f,
         "thr": thr,
-        "l": _grow(X, y, idx[mask], depth + 1, max_depth, n_sub, rng),
-        "r": _grow(X, y, idx[~mask], depth + 1, max_depth, n_sub, rng),
+        "l": _grow(X, y, idx[mask], levels - 1, key, 2 * pos, counts),
+        "r": _grow(X, y, idx[~mask], levels - 1, key, 2 * pos + 1, counts),
     }
+    if counts:
+        node["n"] = [c0, c1]
+    return node
+
+
+def _fit_tree(X: np.ndarray, y: np.ndarray, seed: int, t: int,
+              max_depth: int, counts: bool = False):
+    """Tree t of a forest: grown on its bootstrap of the rows of X."""
+    n = X.shape[0]
+    boot = np.random.default_rng((seed, t)).integers(0, n, size=n)
+    # the root is position 1: SeedSequence pads its entropy with zeros,
+    # so position 0 would share the bootstrap's stream
+    return _grow(X, y, boot, max_depth, (seed, t), 1, counts)
 
 
 def _check_hyperparameters(n_estimators: int, max_depth: int) -> None:
@@ -160,16 +180,8 @@ def check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
-def train(X: np.ndarray, y: np.ndarray,
-          n_estimators: int = DEFAULT_N_ESTIMATORS,
-          max_depth: int = DEFAULT_MAX_DEPTH,
-          seed: int = DEFAULT_SEED) -> ForestModel:
-    """Fit the forest on rows X with labels y (1 = AF, 0 = nonAF).
-
-    Deterministic given (row order, seed).
-    """
-    _check_hyperparameters(n_estimators, max_depth)
-    check_seed(seed)
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64 and y as int64, once both are checked."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.shape[0] == 0:
@@ -180,33 +192,55 @@ def train(X: np.ndarray, y: np.ndarray,
             f"labels, got {X.shape} and {y.shape}")
     if not np.all((y == 0) | (y == 1)):
         raise ContractViolationError("labels must be 1 (AF) or 0 (nonAF)")
-    y = y.astype(np.int64)
     if not np.all(np.isfinite(X)):
         raise ContractViolationError("training features must be finite")
+    return X, y.astype(np.int64)
+
+
+def train(X: np.ndarray, y: np.ndarray,
+          n_estimators: int = DEFAULT_N_ESTIMATORS,
+          max_depth: int = DEFAULT_MAX_DEPTH,
+          seed: int = DEFAULT_SEED) -> ForestModel:
+    """Fit the forest on rows X with labels y (1 = AF, 0 = nonAF).
+
+    Deterministic given (row order, seed).
+    """
+    _check_hyperparameters(n_estimators, max_depth)
+    check_seed(seed)
+    X, y = _training_data(X, y)
     if y.min() == y.max():
         raise DegenerateModelError(
             "training data holds a single class; both AF and nonAF "
             "windows are required")
-    n = X.shape[0]
-    n_sub = int(math.floor(math.sqrt(X.shape[1])))
-    trees = []
-    for t in range(n_estimators):
-        rng = np.random.default_rng((seed, t))
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow(X, y, boot, 0, max_depth, n_sub, rng))
+    trees = [_fit_tree(X, y, seed, t, max_depth)
+             for t in range(n_estimators)]
     return ForestModel(trees=trees, n_estimators=n_estimators,
                        max_depth=max_depth, seed=seed)
 
 
-def _tree_vote_many(node, X: np.ndarray) -> np.ndarray:
+def _add_votes(node, X: np.ndarray, rows: np.ndarray, level: int,
+               depths: list[int], out: np.ndarray) -> None:
+    """Add to out[i, rows] the AF votes on X[rows] of the tree under
+    node, cut at depths[i] levels.
+
+    node sits at level, and depths ascend from level or beyond. A split
+    node at a cut votes the class counts it keeps under "n", like a leaf.
+    """
     if "leaf" in node:
         c0, c1 = node["leaf"]
-        return np.full(X.shape[0], 1 if c1 > c0 else 0, dtype=np.int64)
-    mask = X[:, node["f"]] <= node["thr"]
-    out = np.empty(X.shape[0], dtype=np.int64)
-    out[mask] = _tree_vote_many(node["l"], X[mask])
-    out[~mask] = _tree_vote_many(node["r"], X[~mask])
-    return out
+        if c1 > c0:
+            out[:, rows] += 1
+        return
+    if depths[0] == level:
+        c0, c1 = node["n"]
+        if c1 > c0:
+            out[0, rows] += 1
+        depths, out = depths[1:], out[1:]
+        if not depths:
+            return
+    left = X[rows, node["f"]] <= node["thr"]
+    _add_votes(node["l"], X, rows[left], level + 1, depths, out)
+    _add_votes(node["r"], X, rows[~left], level + 1, depths, out)
 
 
 def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -216,10 +250,12 @@ def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"expected (n, {len(FEATURE_NAMES)}) feature matrix, "
             f"got {X.shape}")
-    votes = np.zeros(X.shape[0], dtype=np.int64)
+    votes = np.zeros((1, X.shape[0]), dtype=np.int64)
+    rows = np.arange(X.shape[0])
     for tree in model.trees:
-        votes += _tree_vote_many(tree, X)
-    return votes / len(model.trees)
+        # no tree is deeper than max_depth, so the cut there is the tree
+        _add_votes(tree, X, rows, 0, [model.max_depth], votes)
+    return votes[0] / len(model.trees)
 
 
 @dataclass
@@ -238,10 +274,13 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
 
     Ties on mean AUROC prefer fewer trees, then shallower depth. Folds
     with a single-class train or validation side are skipped for that
-    grid point. Rows follow the grid's order, duplicates included. A
-    grid point of n trees is scored from the first n trees of its
-    depth's largest forest, whose tree t depends only on (data, seed,
-    t, depth).
+    grid point. Rows follow the grid's order, duplicates included.
+
+    Each fold fits one forest. Its tree t grows to the deepest depth of
+    the grid points with more than t trees, and a point of n trees and
+    depth d is scored from the first n trees, each cut at depth d: the
+    trees train would fit for that point, since tree t depends only on
+    (data, seed, t) and a shallower tree is the top of a deeper one.
     """
     if k < 2:
         raise ConfigurationError(f"grouped CV needs at least 2 folds, got {k}")
@@ -257,13 +296,13 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
     fold_of = np.empty(len(patients), dtype=np.int64)
     fold_of[np.random.default_rng(seed).permutation(len(patients))] = \
         np.arange(len(patients)) % k
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    X, y = _training_data(X, y)
     folds = fold_of[patient_of]
 
-    counts_at: dict[int, set[int]] = {}
-    for n_est, depth in grid:
-        counts_at.setdefault(depth, set()).add(n_est)
+    n_trees = max((n_est for n_est, _ in grid), default=0)
+    depth_of_tree = [max(d for n_est, d in grid if n_est > t)
+                     for t in range(n_trees)]
+    depths = sorted({depth for _, depth in grid})
     aucs: dict[tuple[int, int], list[float]] = {
         (n_est, depth): [] for n_est, depth in grid}
     for j in range(k):
@@ -271,18 +310,22 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
         va = ~tr
         if not va.any() or y[tr].min() == y[tr].max():
             continue
+        X_tr, y_tr = X[tr], y[tr]
         X_va, y_va = X[va], y[va].tolist()
-        for depth, counts in counts_at.items():
-            model = train(X[tr], y[tr], n_estimators=max(counts),
-                          max_depth=depth, seed=seed)
-            votes = np.cumsum([_tree_vote_many(t, X_va)
-                               for t in model.trees], axis=0)
-            for n_est in counts:
-                # the division predict_proba_many makes for n_est trees
-                proba = votes[n_est - 1] / n_est
-                auc, _ = stats.auroc(list(zip(proba.tolist(), y_va)))
-                if auc is not None:
-                    aucs[n_est, depth].append(auc)
+        rows_va = np.arange(len(y_va))
+        # votes[t, i]: tree t cut at depths[i], on each validation row
+        votes = np.zeros((n_trees, len(depths), len(y_va)), dtype=np.int64)
+        for t in range(n_trees):
+            tree = _fit_tree(X_tr, y_tr, seed, t, depth_of_tree[t],
+                             counts=True)
+            _add_votes(tree, X_va, rows_va, 0, depths, votes[t])
+        votes = np.cumsum(votes, axis=0)
+        for n_est, depth in aucs:
+            # the division predict_proba_many makes for n_est trees
+            proba = votes[n_est - 1, depths.index(depth)] / n_est
+            auc, _ = stats.auroc(list(zip(proba.tolist(), y_va)))
+            if auc is not None:
+                aucs[n_est, depth].append(auc)
 
     rows = []
     for n_est, depth in grid:

@@ -801,6 +801,10 @@ BAD_SETTINGS = {
                          "workers must be >= 1"),
     "workers_variable_zero": ("predict", [], {"AFSCREEN_WORKERS": "0"},
                               "workers must be >= 1"),
+    # wrote the CV table over the model, which predict then refused as
+    # malformed; {out} is the run's output directory
+    "cv_report_is_the_model": ("train", ["--cv-report", "{out}/x/../m.json"],
+                               {}, "would overwrite the model"),
 }
 
 
@@ -829,6 +833,7 @@ def run_argv(cohort, tmp_path, command):
 def test_bad_setting_is_one_error_line(cohort, tmp_path, capsys,
                                        monkeypatch, case):
     command, argv, env, message = BAD_SETTINGS[case]
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert main([command, *run_argv(cohort, tmp_path, command), *argv]) == 2

@@ -522,6 +522,94 @@ def test_cv_rows_match_per_grid_point_fits(k, seed):
         assert all(r[3] == 5 for r in want)
 
 
+def test_cv_rows_match_per_grid_point_fits_across_counts_and_depths():
+    # the most trees at the shallowest depth, the deepest with few trees
+    data = noisy_set()
+    grid = ((50, 1), (5, 6), (20, 3))
+    result = cross_validate(*data, grid=grid, k=5, seed=4)
+    assert result.rows == cross_validate_oracle(*data, grid, 5, 4)
+
+
+def leaf_counts(node):
+    if "leaf" in node:
+        return node["leaf"]
+    left, right = leaf_counts(node["l"]), leaf_counts(node["r"])
+    return [left[0] + right[0], left[1] + right[1]]
+
+
+def cut(node, depth):
+    """The tree under node with its split nodes at depth made leaves."""
+    if "leaf" in node:
+        return node
+    if depth == 0:
+        return {"leaf": leaf_counts(node)}
+    return {"f": node["f"], "thr": node["thr"],
+            "l": cut(node["l"], depth - 1), "r": cut(node["r"], depth - 1)}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_shallower_trees_are_the_cut_of_deeper_ones(seed):
+    X, y, _ = noisy_set()
+    deep = train(X, y, n_estimators=12, max_depth=8, seed=seed).trees
+    for depth in (1, 2, 3, 5, 7):
+        shallow = train(X, y, n_estimators=12, max_depth=depth,
+                        seed=seed).trees
+        assert shallow == [cut(tree, depth) for tree in deep]
+    # the data is deep enough that the cuts remove something
+    assert cut(deep[0], 2) != deep[0]
+
+
+def counting_best_split(monkeypatch):
+    calls = []
+    best_split = forest._best_split
+
+    def counted(*args):
+        calls.append(1)
+        return best_split(*args)
+    monkeypatch.setattr(forest, "_best_split", counted)
+    return calls
+
+
+def test_cv_grows_no_more_nodes_than_per_point_fits(monkeypatch):
+    data = noisy_set()
+    grid = ((50, 1), (1, 8))
+    calls = counting_best_split(monkeypatch)
+    result = cross_validate(*data, grid=grid, k=5, seed=0)
+    one_forest = len(calls)
+    calls.clear()
+    assert cross_validate_oracle(*data, grid, 5, 0) == result.rows
+    per_point = len(calls)
+    assert one_forest <= per_point
+    calls.clear()
+    # a forest of 50 depth-8 trees per fold would grow far more
+    cross_validate(*data, grid=((50, 8),), k=5, seed=0)
+    assert len(calls) > 2 * per_point
+
+
+def test_no_node_draws_from_its_trees_bootstrap_stream(monkeypatch):
+    X, y, _ = noisy_set()
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recording(key):
+        keys.append(tuple(key))
+        return default_rng(key)
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    train(X, y, n_estimators=3, max_depth=4, seed=0)
+    monkeypatch.undo()
+    # bootstrap keys (seed, t), node keys (seed, t, heap position); the
+    # root is position 1
+    assert {(0, 0), (0, 0, 1), (0, 2), (0, 2, 1)} <= set(keys)
+    streams = {tuple(np.random.SeedSequence(key).generate_state(8))
+               for key in keys}
+    assert len(streams) == len(keys)
+    # why the root is not position 0: zero padding gives it the
+    # bootstrap's stream
+    assert (np.random.default_rng((0, 1, 0)).integers(1 << 62, size=4)
+            == np.random.default_rng((0, 1)).integers(1 << 62,
+                                                      size=4)).all()
+
+
 def test_cv_deterministic_given_seed():
     data = separable_set(n_per_class=20, n_patients=5, seed=4)
     a = cross_validate(*data, grid=((10, 2), (20, 2)), k=5, seed=1)
