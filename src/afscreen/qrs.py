@@ -34,17 +34,20 @@ brings its peak magnitude into [0.5, 1), so detections are invariant
 to positive rescaling of the input: bit for bit for x * 2^k, tested
 for k from -1000 to 1000.
 
-Each detector keeps its working set to one or two signal-length arrays,
-bit for bit with the full-length forms, a block of kernels._BLOCK
-samples at a time. sosfiltfilt writes the odd extension into one buffer
-and filters it forward, then backward, in place, with the filter state
-carried from block to block. The reference detector squares its
-derivative a block at a time into the array that the trailing mean then
-overwrites. Every windowed maximum, in the dominance test and for the
-band-passed peak and the slope, is one kernels.trailing_max call; the
-slopes come from a view of the derivative that computes only the slices
-read. Both detectors' sliding means are one _trailing_mean call, worked
-out in place.
+Each detector keeps one signal-length array, its band-pass, and
+otherwise works a block of kernels._BLOCK samples at a time, bit for bit
+with the full-length forms. sosfiltfilt writes the odd extension into
+one buffer and filters it forward, then backward, in place, with the
+filter state carried from block to block. The reference detector never
+holds its integrated signal whole: _integrate sweeps forward over the
+band-pass through the derivative, its square, a running sum and the
+trailing means, and keeps only the candidates with their heights and
+slopes, the maximum and the first 2 s. Its fiducials are refined a
+block of beats at a time. Every windowed maximum, in the dominance
+test and for the band-passed peak and the slope, is a
+kernels.trailing_max call. The test detector's envelope is one
+_trailing_mean call, worked out in place over its squared band-pass,
+and its candidates are picked and weighed a block at a time.
 
 scipy.signal is imported by signal_filters() alone, on first use:
 loading it takes about 1 s and 70 MB, and a cohort of RR series
@@ -174,35 +177,101 @@ def _bandpass(x: np.ndarray, fs: float, lo: float,
     return bp, peak
 
 
-def _derivative(bp: np.ndarray, fs: float, lo: int, hi: int) -> np.ndarray:
-    # Five-point derivative over [lo, hi), centered form of
-    # (1/8T)(2dx1 + dx2); zero at the two samples at each end.
-    out = np.zeros(hi - lo)
-    a, b = max(lo, 2), min(hi, bp.shape[0] - 2)
-    if a < b:
-        out[a - lo:b - lo] = (fs / 8.0) * (
-            2.0 * (bp[a + 1:b + 1] - bp[a - 1:b - 1])
-            + (bp[a + 2:b + 2] - bp[a - 2:b - 2]))
-    return out
+def _derivative(bp: np.ndarray, fs: float, lo: int, out: np.ndarray,
+                tmp: np.ndarray) -> None:
+    # Five-point derivative over [lo, lo + len(out)) into out, centered
+    # form of (1/8T)(2dx1 + dx2); zero at the two samples at each end.
+    # tmp is scratch of out's length.
+    a = max(lo, 2)
+    b = max(min(lo + out.shape[0], bp.shape[0] - 2), a)
+    out[:a - lo] = 0.0
+    out[b - lo:] = 0.0
+    d, t = out[a - lo:b - lo], tmp[:b - a]
+    np.subtract(bp[a + 1:b + 1], bp[a - 1:b - 1], out=d)
+    np.multiply(2.0, d, out=d)
+    np.subtract(bp[a + 2:b + 2], bp[a - 2:b - 2], out=t)
+    np.add(d, t, out=d)
+    np.multiply(fs / 8.0, d, out=d)
 
 
-class _DerivativeView:
-    # The derivative of bp as one array whose slice [lo:hi] is computed
-    # when it is read: kernels.trailing_max takes the slopes from it.
-    def __init__(self, bp: np.ndarray, fs: float) -> None:
-        self.bp, self.fs, self.shape, self.dtype = bp, fs, bp.shape, bp.dtype
+def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
+               n_learn: int):
+    """The integrated signal's candidates, in one forward sweep over bp.
 
-    def __getitem__(self, s: slice) -> np.ndarray:
-        return _derivative(self.bp, self.fs, s.start, s.stop)
+    mwi is the trailing mean over n_mwi samples of the squared
+    derivative of bp, shortened at the start. Returns (cand, mwi[cand],
+    slope, max(mwi), mwi[:n_learn]): cand the dominant local maxima of
+    mwi, _dominant(mwi, _local_maxima(mwi), h), and slope[k] the
+    maximum |derivative| over [cand[k] - n_mwi, cand[k]], the window cut
+    at sample 0. mwi is never held whole.
 
+    The sweep takes kernels._BLOCK samples at a time through the
+    derivative, its square, a running sum seeded with the carried total,
+    and the means. cumsum adds in sequence, so the sums, and the means
+    taken from them, are those of the full-length forms bit for bit. A
+    candidate is decided once the max(h, 1) samples after it are in;
+    the last block decides the rest. The derivative and the means are
+    kept from max(h, 1, n_mwi) samples before the first undecided one,
+    so every window that _local_maxima, _dominant and the slopes read
+    there is whole or cut where the record is. Buffers are allocated
+    once per call.
+    """
+    size = bp.shape[0]
+    block = kernels._BLOCK
+    look = max(h, 1)
+    back = max(look, n_mwi)
+    # The rows of work hold the derivative and the means over [w_lo, hi),
+    # cs the running sum over [lo - n_mwi, hi); cs[n_mwi - 1] is the sum
+    # before sample lo, 0 before sample 0.
+    work = np.empty((2, back + look + block))
+    deriv, means = work
+    cs = np.zeros(n_mwi + block)
+    learn = np.empty(n_learn)
+    cands, peaks, slopes = [], [], []
+    top = -np.inf
+    dec = w_lo = 0
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        k = hi - lo
+        d = deriv[lo - w_lo:hi - w_lo]
+        run = cs[n_mwi - 1:n_mwi + k]
+        _derivative(bp, fs, lo, d, run[1:])
+        np.multiply(d, d, out=run[1:])
+        np.cumsum(run, out=run)
+        m = means[lo - w_lo:hi - w_lo]
+        full = max(lo, n_mwi)
+        if full < hi:
+            # csum[i] - csum[i - n_mwi] over i in [full, hi)
+            np.subtract(cs[full - lo + n_mwi:k + n_mwi], cs[full - lo:k],
+                        out=m[full - lo:])
+            m[full - lo:] /= n_mwi
+        if lo < n_mwi:
+            short = min(hi, n_mwi)
+            np.divide(cs[n_mwi:short - lo + n_mwi],
+                      np.arange(lo + 1, short + 1), out=m[:short - lo])
+        if lo < n_learn:
+            learn[lo:min(hi, n_learn)] = m[:min(hi, n_learn) - lo]
+        top = max(top, float(m.max()))
 
-def _squared_derivative(bp: np.ndarray, fs: float) -> np.ndarray:
-    # The squared derivative, a block at a time into one array.
-    out = np.empty_like(bp)
-    for lo in range(0, bp.shape[0], kernels._BLOCK):
-        d = _derivative(bp, fs, lo, min(lo + kernels._BLOCK, bp.shape[0]))
-        np.multiply(d, d, out=out[lo:lo + d.shape[0]])
-    return out
+        end = size if hi == size else max(hi - look, dec)
+        x = means[:hi - w_lo]
+        cand = _local_maxima(x)
+        cand = cand[np.searchsorted(cand, dec - w_lo):
+                    np.searchsorted(cand, end - w_lo)]
+        cand = _dominant(x, cand, h)
+        peaks.append(x[cand])
+        slopes.append(kernels.trailing_max(deriv[:hi - w_lo], cand,
+                                           n_mwi + 1))
+        cands.append(cand + w_lo)
+
+        # the halos for the next block
+        dec = end
+        cs[:n_mwi] = cs[k:k + n_mwi]
+        keep = max(dec - back, 0)
+        work[:, :hi - keep] = work[:, keep - w_lo:hi - w_lo]
+        w_lo = keep
+    return (np.concatenate(cands), np.concatenate(peaks),
+            np.concatenate(slopes), top, learn)
 
 
 def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
@@ -224,14 +293,21 @@ def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
     # For each beat index c: the band-passed maximum over [c-n_mwi, c],
     # then the maximum within +-n_refine of that. Window indices are
     # clipped to the record, which repeats an edge sample but never
-    # moves the first of tied maxima to another sample.
-    rows = np.arange(beats.shape[0])
+    # moves the first of tied maxima to another sample. The beats go a
+    # block at a time, so the windows' indices and values take about
+    # kernels._BLOCK elements.
+    out = np.empty_like(beats)
     last = bp.shape[0] - 1
-    idx = np.clip(beats[:, None] + np.arange(-n_mwi, 1), 0, last)
-    prelim = idx[rows, bp[idx].argmax(axis=1)]
-    idx = np.clip(prelim[:, None] + np.arange(-n_refine, n_refine + 1),
-                  0, last)
-    return idx[rows, bp[idx].argmax(axis=1)]
+    step = max(kernels._BLOCK // (n_mwi + 1), 1)
+    for lo in range(0, beats.shape[0], step):
+        c = beats[lo:lo + step]
+        rows = np.arange(c.shape[0])
+        idx = np.clip(c[:, None] + np.arange(-n_mwi, 1), 0, last)
+        prelim = idx[rows, bp[idx].argmax(axis=1)]
+        idx = np.clip(prelim[:, None] + np.arange(-n_refine, n_refine + 1),
+                      0, last)
+        out[lo:lo + step] = idx[rows, bp[idx].argmax(axis=1)]
+    return out
 
 
 def detect_reference(record: EcgRecord) -> RPeakSeries:
@@ -244,27 +320,23 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
 
     bp, peak = _bandpass(x, fs, 5.0, 15.0)
     n_mwi = max(_samples_for(MWI_WINDOW_S, fs), 1)
-    mwi = _trailing_mean(_squared_derivative(bp, fs), n_mwi)
-
-    # Only the integration peak that dominates its half-refractory
-    # neighbourhood is weighed; a ripple maximum beside it is not.
     n_ref = _samples_for(REFRACTORY_REFERENCE_S, fs)
-    cand = _dominant(mwi, _local_maxima(mwi), n_ref // 2)
-
-    # Per-candidate context over the trailing integration window: the
-    # band-passed peak that produced the integration peak and the
-    # steepest local slope (for the T-wave test).
-    peaki = mwi[cand]
+    n_learn = min(int(round(2.0 * fs)), bp.shape[0])
+    # Only the integration peak that dominates its half-refractory
+    # neighbourhood is weighed; a ripple maximum beside it is not. Each
+    # candidate carries the steepest local slope (for the T-wave test)
+    # and, below, the band-passed peak that produced it, both over the
+    # trailing integration window.
+    cand, peaki, slope, top, mwi_learn = _integrate(bp, fs, n_mwi,
+                                                    n_ref // 2, n_learn)
     peakf = kernels.trailing_max(bp, cand, n_mwi + 1)
-    slope = kernels.trailing_max(_DerivativeView(bp, fs), cand, n_mwi + 1)
 
-    n_learn = min(int(round(2.0 * fs)), mwi.shape[0])
     abs_learn = np.abs(bp[:n_learn])
-    spki = float(np.max(mwi[:n_learn]))
-    npki = 0.5 * float(np.mean(mwi[:n_learn]))
+    spki = float(np.max(mwi_learn))
+    npki = 0.5 * float(np.mean(mwi_learn))
     spkf = float(np.max(abs_learn))
     npkf = 0.5 * float(np.mean(abs_learn))
-    floor_i = THRESHOLD_FLOOR_FRACTION * float(np.max(mwi))
+    floor_i = THRESHOLD_FLOOR_FRACTION * top
     floor_f = THRESHOLD_FLOOR_FRACTION * peak
 
     n_twave = _samples_for(TWAVE_WINDOW_S, fs)
@@ -303,14 +375,20 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     n_trail = max(_samples_for(TRAIL_WINDOW_S, fs), 1)
     floor = TEST_FLOOR_FRACTION * float(np.max(env))
 
-    cand = _local_maxima(env)
     # env is a square root, so the maximum of |env| is that of env. A
     # candidate in the first n_trail samples is weighed against the
     # maximum over those samples, not over a window cut at sample 0,
-    # which there holds only the band-pass start transient.
-    threshold = TEST_THRESHOLD_FRACTION * kernels.trailing_max(
-        env, np.maximum(cand, n_trail - 1), n_trail)
-    cand = cand[env[cand] > np.maximum(threshold, floor)]
+    # which there holds only the band-pass start transient. The local
+    # maxima are picked and weighed a block at a time, each block's
+    # slice reaching one sample past either end.
+    kept = []
+    for lo in range(0, env.shape[0], kernels._BLOCK):
+        start = max(lo - 1, 0)
+        cand = _local_maxima(env[start:lo + kernels._BLOCK + 1]) + start
+        threshold = TEST_THRESHOLD_FRACTION * kernels.trailing_max(
+            env, np.maximum(cand, n_trail - 1), n_trail)
+        kept.append(cand[env[cand] > np.maximum(threshold, floor)])
+    cand = np.concatenate(kept)
 
     n_ref = _samples_for(REFRACTORY_TEST_S, fs)
     keep = kernels.refractory_pick(cand, np.int64(n_ref))

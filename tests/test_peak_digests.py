@@ -6,7 +6,9 @@ samples, the sha256 of each detector's ``times.tobytes()`` and the two
 peak counts. The records are a grid of 300 s synth programs (NSR, AF,
 then ectopy) at fs 128, 250 and 360 Hz, noiseless and at 10, 0 and -5
 dB, two seeds each, plus paths the grid misses: a WFDB format-212
-round trip, a flat lead-off stretch and records scaled by 2^k.
+round trip, a flat lead-off stretch, records scaled by 2^k and two
+30 min records at 128 Hz, which span several of the reference
+detector's sweep blocks.
 
 A mismatch names the record and the detector, and says whether the
 input moved (a numpy or synth change) or only the peaks did. A change
@@ -32,10 +34,12 @@ from afscreen.record_io import EcgRecord, encode_212, parse_wfdb
 DIGESTS = Path(__file__).parent / "data" / "peak_digests.json"
 DETECTORS = {"reference": detect_reference, "test": detect_test}
 PROGRAM = [(100.0, "NSR"), (100.0, "AF"), (100.0, "ECTOPY")]
+LONG_PROGRAM = [(600.0, "NSR"), (600.0, "AF"), (600.0, "ECTOPY")]
 
 
-def grid_record(fs: float, snr: float | None, seed: int) -> EcgRecord:
-    spec = synth.SynthSpec(rhythm_program=PROGRAM, seed=seed, fs=fs,
+def grid_record(fs: float, snr: float | None, seed: int,
+                program: list = PROGRAM) -> EcgRecord:
+    spec = synth.SynthSpec(rhythm_program=program, seed=seed, fs=fs,
                            noise_snr_db=snr)
     return synth.synth_record(spec)[0]
 
@@ -77,6 +81,9 @@ def builders() -> dict:
     for k in (-600, 600):
         out[f"scaled2^{k}_fs128_snr0_seed1"] = (
             lambda k=k: scaled(grid_record(128.0, 0.0, 1), k))
+    for snr in (10.0, -5.0):
+        out[f"long1800s_fs128_snr{snr:g}_seed1"] = (
+            lambda snr=snr: grid_record(128.0, snr, 1, LONG_PROGRAM))
     return out
 
 

@@ -1,5 +1,6 @@
 """Per-patient orchestration, manifests, and cohort batch behavior."""
 
+import ctypes
 import json
 import os
 import threading
@@ -438,6 +439,37 @@ def test_load_joins_its_thread_when_a_detector_raises(tmp_path, nsr_record,
         assert threading.active_count() == before
         # with both failing, the reference detector's error wins
         assert str(err.value) == f"{failing[0]} failed"
+
+
+def test_threaded_detect_trims_the_heap_after_the_join(nsr_record,
+                                                       monkeypatch):
+    calls = []
+
+    def trim(pad):
+        # both detectors have returned: only this thread is left
+        calls.append((pad, threading.active_count()))
+        return 1
+
+    before = threading.active_count()
+    monkeypatch.setattr(pipeline, "_malloc_trim", lambda: trim)
+    pipeline._detect(nsr_record, threaded=False)
+    assert calls == []
+    pipeline._detect(nsr_record, threaded=True)
+    assert calls == [(0, before)]
+
+
+def test_detect_runs_where_libc_has_no_malloc_trim(nsr_record,
+                                                   monkeypatch):
+    want = [s.times for s in pipeline._detect(nsr_record, threaded=True)]
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    pipeline._malloc_trim.cache_clear()
+    try:
+        assert pipeline._malloc_trim() is None
+        got = [s.times for s in pipeline._detect(nsr_record, threaded=True)]
+    finally:
+        monkeypatch.undo()
+        pipeline._malloc_trim.cache_clear()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class InlinePool:

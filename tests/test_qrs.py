@@ -20,7 +20,7 @@ from scipy.ndimage import maximum_filter1d, uniform_filter1d
 from scipy.signal import butter
 from scipy.signal import sosfiltfilt as scipy_sosfiltfilt
 
-from afscreen import kernels, qrs, quality, synth
+from afscreen import kernels, pipeline, qrs, quality, synth
 from afscreen.errors import ContractViolationError, UnsupportedRateError
 from afscreen.qrs import (RPeakSeries, detect_reference, detect_test,
                           REFRACTORY_REFERENCE_S, REFRACTORY_TEST_S)
@@ -285,6 +285,35 @@ def oracle_dominant(x, cand, h):
                     dtype=np.int64)
 
 
+def oracle_local_maxima(x):
+    return np.array([i for i in range(1, x.shape[0] - 1)
+                     if x[i] > x[i - 1] and x[i] >= x[i + 1]],
+                    dtype=np.int64)
+
+
+def full_derivative(bp, fs):
+    # the five-point derivative over the whole signal at once
+    deriv = np.zeros_like(bp)
+    deriv[2:-2] = (fs / 8.0) * (2.0 * (bp[3:-1] - bp[1:-3])
+                                + (bp[4:] - bp[:-4]))
+    return deriv
+
+
+def full_mwi(bp, fs, n_mwi):
+    # the integrated signal whole: the loop mean of the squared derivative
+    deriv = full_derivative(bp, fs)
+    return oracle_trailing_mean(deriv * deriv, n_mwi)
+
+
+def oracle_integrate(bp, fs, n_mwi, h, n_learn):
+    # qrs._integrate from the full-length forms
+    mwi = full_mwi(bp, fs, n_mwi)
+    cand = oracle_dominant(mwi, oracle_local_maxima(mwi), h)
+    slope = full_length_trailing_max(full_derivative(bp, fs), cand,
+                                     n_mwi + 1)
+    return cand, mwi[cand], slope, float(np.max(mwi)), mwi[:n_learn]
+
+
 def edge_record(fs=128.0):
     """Flat-topped beats every 110 samples, the first peaking within
     n_mwi samples of the start and the last within n_refine of the end,
@@ -367,28 +396,32 @@ def test_dominant_on_any_nonnegative_array(x, data):
 def test_reference_weighs_only_dominant_integration_peaks(monkeypatch,
                                                           fs, h):
     # h is half the 200 ms refractory period in samples; at 0 dB the
-    # integrated signal ripples, so many local maxima are not dominant
+    # integrated signal ripples, so many local maxima are not dominant.
+    # The integrated signal is rebuilt whole from the band-pass, so the
+    # candidates are checked against it whatever the block size.
     seen = {}
-    local_maxima, pt_decide = qrs._local_maxima, kernels.pt_decide
-
-    def spy_local_maxima(x):
-        seen["mwi"] = x.copy()
-        return local_maxima(x)
+    pt_decide = kernels.pt_decide
 
     def spy_pt_decide(cand, *args):
         seen["cand"] = cand.copy()
         return pt_decide(cand, *args)
 
-    monkeypatch.setattr(qrs, "_local_maxima", spy_local_maxima)
     monkeypatch.setattr(kernels, "pt_decide", spy_pt_decide)
     spec = synth.SynthSpec(rhythm_program=[(60.0, "AF")], seed=2, fs=fs,
                            noise_snr_db=0.0)
     rec, _, _ = synth.synth_record(spec, patient_id="ripple")
-    detect_reference(rec)
-    everything = local_maxima(seen["mwi"])
-    want = oracle_dominant(seen["mwi"], everything, h)
+    bp, _ = qrs._bandpass(rec.samples, fs, 5.0, 15.0)
+    mwi = full_mwi(bp, fs, qrs._samples_for(qrs.MWI_WINDOW_S, fs))
+    everything = oracle_local_maxima(mwi)
+    want = oracle_dominant(mwi, everything, h)
     assert want.shape[0] < everything.shape[0] / 2
-    assert np.array_equal(seen["cand"], want)
+    default_block = kernels._BLOCK
+    assert rec.samples.shape[0] <= default_block
+    for block in (1, 7, 64, default_block):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        seen.clear()
+        detect_reference(rec)
+        assert np.array_equal(seen["cand"], want), block
 
 
 @pytest.mark.parametrize("fs", [128.0, 250.0])
@@ -408,17 +441,22 @@ def test_dominance_moves_no_peak_on_clean_records(monkeypatch, fs, snr):
 
 
 @pytest.mark.parametrize("n_mwi,n_refine", [(20, 7), (38, 13), (3, 3)])
-def test_fiducials_match_loop(n_mwi, n_refine):
-    # values on a coarse grid tie often; beats cover both record edges
+def test_fiducials_match_loop(monkeypatch, n_mwi, n_refine):
+    # values on a coarse grid tie often; beats cover both record edges;
+    # small blocks take the beats one to a few at a time
     rng = np.random.default_rng(n_mwi)
+    default_block = kernels._BLOCK
     for trial in range(40):
         bp = rng.integers(-3, 4, size=int(rng.integers(60, 300))) / 4.0
         beats = np.sort(rng.choice(bp.shape[0], size=12, replace=False))
         beats[:2] = [0, int(rng.integers(1, n_mwi))]
         beats[-1] = bp.shape[0] - 1
         beats = np.unique(beats)
-        assert np.array_equal(qrs._fiducials(bp, beats, n_mwi, n_refine),
-                              oracle_fiducials(bp, beats, n_mwi, n_refine))
+        want = oracle_fiducials(bp, beats, n_mwi, n_refine)
+        for block in (1, 64, default_block):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            assert np.array_equal(qrs._fiducials(bp, beats, n_mwi, n_refine),
+                                  want), block
 
 
 @pytest.mark.parametrize("identity_filter", [True, False])
@@ -431,15 +469,21 @@ def test_detect_reference_matches_loop_oracles_at_edges(monkeypatch,
     rec = edge_record()
     got = detect_reference(rec).times
 
-    seen = {}
+    seen = {"integrate": 0}
+
+    def spy_integrate(*args):
+        seen["integrate"] += 1
+        return oracle_integrate(*args)
 
     def spy_fiducials(bp, beats, n_mwi, n_refine):
         seen.update(bp=bp, beats=beats)
         return oracle_fiducials(bp, beats, n_mwi, n_refine)
 
-    monkeypatch.setattr(qrs, "_trailing_mean", oracle_trailing_mean)
+    monkeypatch.setattr(qrs, "_integrate", spy_integrate)
     monkeypatch.setattr(qrs, "_fiducials", spy_fiducials)
     want = detect_reference(rec).times
+    # the loop oracles ran, so the detector was not compared with itself
+    assert seen["integrate"] == 1 and "beats" in seen
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
     # the windows were cut at both edges
@@ -504,6 +548,18 @@ def test_test_detector_matches_the_centred_envelope_oracle(fs, snr):
         assert np.array_equal(got, want)
 
 
+def test_test_detector_picks_candidates_a_block_at_a_time(monkeypatch):
+    # blocks of 7 and 64 samples put many envelope maxima, and so beats,
+    # on either side of a block edge
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "NSR"), (60.0, "AF")],
+                           seed=6, fs=128.0, noise_snr_db=0.0)
+    rec, _, _ = synth.synth_record(spec, patient_id="blocks")
+    want = detect_test(rec).times
+    for block in (7, 64):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        assert np.array_equal(detect_test(rec).times, want), block
+
+
 @pytest.mark.parametrize("fs,seconds", [(128.0, 600.0), (1000.0, 80.0)])
 def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
                                                   seconds):
@@ -512,6 +568,7 @@ def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
     spec = synth.SynthSpec(rhythm_program=[(seconds, "NSR")], seed=9,
                            fs=fs, noise_snr_db=10.0)
     rec, _, _ = synth.synth_record(spec, patient_id="blocks")
+    monkeypatch.setattr(kernels, "_BLOCK", 1 << 15)
     assert rec.samples.shape[0] > 2 * kernels._BLOCK
     got = [detect(rec).times for detect in (detect_reference, detect_test)]
 
@@ -525,14 +582,6 @@ def test_detectors_match_full_length_trailing_max(monkeypatch, fs,
 # ---------------------------------------------------------------------------
 # the blocked, in-place kernels against the full-length forms
 # ---------------------------------------------------------------------------
-
-def full_derivative(bp, fs):
-    # the five-point derivative over the whole signal at once
-    deriv = np.zeros_like(bp)
-    deriv[2:-2] = (fs / 8.0) * (2.0 * (bp[3:-1] - bp[1:-3])
-                                + (bp[4:] - bp[:-4]))
-    return deriv
-
 
 @pytest.mark.parametrize("fs", [100.0, 128.0, 250.0, 360.0, 500.0])
 @pytest.mark.parametrize("band", [(5.0, 15.0), (0.5, 40.0)])
@@ -559,47 +608,66 @@ def test_sosfiltfilt_matches_scipy(monkeypatch, fs, band):
 
 @pytest.mark.parametrize("n", [1, 20, 57])
 def test_blocked_integration_matches_loop(monkeypatch, n):
-    # squared derivative a block at a time, then the in-place mean,
-    # against the loop oracle over the full-length derivative
+    # the sweep against the full-length forms, n the integration window:
+    # blocks shorter than n and than h, h from 0 to longer than a block,
+    # learning prefixes from one sample to the whole signal; a quarter
+    # grid ties often, some candidates lie within h of either end, and on
+    # the cubic the integrated signal rises to its maximum at sample 447,
+    # the last of a block of 7 and of 64
     rng = np.random.default_rng(n)
     fs = 128.0
-    bp = rng.normal(size=700)
-    want = full_derivative(bp, fs)
-    want = oracle_trailing_mean(want * want, n)
-    for block in (1, 7, 64, kernels._BLOCK):
-        monkeypatch.setattr(kernels, "_BLOCK", block)
-        got = qrs._trailing_mean(qrs._squared_derivative(bp, fs), n)
-        assert np.array_equal(got, want), block
+    default_block = kernels._BLOCK
+    near = {"start": 0, "end": 0}
+    for bp in (rng.normal(size=700), rng.integers(-4, 5, size=500) / 4.0,
+               (np.arange(450) / 450.0) ** 3):
+        for h in (0, 1, 13, 70):
+            for n_learn in (1, 256, bp.shape[0]):
+                want = oracle_integrate(bp, fs, n, h, n_learn)
+                cand = want[0]
+                near["start"] += int(np.sum(cand < h))
+                near["end"] += int(np.sum(cand > bp.shape[0] - 1 - h))
+                for block in (1, 7, 64, default_block):
+                    monkeypatch.setattr(kernels, "_BLOCK", block)
+                    got = qrs._integrate(bp, fs, n, h, n_learn)
+                    for g, w in zip(got, want):
+                        assert np.asarray(g).dtype == np.asarray(w).dtype
+                        assert np.array_equal(g, w), (h, n_learn, block)
+    assert near["start"] > 0 and near["end"] > 0
 
 
 @pytest.mark.parametrize("n", [1, 20, 39])
 def test_slope_matches_full_derivative(monkeypatch, n):
-    # the slopes are trailing_max over the derivative view, read a slice
-    # at a time; values on a coarse grid tie often, and the indices sit
-    # at both ends of the record, past its end and on either side of
-    # every block edge
+    # the slopes come from the sweep's own derivative blocks; values on
+    # a coarse grid tie often, and with h = 0 every local maximum of the
+    # integrated signal is a candidate, so candidates lie near both ends
+    # of the record and beside many block edges
     rng = np.random.default_rng(n)
     fs = 128.0
     bp = rng.integers(-8, 9, size=600) / 8.0
     deriv = full_derivative(bp, fs)
-    last = 600 + n - 2  # the last index whose window holds a sample
     for block in (1, 7, 64, kernels._BLOCK):
         monkeypatch.setattr(kernels, "_BLOCK", block)
-        edges = np.arange(0, 600, block)
-        at = np.unique(np.clip(np.concatenate(
-            [[0, 1, 2, 597, 598, 599, last], edges - 1, edges, edges + 1,
-             rng.choice(600, size=40)]), 0, last)).astype(np.int64)
-        got = kernels.trailing_max(qrs._DerivativeView(bp, fs), at, n)
-        want = full_length_trailing_max(deriv, at, n)
+        cand, _, got, _, _ = qrs._integrate(bp, fs, n, 0, 1)
+        want = full_length_trailing_max(deriv, cand, n + 1)
+        assert cand.shape[0] > 100
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), block
 
 
-@pytest.mark.parametrize("detect,bound", [(detect_reference, 3.0),
-                                          (detect_test, 2.0)])
-def test_detector_memory_is_bounded(detect, bound):
+MEMORY_BOUNDS = {
+    "detect_reference": (detect_reference, 2.0),
+    "detect_test": (detect_test, 1.6),
+    "threaded_detect": (functools.partial(pipeline._detect, threaded=True),
+                        3.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_BOUNDS))
+def test_detector_memory_is_bounded(name):
     # peak Python-tracked allocation over one hour at 128 Hz, as a
-    # multiple of the record's own bytes (measured: 2.6x and 1.6x)
+    # multiple of the record's own bytes (measured: 1.88x, 1.48x and, with
+    # both detectors on two threads, 3.28-3.34x)
+    detect, bound = MEMORY_BOUNDS[name]
     spec = synth.SynthSpec(rhythm_program=[(1800.0, "NSR"), (1800.0, "AF")],
                            seed=4, noise_snr_db=10.0)
     rec, _, _ = synth.synth_record(spec, patient_id="memory")
