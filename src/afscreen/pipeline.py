@@ -19,14 +19,13 @@ The included windows of an accepted recording are featurized as one
 matrix and scored by one forest call. A PatientResult keeps the window
 arrays; result_to_dict and cohort_csv derive the rows they write.
 The AF burden (afb) is the percentage of *included* windows classified
-AF; excluded recordings carry no afb, and a recording with no window
-included is too_few_peaks. A patient is flagged prominent-AF iff
-afb >= the 20% threshold.
+AF; excluded recordings carry no afb. A patient is flagged prominent-AF
+iff afb >= the 20% threshold.
 
 Recordings can also enter as plain RR series (beat times on file); the
 dual-detector agreement step then has nothing to compare, so every
-window carries bsqi 1.0 and only the peak-count rule can exclude the
-recording.
+window carries bsqi 1.0 and only a too_few_peaks verdict can exclude
+the recording.
 
 predict and qc fan a cohort out over one process pool. Results are
 sorted by patient_id and inference uses no randomness, so output is
@@ -41,7 +40,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from .errors import (AfscreenError, ConfigurationError,
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
 from .qrs import detect_reference, detect_test, signal_filters
-from .quality import ACCEPTED, TOO_FEW_PEAKS, RecordingQC
+from .quality import ACCEPTED, RecordingQC
 from .record_io import (
     AF,
     NON_AF,
@@ -170,13 +169,7 @@ def csv_text(rows, comments=()) -> str:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Load a cohort manifest CSV.
-
-    Required columns: path, format, patient_id. Optional: ahi,
-    reference_label, annotations. Relative paths resolve against the
-    manifest's own directory, and a path holding NUL is refused. A
-    patient_id is unique and a file name (no "/", "\\" or NUL, not "."
-    or ".."), as outputs are named after it.
+    """parse_manifest's entries, ready to run.
 
     A manifest with an edf or wfdb row loads scipy.signal here, through
     qrs.signal_filters, before any entry starts: predict, qc and train
@@ -184,6 +177,22 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     workers inherit the module instead of each importing it again
     (about 1 s per worker), and no entry's time holds the import. A
     manifest of RR series only never loads it.
+    """
+    entries = parse_manifest(path)
+    if any(e.fmt != "rr" for e in entries):
+        signal_filters()
+    return entries
+
+
+def parse_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Load a cohort manifest CSV.
+
+    Required columns: path, format, patient_id. Optional: ahi,
+    reference_label, annotations. Relative paths resolve against the
+    manifest's own directory, and a path holding NUL is refused. A
+    patient_id is unique and a file name (no "/", "\\" or NUL, not "."
+    or ".."), as outputs are named after it. evaluate, which runs no
+    entry, reads it here.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []
@@ -233,8 +242,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             meta=meta,
             annotations_path=str((base / ann).resolve()) if ann else None,
         ))
-    if any(e.fmt != "rr" for e in entries):
-        signal_filters()
     return entries
 
 
@@ -324,8 +331,6 @@ def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
 
     times is the (n, 60) view of the reference peaks' windows. An RR
     series has no test detector (test None): its windows all score 1.0.
-    A recording that passes both QC rules with no window included is
-    reported too_few_peaks rather than given a burden of zero.
     """
     times = quality.window_partition(ref)
     if test is None:
@@ -335,8 +340,6 @@ def _analyze(ref: RPeakSeries, test: RPeakSeries | None,
     included = bsqi >= config.bsqi_threshold
     qc = quality.qc_recording(ref, included, config.min_reference_peaks,
                               config.max_exclusion_rate)
-    if qc.status == ACCEPTED and not included.any():
-        qc = replace(qc, status=TOO_FEW_PEAKS)
     return times, bsqi, included, qc
 
 

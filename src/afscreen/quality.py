@@ -15,9 +15,11 @@ window within the tolerance) is taken closest first, ties by the pair's
 time sum, and each window gets the count its own matching would give.
 A window is included iff bsqi >= 0.8.
 
-A recording is excluded when it has fewer than 1,000 reference peaks,
-or when more than 75% of its windows fall below the bsqi threshold
-(strict inequality: exactly 75% excluded is still accepted).
+A recording's verdict is that of the first of three rules that holds:
+fewer than 1,000 reference peaks is too_few_peaks; more than 75% of its
+windows below the bsqi threshold is too_noisy (exactly 75% is still
+accepted); no window included is too_few_peaks. Otherwise it is
+accepted.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ def qc_recording(peaks: RPeakSeries, included: np.ndarray,
                  min_peaks: int = MIN_REFERENCE_PEAKS,
                  max_exclusion_rate: float = MAX_EXCLUSION_RATE,
                  ) -> RecordingQC:
-    """Apply the two recording-level rules, peak count first.
+    """The verdict of the first rule that holds, else accepted: fewer
+    than min_peaks peaks, too_few_peaks; an exclusion rate above
+    max_exclusion_rate, too_noisy; no window included, too_few_peaks.
 
     included holds one verdict per window.
     """
@@ -118,6 +122,8 @@ def qc_recording(peaks: RPeakSeries, included: np.ndarray,
         status = TOO_FEW_PEAKS
     elif rate > max_exclusion_rate:
         status = TOO_NOISY
+    elif excluded == total:
+        status = TOO_FEW_PEAKS
     else:
         status = ACCEPTED
     return RecordingQC(n_peaks_reference=n_peaks, exclusion_rate=rate,

@@ -588,21 +588,37 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     The rows are the non-blank lines of ``text.splitlines()``, stripped;
     each cell is stripped too, and cells past the second are ignored.
     Beat times are read with ``float`` and must be finite and strictly
-    increasing; a violation raises ParseError or OrderingError naming
-    the 1-based row. A non-empty rhythm cell must be on every row or on
-    none. A label reading ``AF`` in any case marks AF; every other label
-    (``N``, ``OTHER``, ``AFL``, ...) marks non-AF rhythm. Consecutive
-    runs of one rhythm become episodes spanning the first to the last
-    beat of the run (single-beat runs bound no RR interval and are
-    dropped).
+    increasing; a non-empty rhythm cell must be on every row or on
+    none. Rows are checked in reading order, each against those rules in
+    turn, and the first violation raises ParseError or OrderingError
+    naming the 1-based row. A label reading ``AF`` in any case marks AF;
+    every other label (``N``, ``OTHER``, ``AFL``, ...) marks non-AF
+    rhythm. Consecutive runs of one rhythm become episodes spanning the
+    first to the last beat of the run (single-beat runs bound no RR
+    interval and are dropped).
     """
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    times, af = _rr_columns(lines, split="," in text)
+    stamps = list(filter(None, map(str.strip, text.splitlines())))
+    labels: list[str] = []
+    if "," in text:
+        cells = [ln.split(",", 2) for ln in stamps]
+        stamps = [c[0].strip() for c in cells]
+        labels = [c[1].strip() if len(c) > 1 else "" for c in cells]
+    try:
+        times = np.fromiter(map(float, stamps), dtype=np.float64,
+                            count=len(stamps))
+    except ValueError:
+        times = None
+    labelled = np.fromiter(map(bool, labels), dtype=bool, count=len(labels))
+    if (times is None or not np.isfinite(times).all()
+            or not (times[1:] > times[:-1]).all()
+            or not (labelled == labelled[:1]).all()):
+        _raise_first_broken_rule(stamps, labels)
     peaks = RPeakSeries(times=times)
-    if af is None:
+    if not labels or not labels[0]:
         return peaks, None
 
     # runs of one rhythm: [first, last] beat indices between changes
+    af = np.array([label.upper() == AF for label in labels])
     change = np.flatnonzero(af[1:] != af[:-1]) + 1
     first = np.concatenate(([0], change))
     last = np.concatenate((change, [af.shape[0]])) - 1
@@ -615,62 +631,32 @@ def parse_rr_csv(text: str) -> tuple[RPeakSeries, RhythmAnnotations | None]:
     return peaks, RhythmAnnotations(episodes=episodes)
 
 
-def _rr_columns(lines: list[str], split: bool,
-                ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(times, AF mask or None) of the rows, converted column by column.
+def _raise_first_broken_rule(stamps: list[str], labels: list[str]) -> None:
+    """Raise the error of the first row that breaks a rule.
 
-    Lines hold no comma unless split. Each rule marks its offending rows
-    in one column of a (row, rule) mask, the rules in the order a row is
-    checked: non-numeric, non-finite, not increasing, rhythm label
-    present or missing against row 1. The mask's first mark in row-major
-    order is the error raised.
+    Rows are read in order, each checked for a numeric, then finite,
+    then increasing beat time, then for a rhythm label present or
+    missing as on row 1. labels is empty when the file has no comma.
     """
-    stamps, labels = lines, []
-    labelled = np.zeros(len(lines), dtype=bool)
-    if split:
-        cells = [ln.split(",", 2) for ln in lines]
-        stamps = [c[0].strip() for c in cells]
-        labels = [c[1].strip() if len(c) > 1 else "" for c in cells]
-        labelled = np.fromiter(map(bool, labels), dtype=bool,
-                               count=len(labels))
-    try:
-        times = np.fromiter(map(float, stamps), dtype=np.float64,
-                            count=len(stamps))
-    except ValueError:
-        # keep the rows before the first stamp float cannot read: only
-        # they can break another rule first
-        numbers = []
-        for stamp in stamps:
-            try:
-                numbers.append(float(stamp))
-            except ValueError:
-                break
-        times = np.array(numbers, dtype=np.float64)
-    n = times.shape[0]
-    bad = np.zeros((len(stamps), 4), dtype=bool)
-    bad[n:n + 1, 0] = True  # that stamp, if any
-    bad[:n, 1] = ~np.isfinite(times)
-    bad[1:n, 2] = times[1:] <= times[:-1]
-    bad[:n, 3] = labelled[:n] != labelled[:1]
-    hits = np.flatnonzero(bad)
-    if not hits.size:
-        af = np.array([label.upper() == AF for label in labels]) \
-            if labelled.any() else None
-        return times, af
-    row, rule = divmod(hits[0].item(), 4)
-    where = f"at row {row + 1}"
-    if rule == 0:
-        raise ParseError(f"non-numeric beat time {stamps[row]!r} {where}")
-    if rule == 1:
-        raise ParseError(f"non-finite beat time {stamps[row]!r} {where}")
-    if rule == 2:
-        raise OrderingError(
-            f"beat time {times[row].item()} {where} does not increase past "
-            f"{times[row - 1].item()}", row=row + 1)
-    if labelled[0]:
-        raise ParseError(f"missing rhythm label {where}")
-    raise ParseError(f"rhythm column appears first {where}; it must be "
-                     f"present on every row or none")
+    previous = -math.inf
+    for row, stamp in enumerate(stamps, 1):
+        where = f"at row {row}"
+        try:
+            t = float(stamp)
+        except ValueError:
+            raise ParseError(
+                f"non-numeric beat time {stamp!r} {where}") from None
+        if not math.isfinite(t):
+            raise ParseError(f"non-finite beat time {stamp!r} {where}")
+        if t <= previous:
+            raise OrderingError(f"beat time {t} {where} does not increase "
+                                f"past {previous}", row=row)
+        if labels and bool(labels[row - 1]) != bool(labels[0]):
+            if labels[0]:
+                raise ParseError(f"missing rhythm label {where}")
+            raise ParseError(f"rhythm column appears first {where}; it "
+                             f"must be present on every row or none")
+        previous = t
 
 
 def write_rr_csv(peaks: RPeakSeries,

@@ -145,22 +145,17 @@ def _add_bumps(signal: np.ndarray, fs: float, centers: np.ndarray,
 
 def gen_ecg(peaks: RPeakSeries, fs: float,
             noise_snr_db: float | None = None, *,
-            duration_s: float | None = None,
+            duration_s: float,
             seed: int = 0,
             patient_id: str = "synth") -> EcgRecord:
     """Render beat times into a sampled ECG with optional noise.
 
     The input peak times are the ground truth; they are not altered by
-    rendering. An empty peak list yields a flat record of the requested
-    duration (which is then mandatory). noise_snr_db is the usual power
-    ratio: noise sigma equals the rendered waveform's RMS scaled by
-    10^(-snr/20), so 0 dB means noise power equals signal power.
+    rendering. The record spans duration_s; an empty peak list yields a
+    flat record. noise_snr_db is the usual power ratio: noise sigma
+    equals the rendered waveform's RMS scaled by 10^(-snr/20), so 0 dB
+    means noise power equals signal power.
     """
-    if duration_s is None:
-        if len(peaks) == 0:
-            raise ContractViolationError(
-                "duration_s is required when no peaks are given")
-        duration_s = float(peaks.times[-1]) + 1.0
     n = int(round(duration_s * fs))
     if n < 1:
         raise ContractViolationError("requested duration renders no samples")

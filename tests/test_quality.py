@@ -331,11 +331,23 @@ def test_qc_exclusion_rate_boundary():
     assert qc.status == quality.TOO_NOISY
 
 
-def test_qc_no_windows_counts_as_clean():
+def test_qc_no_windows_is_too_few_peaks():
+    # with no window there is no burden to give: the third rule
     peaks = make_series(np.arange(1000) * 0.8)
     qc = quality.qc_recording(peaks, [])
     assert qc.exclusion_rate == 0.0
-    assert qc.status == quality.ACCEPTED
+    assert qc.status == quality.TOO_FEW_PEAKS
+
+
+def test_qc_noise_rule_precedes_no_window_rule():
+    peaks = make_series(np.arange(1000) * 0.8)
+    assert quality.qc_recording(peaks, verdicts(16, 16)).status \
+        == quality.TOO_NOISY
+    # a rate the noise rule allows still leaves no window included
+    qc = quality.qc_recording(peaks, verdicts(16, 16),
+                              max_exclusion_rate=1.0)
+    assert qc.exclusion_rate == 1.0
+    assert qc.status == quality.TOO_FEW_PEAKS
 
 
 def test_qc_rejects_unknown_status():

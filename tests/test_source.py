@@ -141,6 +141,26 @@ def test_rr_cohort_runs_load_no_scipy(tmp_path):
     assert (tmp_path / "out" / "cohort.csv").is_file()
 
 
+def test_evaluate_loads_no_scipy(tmp_path):
+    # evaluate reads the manifest only for labels and AHI, so its edf and
+    # wfdb rows need no filters; no entry file is opened
+    (tmp_path / "m.csv").write_text(
+        "path,format,patient_id,ahi,reference_label\n"
+        "a.edf,edf,a,3,AF\nb.hea,wfdb,b,20,nonAF\nc.csv,rr,c,,AF\n")
+    (tmp_path / "cohort.csv").write_text(
+        "patient_id,afb,prominent_af\na,40.0,true\nb,5.0,false\nc,,\n")
+    code = f"""
+        import sys
+        from afscreen.cli import main
+        code = main(["evaluate", "--predictions", "cohort.csv",
+                     "--manifest", "m.csv", "--out-dir", "out"])
+        print(code, {SCIPY_LOADED})
+        """
+    out = fresh_python(code, cwd=tmp_path).splitlines()[-1]
+    assert out == "0 []"
+    assert (tmp_path / "out" / "strata_report.csv").is_file()
+
+
 def test_reading_a_manifest_with_a_signal_row_loads_scipy_signal(tmp_path):
     # the parent process loads it before the pool forks; no entry file
     # is opened to read the manifest

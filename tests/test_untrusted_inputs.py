@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afscreen import record_io
 from afscreen.cli import main
 from afscreen.errors import (AfscreenError, ConfigurationError, OrderingError,
                              ParseError)
@@ -330,11 +331,16 @@ def test_parse_rr_csv_matches_row_oracle(text):
     ("1.0\n2.0\n1.5,AF\n", OrderingError, 3),
     ("1.0,AF\n0.5\n", OrderingError, 2),
     ("1.0,AF\nxyz\n", ParseError, 2),
+    ("1.0,AF\nnan,\n", ParseError, 2),
     # an earlier row breaks a rule first
     ("2.0\n1.0\nxyz\n", OrderingError, 2),
     ("1.0,AF\n2.0\nxyz\n", ParseError, 2),
     ("inf\n1.0\n", ParseError, 1),
     ("xyz,AF\n1.0\n", ParseError, 1),
+    # the label rule alone
+    ("1.0,AF\n2.0,\n", ParseError, 2),
+    ("1.0,\n2.0,AF\n", ParseError, 2),
+    ("1.0,\n2.0,\n", None, None), ("1.0,,AF\n2.0,,AF\n", None, None),
     ("", None, None), ("\n \n", None, None), ("1.0\n", None, None),
     ("1.0,AF\n", None, None), ("-0.0,AF, 3\n", None, None),
 ])
@@ -345,6 +351,18 @@ def test_parse_rr_csv_rule_precedence(text, error, row):
         assert outcome[0] == np.float64
     else:
         assert outcome[0] is error and f"at row {row}" in outcome[1]
+
+
+@pytest.mark.parametrize("text", ["1.0\n2.0\n", "1.0,AF\n2.0,N\n",
+                                  "1.0,\n2.0,\n"])
+def test_valid_rr_files_never_reach_the_row_loop(text, monkeypatch):
+    # the array tests accept a valid file; only a broken one is walked
+    # row by row
+    def fail(stamps, labels):
+        raise AssertionError("row loop reached")
+    monkeypatch.setattr(record_io, "_raise_first_broken_rule", fail)
+    assert rr_outcome(parse_rr_csv, text) == rr_outcome(oracle_parse_rr_csv,
+                                                        text)
 
 
 def parses_or_refuses(parse, *args) -> None:
