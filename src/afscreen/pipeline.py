@@ -9,12 +9,10 @@ bsqi and the inclusion verdicts) and the QC verdict. predict classifies
 the result, train labels it, qc reports it. _detect runs the two
 detectors either one after the other or side by side, the test detector
 on a second thread joined before it returns; they share only the
-read-only record, so the peaks are the same either way. The caller that
-knows the worker count chooses: entries run in the calling process
-(one worker, one entry, training, a direct process_entry call) take the
-second thread, and so does a pool whose processes take at most half the
-usable cores; a pool that fills more of them runs the detectors one
-after the other, which costs it no time and saves the thread's memory.
+read-only record, so the peaks are the same either way. The process
+that runs an entry chooses: a process that multiprocessing started,
+such as a pool worker, runs the detectors one after the other, and any
+other process takes the second thread.
 The included windows of an accepted recording are featurized as one
 matrix and scored by one forest call. A PatientResult keeps the window
 arrays; result_to_dict and cohort_csv derive the rows they write.
@@ -38,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -175,7 +174,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     qrs.signal_filters, before any entry starts: predict, qc and train
     read the manifest in the parent process, so the pool's forked
     workers inherit the module instead of each importing it again
-    (about 1 s per worker), and no entry's time holds the import. A
+    (about 0.5 s per worker), and no entry's time holds the import. A
     manifest of RR series only never loads it.
     """
     entries = parse_manifest(path)
@@ -284,7 +283,7 @@ def _detect(record: EcgRecord, threaded: bool,
 
 
 def _load(entry: ManifestEntry, config: PipelineConfig,
-          rhythm: bool = False, threaded: bool = True,
+          rhythm: bool = False,
           ) -> tuple[RPeakSeries, RPeakSeries | None,
                      RhythmAnnotations | None]:
     """(reference peaks, test peaks, rhythm annotations) of one entry.
@@ -292,7 +291,7 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
     An RR entry's beats come from its own file; it has no test peaks.
     The annotations are an RR file's own rhythm column, or None; with
     rhythm, the manifest's annotations file takes precedence and
-    missing annotations are an error. threaded is _detect's.
+    missing annotations are an error.
     """
     ref = annotations = None
     if entry.fmt == "rr":
@@ -320,7 +319,7 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
                             head.with_suffix(".dat").read_bytes(),
                             channel=config.channel)
     record.patient_id = entry.patient_id
-    ref, test = _detect(record, threaded)
+    ref, test = _detect(record, multiprocessing.parent_process() is None)
     return ref, test, annotations
 
 
@@ -372,11 +371,9 @@ def process_patient(record: EcgRecord, model: ForestModel,
 
 
 def process_entry(entry: ManifestEntry, model: ForestModel,
-                  config: PipelineConfig, threaded: bool = True,
-                  ) -> PatientResult:
-    """One manifest entry's result; threaded is _detect's, and a pool
-    worker that shares the cores with others passes False."""
-    ref, test, _ = _load(entry, config, threaded=threaded)
+                  config: PipelineConfig) -> PatientResult:
+    """One manifest entry's result."""
+    ref, test, _ = _load(entry, config)
     return _classify(entry.patient_id, ref, test, model, config)
 
 
@@ -397,25 +394,22 @@ def _usable_cores() -> int:
 
 def _fan_out(task, entries: list[ManifestEntry], args: tuple,
              workers: int | None) -> tuple[list[tuple], list[tuple]]:
-    """task(entry, *args, threaded) for every entry, on `workers`
-    processes, or one per entry if there are fewer entries.
+    """task(entry, *args) for every entry, on `workers` processes, or
+    one per entry if there are fewer entries; a single process runs
+    them in this one.
 
     workers None means all usable cores; fewer than 1 is refused.
-    threaded (_detect's) is True where, without a second detector
-    thread, a core would sit idle: entries run in this process (one
-    worker or one entry), or a pool whose busy processes take at most
-    half the usable cores. Returns the (patient_id, result) pairs of the
-    entries that finished and the (patient_id, message) error ledger of
-    those that raised, both sorted by patient id.
+    Returns the (patient_id, result) pairs of the entries that finished
+    and the (patient_id, message) error ledger of those that raised,
+    both sorted by patient id.
     """
-    cores = _usable_cores()
     if workers is None:
-        workers = cores
+        workers = _usable_cores()
     elif workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     busy = min(workers, len(entries))
     run = partial(_guarded, task)
-    calls = [(e, *args, busy <= 1 or 2 * busy <= cores) for e in entries]
+    calls = [(e, *args) for e in entries]
     if busy <= 1:
         outcomes = [run(c) for c in calls]
     else:
@@ -450,9 +444,8 @@ TEST = "test"
 
 
 def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
-              dump: str | None, threaded: bool,
-              ) -> tuple[RecordingQC, RPeakSeries | None]:
-    ref, test, _ = _load(entry, config, threaded=threaded)
+              dump: str | None) -> tuple[RecordingQC, RPeakSeries | None]:
+    ref, test, _ = _load(entry, config)
     qc = _analyze(ref, test, config)[3]
     if dump is None or test is None:
         return qc, None

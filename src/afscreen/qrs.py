@@ -50,7 +50,7 @@ _trailing_mean call, worked out in place over its squared band-pass,
 and its candidates are picked and weighed a block at a time.
 
 scipy.signal is imported by signal_filters() alone, on first use:
-loading it takes about 1 s and 70 MB, and a cohort of RR series
+loading it takes about 0.5 s and 70 MB, and a cohort of RR series
 filters no signal. _bandpass and sosfiltfilt take the filters from it,
 so a direct detector or process_patient call pays the import on its
 first call. pipeline.read_manifest calls it before it returns a

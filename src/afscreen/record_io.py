@@ -337,12 +337,14 @@ def parse_edf(data: bytes, channel: str | int | None = None) -> EcgRecord:
     return EcgRecord(patient_id=patient, samples=physical, fs=fs)
 
 
-def _format_edf_float(v: float, width: int = 8) -> str:
-    for digits in range(7, 0, -1):
+def _format_edf_float(v: float) -> str:
+    # the most significant digits, up to 7, that fit an 8-character
+    # header field; one digit always fits
+    for digits in range(7, 1, -1):
         text = f"{v:.{digits}g}"
-        if len(text) <= width:
+        if len(text) <= 8:
             return text
-    raise ConfigurationError(f"cannot format {v} in {width} ASCII characters")
+    return f"{v:.1g}"
 
 
 def _edf_bound(v: float, side: float) -> float:
@@ -356,8 +358,9 @@ def _edf_bound(v: float, side: float) -> float:
     return float(_format_edf_float(bound))
 
 
-def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
-    """Encode a record as a single-signal EDF byte string.
+def write_edf(record: EcgRecord) -> bytes:
+    """Encode a record as a single-signal EDF byte string, labelled
+    DEFAULT_CHANNEL.
 
     The physical range is taken from the data, serialized into the
     8-character ASCII header fields, and then re-parsed before samples
@@ -403,7 +406,7 @@ def write_edf(record: EcgRecord, label: str = "ECG") -> bytes:
               "start_date": "01.01.00", "start_time": "00.00.00",
               "header_bytes": str(256 + 256), "n_records": str(n_records),
               "record_duration": _format_edf_float(float(duration)),
-              "n_signals": "1", "label": label, "dimension": "mV",
+              "n_signals": "1", "label": DEFAULT_CHANNEL, "dimension": "mV",
               "physical_min": _format_edf_float(pmin),
               "physical_max": _format_edf_float(pmax),
               "digital_min": str(EDF_DIGITAL_MIN),

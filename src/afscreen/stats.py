@@ -19,6 +19,7 @@ correctly rounded (error well under 1e-7).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +187,8 @@ def stratify(predictions: dict[str, bool],
         raise ConfigurationError(
             f"no reference metadata for patients: {', '.join(missing)}")
 
-    cells = {"overall": [0, 0, 0, 0], "low": [0, 0, 0, 0],
-             "high": [0, 0, 0, 0]}
+    # each stratum counts (predicted, actual) pairs
+    overall, low, high = Counter(), Counter(), Counter()
     n_missing_ahi = 0
     n_unlabeled = 0
     for pid in sorted(predictions):
@@ -195,33 +196,20 @@ def stratify(predictions: dict[str, bool],
         if meta.reference_af_label not in (AF, NON_AF):
             n_unlabeled += 1
             continue
-        actual = meta.reference_af_label == AF
-        predicted = bool(predictions[pid])
-        # cell order: tp, fp, tn, fn
-        if predicted and actual:
-            cell = 0
-        elif predicted and not actual:
-            cell = 1
-        elif not predicted and not actual:
-            cell = 2
-        else:
-            cell = 3
-        cells["overall"][cell] += 1
+        key = bool(predictions[pid]), meta.reference_af_label == AF
+        overall[key] += 1
         if meta.ahi is None:
             n_missing_ahi += 1
-        elif meta.ahi < ahi_cutoff:
-            cells["low"][cell] += 1
         else:
-            cells["high"][cell] += 1
+            (low if meta.ahi < ahi_cutoff else high)[key] += 1
 
-    def stratum(name: str) -> StratumStats:
-        tp, fp, tn, fn = cells[name]
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    def stratum(cells: Counter) -> StratumStats:
+        counts = ConfusionCounts(tp=cells[True, True], fp=cells[True, False],
+                                 tn=cells[False, False],
+                                 fn=cells[False, True])
         return StratumStats(counts=counts, derived=metrics(counts))
 
-    overall = stratum("overall")
-    low = stratum("low")
-    high = stratum("high")
+    overall, low, high = stratum(overall), stratum(low), stratum(high)
     ni = noninferiority_ppv(high.counts, low.counts, margin=margin,
                             alpha=alpha)
     return StrataReport(overall=overall, low_ahi=low, high_ahi=high,

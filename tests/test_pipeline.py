@@ -401,24 +401,24 @@ def spy_detectors(monkeypatch, seen):
 def test_load_runs_the_test_detector_on_a_second_thread(tmp_path,
                                                        nsr_record,
                                                        monkeypatch):
-    # threaded=False, a pool worker's mode on a host the pool fills,
-    # keeps both detectors on the calling thread; the peaks are the same
+    # _load in the process that multiprocessing did not start takes the
+    # second thread; _detect(record, False), a pool worker's mode, keeps
+    # both detectors on the calling thread; the peaks are the same
     entry = edf_entry(tmp_path, nsr_record)
     record = pipeline.parse_edf((tmp_path / "r.edf").read_bytes())
     want = detect_reference(record).times, detect_test(record).times
     lines = []
     spy_detectors(monkeypatch, lines.append)
-    # None: the default, for callers that run entries in their own process
-    for threaded in (None, True, False):
+    runs = {True: lambda: pipeline._load(entry, PipelineConfig())[:2],
+            False: lambda: pipeline._detect(record, False)}
+    for threaded, run in runs.items():
         lines.clear()
         before = threading.active_count()
-        kwargs = {} if threaded is None else {"threaded": threaded}
-        ref, test, _ = pipeline._load(entry, PipelineConfig(), **kwargs)
+        ref, test = run()
         assert threading.active_count() == before
         threads = {line.split()[2]: int(line.split()[3]) for line in lines}
         assert threads["reference"] == threading.get_ident()
-        assert (threads["test"] != threading.get_ident()) == (
-            threaded is not False)
+        assert (threads["test"] != threading.get_ident()) == threaded
         assert np.array_equal(ref.times, want[0])
         assert np.array_equal(test.times, want[1])
 
@@ -432,10 +432,12 @@ def test_load_joins_its_thread_when_a_detector_raises(tmp_path, nsr_record,
         def detect(record, name=name):
             raise ContractViolationError(f"{name} failed")
         monkeypatch.setattr(pipeline, f"detect_{name}", detect)
-    for threaded in (True, False):
+    record = pipeline.parse_edf((tmp_path / "r.edf").read_bytes())
+    for run in (lambda: pipeline._load(entry, PipelineConfig()),
+                lambda: pipeline._detect(record, False)):
         before = threading.active_count()
         with pytest.raises(ContractViolationError) as err:
-            pipeline._load(entry, PipelineConfig(), threaded=threaded)
+            run()
         assert threading.active_count() == before
         # with both failing, the reference detector's error wins
         assert str(err.value) == f"{failing[0]} failed"
@@ -489,28 +491,27 @@ class InlinePool:
         return map(fn, calls)
 
 
-@pytest.mark.parametrize("cores, workers, n_entries, threaded", [
-    (2, 1, 3, True),      # entries run in this process
-    (2, 3, 1, True),      # one entry runs in this process
-    (2, 2, 3, False),     # the pool fills both cores
-    (2, None, 3, False),  # all usable cores
-    (4, 2, 3, True),      # two cores stay free for the second threads
-    (4, 3, 3, False),
-    (4, 3, 2, True),      # only two entries, so two busy processes
-    (1, None, 3, True),   # one usable core: one worker, in this process
+@pytest.mark.parametrize("cores, workers, n_entries", [
+    (2, 1, 3),      # entries run in this process
+    (2, 3, 1),      # one entry runs in this process
+    (2, 2, 3),      # the pool fills both cores
+    (2, None, 3),   # all usable cores
+    (4, 2, 3),      # two cores stay free
+    (4, 3, 3),
+    (4, 3, 2),      # only two entries, so two processes
+    (1, None, 3),   # one usable core: one worker, in this process
 ])
-def test_fan_out_threads_only_where_a_core_would_idle(
-        monkeypatch, cores, workers, n_entries, threaded):
+def test_fan_out_sizes_its_pool(monkeypatch, cores, workers, n_entries):
     sizes = []
     monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
                         partial(InlinePool, sizes))
     entries = [ManifestEntry(path="", fmt="rr", patient_id=f"p{i}")
                for i in range(n_entries)]
-    done, errors = pipeline._fan_out(lambda entry, x, t: (x, t), entries,
-                                     ("x",), workers)
+    done, errors = pipeline._fan_out(lambda entry, x: (entry.patient_id, x),
+                                     entries, ("x",), workers)
     assert errors == []
-    assert done == [(e.patient_id, ("x", threaded)) for e in entries]
+    assert done == [(e.patient_id, (e.patient_id, "x")) for e in entries]
     # a fork-started pool starts all its processes at once, so it gets
     # no more than there are entries
     busy = min(workers or cores, n_entries)
@@ -534,10 +535,11 @@ def test_fan_out_counts_the_cores_this_process_may_use(tmp_path,
 
 
 @pytest.mark.parametrize("cohort", ["run_cohort", "qc_cohort"])
-def test_pool_workers_take_a_second_thread_only_with_cores_to_spare(
+def test_pool_workers_run_both_detectors_on_one_thread(
         tmp_path, nsr_record, af_record, monkeypatch, cohort):
-    # each worker reports the thread of every detector call through a
-    # file; the core count is set before the pool forks
+    # each process reports the thread of every detector call through a
+    # file; the core count is set before the pool forks, and no count
+    # gives a worker a second thread
     entries = []
     for i, record in enumerate((nsr_record, af_record, nsr_record)):
         (tmp_path / f"r{i}.edf").write_bytes(write_edf(record))
@@ -561,27 +563,28 @@ def test_pool_workers_take_a_second_thread_only_with_cores_to_spare(
         return [(pid, qc, peaks.times.tolist())
                 for pid, (qc, peaks) in done], errors
 
-    outputs = {}
-    for cores in (2, 4):
+    outputs = []
+    # two workers on 2 and on 4 cores, then --workers 1, which runs the
+    # entries in this process
+    for cores, workers in ((2, 2), (4, 2), (2, 1)):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, cores=cores: set(range(cores)),
                             raising=False)
         seen.write_text("")
-        outputs[cores] = run(2)
+        outputs.append(run(workers))
         threads = {}
         for line in seen.read_text().splitlines():
             pid, patient, detector, thread = line.split()
-            assert int(pid) != os.getpid()
+            assert (int(pid) == os.getpid()) == (workers == 1)
             threads[patient, detector] = (pid, thread)
         assert len(threads) == 2 * len(entries)
         for e in entries:
             ref = threads[e.patient_id, "reference"]
             test = threads[e.patient_id, "test"]
             assert ref[0] == test[0]
-            # 2 workers fill 2 cores: one thread each; 4 cores leave two
-            assert (ref[1] != test[1]) == (cores == 4)
-    outputs["in-process"] = run(1)
-    assert outputs[2] == outputs[4] == outputs["in-process"]
+            # only this process gives the test detector its own thread
+            assert (ref[1] != test[1]) == (workers == 1)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_minus_5_db_night_is_too_noisy(tmp_path):

@@ -14,19 +14,25 @@ import pytest
 import afscreen
 
 
+def loaded_names(paths) -> set[str]:
+    """The names the source files load, by name or as an attribute."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return loaded
+
+
 def test_every_private_definition_is_used_in_the_package():
     # A module-level _private function or class that no code in the
     # package loads, by name or as an attribute, serves only the tests
     # and should go.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(afscreen.__file__).parent.glob("*.py")}
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
+    loaded = loaded_names(Path(afscreen.__file__).parent.glob("*.py"))
     private = [(name, node.name) for name, tree in trees.items()
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -35,6 +41,33 @@ def test_every_private_definition_is_used_in_the_package():
                and not node.name.startswith("__")]
     assert len(private) > 0
     assert [p for p in private if p[1] not in loaded] == []
+
+
+def test_every_public_definition_is_used_in_the_package_or_benchmark():
+    # A public module-level function, class or constant that neither the
+    # package nor the benchmark loads, by name or as an attribute, serves
+    # only the tests and should go. process_patient is the library entry
+    # point that README documents.
+    package = Path(afscreen.__file__).parent
+    benchmark = Path(__file__).resolve().parents[1] / "perfbench"
+    loaded = loaded_names([*package.glob("*.py"), *benchmark.glob("*.py")])
+    public = []
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            public += [(path.stem, n) for n in names if not n.startswith("_")]
+    assert len(public) > 100
+    assert sorted(p for p in public if p[1] not in loaded) == [
+        ("pipeline", "process_patient")]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -101,7 +134,7 @@ def test_modules_that_filter_no_signal_load_no_scipy():
 
 @pytest.mark.parametrize("module", ["qrs", "pipeline", "cli"])
 def test_importing_the_detectors_loads_no_scipy(module):
-    # scipy.signal takes about 1 s and 70 MB to load; qrs imports it on
+    # scipy.signal takes about 0.5 s and 70 MB to load; qrs imports it on
     # its first filter, so an RR cohort never pays for it
     code = (f"import sys\n"
             f"import afscreen.{module}\n"
