@@ -315,6 +315,9 @@ def _parse_program(text: str) -> list[tuple[float, str]]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if not pipeline.is_file_name(args.patient_id):
+        raise ConfigurationError(
+            f"--patient-id {args.patient_id!r} is not a file name")
     spec = SynthSpec(rhythm_program=_parse_program(args.program),
                      seed=args.seed, fs=args.fs,
                      noise_snr_db=args.snr,

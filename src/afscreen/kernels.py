@@ -16,6 +16,8 @@ compute them for all of a night's windows at once.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -102,9 +104,9 @@ def pt_decide(cand, peaki, peakf, slope,
     estimates drive both thresholds, clamped below by the floor_* guards
     so a flat stretch cannot collapse them to numeric ripple; a
     search-back pass rescues beats missed during a gap longer than 1.66x
-    the recent mean RR, and candidates close to the previous beat with
-    under half its slope are rejected as T waves. Returns the boolean
-    accept-mask over the candidates.
+    the mean of the last eight RR intervals, and candidates close to the
+    previous beat with under half its slope are rejected as T waves.
+    Returns the boolean accept-mask over the candidates.
     """
     # Indexing a memoryview yields a Python int or float, which the
     # interpreter handles several times faster than a numpy scalar;
@@ -118,18 +120,15 @@ def pt_decide(cand, peaki, peakf, slope,
     n = len(cand)
     accept = np.zeros(n, np.bool_)
     accepted = memoryview(accept)
-    # The last 8 RR intervals are whole sample counts, so their running
-    # sum is exact and equals a fresh sum of the buffer.
-    rr_buf = [0] * 8
-    rr_sum = 0
-    rr_n = 0
-    rr_pos = 0
-    # Search-back fires past 1.66x the mean RR; never before an RR exists.
+    # The last nine beats' sample indices: their span is the exact sum
+    # of the last eight RR intervals, each a whole sample count.
+    recent = collections.deque(maxlen=9)
+    # Search-back fires past 1.66x the mean of the last eight RR
+    # intervals; never before an RR exists.
     sb_limit = np.inf
     # Before the first beat, every candidate lies far beyond the
     # refractory and T-wave windows of this sentinel.
-    no_qrs = -2 ** 62
-    last_qrs = no_qrs
+    last_qrs = -2 ** 62
     last_slope = 0.0
     last_acc_k = -1
     for k in range(n):
@@ -163,46 +162,35 @@ def pt_decide(cand, peaki, peakf, slope,
                 accepted[best] = True
                 spki = 0.25 * peaki[best] + 0.75 * spki
                 spkf = 0.25 * peakf[best] + 0.75 * spkf
-                rr = cand[best] - last_qrs
-                rr_sum += rr - rr_buf[rr_pos]
-                rr_buf[rr_pos] = rr
-                rr_pos = (rr_pos + 1) % 8
-                if rr_n < 8:
-                    rr_n += 1
-                sb_limit = 1.66 * (rr_sum / rr_n)
                 last_qrs = cand[best]
+                recent.append(last_qrs)
+                sb_limit = 1.66 * ((last_qrs - recent[0]) / (len(recent) - 1))
                 last_slope = slope[best]
                 last_acc_k = best
                 if c - last_qrs < n_refractory:
                     continue
 
-        if c - last_qrs < n_twave and slope[k] < 0.5 * last_slope:
-            npki = 0.125 * peaki[k] + 0.875 * npki
-            npkf = 0.125 * peakf[k] + 0.875 * npkf
-            continue
-
-        thri = npki + 0.25 * (spki - npki)
-        if thri < floor_i:
-            thri = floor_i
-        thrf = npkf + 0.25 * (spkf - npkf)
-        if thrf < floor_f:
-            thrf = floor_f
-        if peaki[k] > thri and peakf[k] > thrf:
-            accepted[k] = True
-            spki = 0.125 * peaki[k] + 0.875 * spki
-            spkf = 0.125 * peakf[k] + 0.875 * spkf
-            if last_qrs != no_qrs:
-                rr = c - last_qrs
-                rr_sum += rr - rr_buf[rr_pos]
-                rr_buf[rr_pos] = rr
-                rr_pos = (rr_pos + 1) % 8
-                if rr_n < 8:
-                    rr_n += 1
-                sb_limit = 1.66 * (rr_sum / rr_n)
-            last_qrs = c
-            last_slope = slope[k]
-            last_acc_k = k
-        else:
-            npki = 0.125 * peaki[k] + 0.875 * npki
-            npkf = 0.125 * peakf[k] + 0.875 * npkf
+        # The T-wave test negated, not rewritten with >= and or, so that
+        # a NaN slope is no T wave and meets the thresholds.
+        if not (c - last_qrs < n_twave and slope[k] < 0.5 * last_slope):
+            thri = npki + 0.25 * (spki - npki)
+            if thri < floor_i:
+                thri = floor_i
+            thrf = npkf + 0.25 * (spkf - npkf)
+            if thrf < floor_f:
+                thrf = floor_f
+            if peaki[k] > thri and peakf[k] > thrf:
+                accepted[k] = True
+                spki = 0.125 * peaki[k] + 0.875 * spki
+                spkf = 0.125 * peakf[k] + 0.875 * spkf
+                last_qrs = c
+                recent.append(c)
+                if len(recent) > 1:
+                    sb_limit = 1.66 * ((c - recent[0]) / (len(recent) - 1))
+                last_slope = slope[k]
+                last_acc_k = k
+                continue
+        # a T wave, or a candidate under either threshold
+        npki = 0.125 * peaki[k] + 0.875 * npki
+        npkf = 0.125 * peakf[k] + 0.875 * npkf
     return accept

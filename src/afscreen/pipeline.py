@@ -183,15 +183,20 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
+def is_file_name(name: str) -> bool:
+    """True if outputs can be named after `name`: not empty, "." or "..",
+    and holding no "/", "\\" or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def parse_manifest(path: str | Path) -> list[ManifestEntry]:
     """Load a cohort manifest CSV.
 
     Required columns: path, format, patient_id. Optional: ahi,
     reference_label, annotations. Relative paths resolve against the
     manifest's own directory, and a path holding NUL is refused. A
-    patient_id is unique and a file name (no "/", "\\" or NUL, not "."
-    or ".."), as outputs are named after it. evaluate, which runs no
-    entry, reads it here.
+    patient_id is unique and passes is_file_name, as outputs are named
+    after it. evaluate, which runs no entry, reads it here.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []
@@ -206,7 +211,7 @@ def parse_manifest(path: str | Path) -> list[ManifestEntry]:
         pid = row["patient_id"].strip()
         if not pid:
             raise ConfigurationError(f"manifest row {i}: empty patient_id")
-        if pid in (".", "..") or any(c in pid for c in "/\\\0"):
+        if not is_file_name(pid):
             raise ConfigurationError(
                 f"manifest row {i}: patient_id {pid!r} is not a file name")
         if pid in seen:

@@ -3,16 +3,17 @@
 The reference detector follows the classic integrate-and-threshold
 design: band-pass 5-15 Hz, five-point derivative, squaring, 150 ms
 moving-window integration, adaptive dual thresholds on the integrated
-and band-passed signals with search-back at 1.66x the recent mean RR,
-a 200 ms refractory period, T-wave rejection by slope comparison within
-360 ms, and fiducial refinement to the band-passed local maximum within
-+-50 ms. As in Pan & Tompkins (IEEE TBME 1985) and Hamilton & Tompkins
-(IEEE TBME 1986), the thresholds weigh only integration peaks that
-dominate their neighbourhood: a local maximum c of the integrated
-signal m is a candidate iff m[c] >= max(m[c-h .. c+h]), h half the
-refractory period in samples (13 at 128 Hz). The window is cut at both
-ends of the record, and equal values dominate, so both of two equal
-maxima within h samples stay candidates.
+and band-passed signals with search-back at 1.66x the mean of the last
+eight RR intervals, a 200 ms refractory period, T-wave rejection by
+slope comparison within 360 ms, and fiducial refinement to the
+band-passed local maximum within +-50 ms. As in Pan & Tompkins
+(IEEE TBME 1985) and Hamilton & Tompkins (IEEE TBME 1986), the
+thresholds weigh only integration peaks that dominate their
+neighbourhood: a local maximum c of the integrated signal m is a
+candidate iff m[c] >= max(m[c-h .. c+h]), h half the refractory period
+in samples (13 at 128 Hz). The window is cut at both ends of the
+record, and equal values dominate, so both of two equal maxima within
+h samples stay candidates.
 
 The test detector is structurally different on purpose: band-pass
 0.5-40 Hz, a centered 100 ms moving-RMS envelope, one adaptive

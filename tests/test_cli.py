@@ -1,12 +1,15 @@
 """End-to-end command-line runs against small synthetic cohorts."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -392,6 +395,17 @@ def test_synth_rejects_non_ascii_patient_id(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pid", ["../x", "a/b", ".", "..", ""])
+def test_synth_patient_id_is_a_file_name(tmp_path, capsys, pid):
+    # the manifest's rule: outputs are named after the id
+    out = tmp_path / "deep" / "out"
+    code = main(["synth", "--out-dir", str(out), "--patient-id", pid,
+                 "--program", "NSR:20"])
+    assert code == 2
+    assert "not a file name" in one_error_line(capsys)
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_qc_ledger_carries_errors(tmp_path):
     (tmp_path / "m.csv").write_text(
         "path,format,patient_id\nabsent.csv,rr,p9\n")
@@ -674,6 +688,52 @@ def test_the_flag_table_covers_every_setting():
     assert set(SETTING_OF_FLAG.values()) == set(cli.SETTINGS)
     assert {f.name for f in dataclasses.fields(PipelineConfig)} == (
         RECORDED["predict"])
+
+
+def readme_section(title):
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def flags_of_each_command():
+    """Each command's flags, as cli builds its parser."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag: action.default for action in p._actions
+                   for flag in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "Pipeline defaults" table: each flag is taken by exactly
+    # the commands of its "Taken by" column. synth is left out: its
+    # --seed seeds its own RNG.
+    taken_by = {}
+    for line in readme_section("Pipeline defaults").splitlines():
+        if line.startswith("| ") and "`--" in line:
+            _, flag, _, commands = line.strip("|").split("|")
+            taken_by[flag.strip().strip("`")] = set(
+                re.findall(r"`(\w+)`", commands))
+    assert set(taken_by) == {f"--{flag}" for flag in SETTING_OF_FLAG}
+    parsers = flags_of_each_command()
+    for flag, commands in taken_by.items():
+        assert commands == {name for name, flags in parsers.items()
+                            if name != "synth" and flag in flags}, flag
+
+
+def test_readme_names_just_the_flags_with_a_variable():
+    # "These flags" are the table's; the paragraph names the others
+    section = readme_section("Pipeline defaults")
+    paragraph, = (p for p in section.split("\n\n")
+                  if p.startswith("These flags,"))
+    assert "AFSCREEN_<FLAG>" in paragraph
+    named = {f"--{flag}" for flag in SETTING_OF_FLAG} | set(
+        re.findall(r"`(--[\w-]+)`", paragraph))
+    # an unset flag that reads AFSCREEN_<FLAG> keeps _add_flag's reader
+    read = {flag for flags in flags_of_each_command().values()
+            for flag, default in flags.items() if isinstance(default, partial)}
+    assert named == read
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))

@@ -303,6 +303,22 @@ def test_pt_decide_zero_and_one_candidate():
         assert bool(want[0]) == (height > 0.325)
 
 
+def test_search_back_reads_the_mean_of_the_last_eight_rr():
+    # Beats 200, 150, then 100 x 7 samples apart: the mean of the last 7
+    # RR intervals is 100, of 8 is 106.25 and of 9 is 116.67, so
+    # search-back would fire past 166, 176.4 or 193.7 samples. A weak
+    # candidate 60 after the last beat is rescued by a noise candidate
+    # 185 after it, and not by one 170 after it.
+    beats = np.cumsum([1000, 200, 150] + [100] * 7)
+    scalars = (1.0, 0.1, 1.0, 0.1, 0.001, 0.001)
+    for gap, rescued in ((170, False), (185, True)):
+        cand = np.concatenate([beats, beats[-1] + np.array([60, gap])])
+        height = np.array([1.0] * len(beats) + [0.2, 0.05])
+        got = kernels.pt_decide(cand, height, height.copy(),
+                                np.ones(len(cand)), *scalars, *PT_ARGS)
+        assert got.tolist() == [True] * len(beats) + [rescued, False], gap
+
+
 def test_backend_flag_reports():
     assert kernels.BACKEND == "numpy"
     for name in ("pt_decide", "refractory_pick", "trailing_max"):
