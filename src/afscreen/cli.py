@@ -251,7 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions, afb_by_pid, n_excluded = pipeline.read_cohort_csv(
         args.predictions)
     metas = {e.patient_id: e.meta
-             for e in pipeline.parse_manifest(args.manifest)}
+             for e in pipeline.read_manifest(args.manifest)}
 
     report = stats.stratify(predictions, metas, ahi_cutoff=args.ahi_cutoff,
                             margin=args.ni_margin, alpha=args.ni_alpha)

@@ -50,7 +50,7 @@ from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
 from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
-from .qrs import detect_reference, detect_test, signal_filters
+from .qrs import detect_reference, detect_test
 from .quality import ACCEPTED, RecordingQC
 from .record_io import (
     AF,
@@ -167,36 +167,21 @@ def csv_text(rows, comments=()) -> str:
     return buf.getvalue()
 
 
-def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """parse_manifest's entries, ready to run.
-
-    A manifest with an edf or wfdb row loads scipy.signal here, through
-    qrs.signal_filters, before any entry starts: predict, qc and train
-    read the manifest in the parent process, so the pool's forked
-    workers inherit the module instead of each importing it again
-    (about 0.5 s per worker), and no entry's time holds the import. A
-    manifest of RR series only never loads it.
-    """
-    entries = parse_manifest(path)
-    if any(e.fmt != "rr" for e in entries):
-        signal_filters()
-    return entries
-
-
 def is_file_name(name: str) -> bool:
     """True if outputs can be named after `name`: not empty, "." or "..",
     and holding no "/", "\\" or NUL."""
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-def parse_manifest(path: str | Path) -> list[ManifestEntry]:
+def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Load a cohort manifest CSV.
 
     Required columns: path, format, patient_id. Optional: ahi,
     reference_label, annotations. Relative paths resolve against the
     manifest's own directory, and a path holding NUL is refused. A
     patient_id is unique and passes is_file_name, as outputs are named
-    after it. evaluate, which runs no entry, reads it here.
+    after it. No entry file is opened, and no filter is loaded: the
+    detectors load their kernel on the first band-pass.
     """
     base = Path(path).parent
     entries: list[ManifestEntry] = []

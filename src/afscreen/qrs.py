@@ -50,19 +50,23 @@ kernels.trailing_max call. The test detector's envelope is one
 _trailing_mean call, worked out in place over its squared band-pass,
 and its candidates are picked and weighed a block at a time.
 
-scipy.signal is imported by signal_filters() alone, on first use:
-loading it takes about 0.5 s and 70 MB, and a cohort of RR series
-filters no signal. _bandpass and sosfiltfilt take the filters from it,
-so a direct detector or process_patient call pays the import on its
-first call. pipeline.read_manifest calls it before it returns a
-manifest with a signal row, so a cohort run pays it once, in the
-parent process, before any entry starts or the pool forks: forked
-workers inherit the module rather than each importing it again.
+scipy.signal is not imported. _butter_bandpass designs each band-pass
+in numpy, bit for bit with scipy.signal.butter, and sosfiltfilt runs
+scipy's compiled sosfilt loop, the private scipy.signal._sosfilt._sosfilt,
+which _sosfilt_kernel loads from its extension file on the first
+filter. Importing scipy.signal takes about 0.5 s and 70 MB per process;
+loading the loop alone takes about 6 ms and 0.5 MB. A cohort of RR
+series never loads it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -122,25 +126,93 @@ def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
     return cand[x[cand] >= kernels.trailing_max(x, cand + h, 2 * h + 1)]
 
 
-def signal_filters():
-    """The scipy.signal module, imported on the first call (see the
-    module docstring). Python's import lock makes concurrent first
-    calls safe: each returns the one module."""
-    import scipy.signal
-    return scipy.signal
+def _butter_bandpass(fs: float, lo: float, hi: float) -> np.ndarray:
+    """scipy.signal.butter(2, [lo, hi], btype="bandpass", output="sos",
+    fs=fs), bit for bit, for 0 < lo < hi < fs / 2: scipy's steps, each
+    the numpy expression scipy evaluates, kept to this one shape. The
+    band edges are pre-warped; lp2bp_zpk makes four poles in two
+    conjugate pairs and bilinear_zpk two zeros at +1 and two at -1. Of
+    the upper poles, sorted as _cplxreal sorts them, zpk2sos puts the one
+    nearest the unit circle, with the zero pair nearest it, in the second
+    section, and the other, with the other pair and the gain, first.
+    """
+    warped = 4.0 * np.tan(np.pi * (np.array([lo, hi]) / (fs / 2)) / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    p = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4) * bw / 2
+    root = np.sqrt(p**2 - wo**2)
+    p = np.concatenate((p + root, p - root))
+    gain = bw**2 * (16.0 / np.prod(4.0 - p)).real
+    p = (4.0 + p) / (4.0 - p)
+    up = np.sort_complex(p[p.imag > 0])
+    worst = int(np.argmin(np.abs(1 - np.abs(up))))
+    zero = -1.0 if abs(-1.0 - up[worst]) <= abs(1.0 - up[worst]) else 1.0
+    sos = np.zeros((2, 6))
+    for row, pole, z in ((1, up[worst], zero), (0, up[1 - worst], -zero)):
+        sos[row] = [1.0, -2.0 * z, 1.0, *np.poly([pole, pole.conj()])]
+    sos[0, :3] *= gain
+    return sos
+
+
+def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
+    # scipy.signal.sosfilt_zi(sos) for sections with a0 == 1, bit for bit:
+    # each section's lfilter_zi, (I - A^T)^-1 (b[1:] - a[1:] b[0]) with A
+    # the companion matrix of a, times the DC gain of the sections before
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        zi[s] = scale * np.linalg.solve([[1.0 + a[1], -1.0], [a[2], 1.0]],
+                                        b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+_kernel = None
+_kernel_lock = threading.Lock()
+
+
+def _kernel_spec():
+    # scipy/signal/_sosfilt*.so, found without importing scipy.signal;
+    # None where there is no such file
+    scipy = importlib.util.find_spec("scipy")
+    return scipy and importlib.machinery.PathFinder.find_spec(
+        "scipy.signal._sosfilt",
+        [os.path.join(p, "signal") for p in scipy.submodule_search_locations])
+
+
+def _sosfilt_kernel():
+    """scipy's private scipy.signal._sosfilt._sosfilt(sos, x, zi), checked
+    with scipy 1.17.1 only: it filters the C-contiguous rows of x in
+    place from the states zi and leaves the final states in zi. Loaded on
+    the first call, under a lock, as two threads that load the extension
+    at once can see it half made: from sys.modules if it is there, else
+    from its file, else by importing scipy.signal."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            module = sys.modules.get("scipy.signal._sosfilt")
+            spec = None if module else _kernel_spec()
+            if spec:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            elif module is None:
+                module = importlib.import_module("scipy.signal._sosfilt")
+            _kernel = module._sosfilt
+    return _kernel
 
 
 def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """scipy.signal.sosfiltfilt(sos, x) of a 1-D x, bit for bit, in one
-    buffer.
+    buffer, for sections with a0 == 1.
 
     The odd extension of x by 3 * ntaps samples at each end goes into
-    one buffer. sosfilt runs over it forward, then over its reversed
-    view, each pass from the state sosfilt_zi scaled by its first sample
-    and a block at a time: the state carries from block to block, and
-    each block's output overwrites it in place. sosfilt takes one sample
-    through every section before the next, so blocks change no value.
-    The result is a view of the buffer.
+    one buffer. The sosfilt kernel runs over it forward, then over its
+    reversed view, each pass from the state sosfilt_zi scaled by its
+    first sample and a block at a time: the state carries from block to
+    block, and each block's output overwrites it in place (through a
+    scratch row on the reversed pass: the kernel takes C-contiguous rows).
+    It takes one sample through every section before the next, so blocks
+    change no value. The result is a view of the buffer.
     """
     n_sections = sos.shape[0]
     ntaps = 2 * n_sections + 1 - min(int(np.sum(sos[:, 2] == 0)),
@@ -153,13 +225,18 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     buf[:edge] = 2 * x[0] - x[edge:0:-1]
     buf[edge:-edge] = x
     buf[-edge:] = 2 * x[-1] - x[-2:-edge - 2:-1]
-    signal = signal_filters()
-    zi = signal.sosfilt_zi(sos)
+    kernel = _sosfilt_kernel()
+    zi = _sosfilt_zi(sos)
+    sos = np.ascontiguousarray(sos, buf.dtype)
+    scratch = np.empty((1, kernels._BLOCK), buf.dtype)
     for run in (buf, buf[::-1]):
-        z = zi * run[0]
+        z = (zi * run[0])[None]
         for lo in range(0, run.shape[0], kernels._BLOCK):
             block = run[lo:lo + kernels._BLOCK]
-            block[:], z = signal.sosfilt(sos, block, zi=z)
+            rows = block[None] if run is buf else scratch[:, :block.size]
+            rows[0] = block  # a no-op on the forward pass
+            kernel(sos, rows, z)
+            block[:] = rows[0]
     return buf[edge:-edge]
 
 
@@ -170,9 +247,7 @@ def _bandpass(x: np.ndarray, fs: float, lo: float,
     # moves, and the squares and sums after it neither overflow nor
     # underflow at any input scale. Returns the output and its peak
     # magnitude, which is the frexp mantissa.
-    sos = signal_filters().butter(2, [lo, hi], btype="bandpass",
-                                  output="sos", fs=fs)
-    bp = sosfiltfilt(sos, x)
+    bp = sosfiltfilt(_butter_bandpass(fs, lo, hi), x)
     peak, exp = math.frexp(max(bp.max(), -bp.min()))
     np.ldexp(bp, -exp, out=bp)
     return bp, peak

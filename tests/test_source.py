@@ -194,29 +194,76 @@ def test_evaluate_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "strata_report.csv").is_file()
 
 
-def test_reading_a_manifest_with_a_signal_row_loads_scipy_signal(tmp_path):
-    # the parent process loads it before the pool forks; no entry file
-    # is opened to read the manifest
-    (tmp_path / "m.csv").write_text("path,format,patient_id\n"
-                                    "a.csv,rr,a\nb.edf,edf,b\n")
-    (tmp_path / "rr.csv").write_text("path,format,patient_id\n"
-                                     "a.csv,rr,a\n")
+def test_no_command_loads_scipy_signal(tmp_path):
+    # The detectors take scipy's compiled sosfilt loop alone: every
+    # command, on a manifest with edf, wfdb and rr rows, and a direct
+    # process_patient call leave scipy.signal unloaded
     code = f"""
         import sys
-        from afscreen import pipeline
-        pipeline.read_manifest("rr.csv")
-        print({SCIPY_LOADED})
-        pipeline.read_manifest("m.csv")
-        print("scipy.signal" in sys.modules)
+        from pathlib import Path
+        import numpy as np
+        from afscreen import pipeline, qrs, synth
+        from afscreen.cli import main
+        from afscreen.forest import load_model
+        from afscreen.record_io import encode_212, write_edf, write_rr_csv
+
+        rows = ["path,format,patient_id,reference_label,annotations"]
+        for i, fmt in enumerate(["edf", "wfdb", "rr"] * 2):
+            program = [(90.0, "NSR"), (90.0, "AF")][::1 - 2 * (i % 2)]
+            spec = synth.SynthSpec(rhythm_program=program, seed=i,
+                                   noise_snr_db=10.0)
+            record, peaks, ann = synth.synth_record(spec, f"p{{i}}")
+            Path(f"p{{i}}.csv").write_text(write_rr_csv(peaks, ann))
+            path = f"p{{i}}.csv"
+            if fmt == "edf":
+                path = f"p{{i}}.edf"
+                Path(path).write_bytes(write_edf(record))
+            elif fmt == "wfdb":
+                path = f"p{{i}}.hea"
+                ecg = np.clip(np.round(record.samples * 200.0), -2048, 2047)
+                Path(f"p{{i}}.dat").write_bytes(encode_212(ecg))
+                Path(path).write_text(
+                    f"p{{i}} 1 {{record.fs:g}} {{ecg.shape[0]}}\\n"
+                    f"p{{i}}.dat 212 200 12 0 0 0 0 ECG\\n")
+            label = "AF" if i % 2 else "nonAF"
+            rows.append(f"{{path}},{{fmt}},p{{i}},{{label}},p{{i}}.csv")
+        Path("m.csv").write_text("\\n".join(rows) + "\\n")
+        small = ["--min-peaks", "100", "--workers", "1"]
+        runs = [
+            ["train", "--manifest", "m.csv", "--out", "model.json",
+             "--grid", "5x2"],
+            ["predict", "--manifest", "m.csv", "--model", "model.json",
+             "--out-dir", "out", *small],
+            ["qc", "--manifest", "m.csv", "--out", "qc.csv", *small],
+            ["qc", "--manifest", "m.csv", "--out", "qc.csv",
+             "--dump-detector", "test", *small],
+            ["evaluate", "--predictions", "out/cohort.csv",
+             "--manifest", "m.csv", "--out-dir", "eval"],
+        ]
+        for argv in runs:
+            code = main(argv)
+            print("::", argv[0], code, "scipy.signal" in sys.modules,
+                  qrs._kernel is not None)
+        result = pipeline.process_patient(
+            record, load_model(Path("model.json").read_bytes()),
+            pipeline.PipelineConfig(min_reference_peaks=100))
+        print("::", result.qc.status, "scipy.signal" in sys.modules,
+              qrs._kernel is not None)
         """
-    assert fresh_python(code, cwd=tmp_path).split("\n")[:2] == ["[]",
-                                                                "True"]
+    out = [line[3:] for line in fresh_python(code, cwd=tmp_path).splitlines()
+           if line.startswith(":: ")]
+    assert out == ["train 0 False True", "predict 0 False True",
+                   "qc 0 False True", "qc 0 False True",
+                   "evaluate 0 False True", "accepted False True"]
+    assert (tmp_path / "p0.peaks.csv").is_file()
+    assert (tmp_path / "eval" / "strata_report.csv").is_file()
 
 
-def test_two_detector_threads_load_scipy_together(tmp_path):
-    # An entry that bypasses read_manifest leaves the import to the
-    # detectors: both threads of _load wait at a barrier, then load
-    # scipy.signal at once. The result is process_patient's.
+def test_two_detector_threads_load_the_kernel_together(tmp_path):
+    # An entry run outside multiprocessing takes a second detector
+    # thread: both threads wait at a barrier, then make their first
+    # filter call at once. Both get the one kernel, and the result is
+    # process_patient's.
     code = """
         import sys, threading
         from afscreen import pipeline, qrs, synth
@@ -237,24 +284,57 @@ def test_two_detector_threads_load_scipy_together(tmp_path):
                             n_estimators=1, max_depth=1, seed=0)
         config = pipeline.PipelineConfig(min_reference_peaks=100)
 
-        load, barrier, first = qrs.signal_filters, threading.Barrier(2), {}
-        def signal_filters():
+        load, barrier, before, got = (qrs._sosfilt_kernel,
+                                      threading.Barrier(2), {}, {})
+        def sosfilt_kernel():
             me = threading.get_ident()
-            if me not in first:
-                first[me] = "scipy.signal" in sys.modules
+            if me not in before:
+                before[me] = qrs._kernel
                 barrier.wait(timeout=60)
-            return load()
-        qrs.signal_filters = signal_filters
+            return got.setdefault(me, load())
+        qrs._sosfilt_kernel = sosfilt_kernel
 
-        print("scipy" in sys.modules)
-        got = pipeline.result_to_dict(
+        result = pipeline.result_to_dict(
             pipeline.process_entry(entry, model, config))
-        print(len(first), any(first.values()))
+        kernels = {id(k) for k in got.values()}
+        print(len(before), set(before.values()), len(got),
+              kernels == {id(qrs._kernel)})
         again = parse_edf(open("p.edf", "rb").read())
         again.patient_id = "p"
         want = pipeline.result_to_dict(
             pipeline.process_patient(again, model, config))
-        print(got == want, got["qc"]["status"])
+        print(result == want, result["qc"]["status"],
+              "scipy.signal" in sys.modules)
         """
     out = fresh_python(code, cwd=tmp_path).splitlines()
-    assert out == ["False", "2 False", "True accepted"]
+    assert out == ["2 {None} 2 True", "True accepted False"]
+
+
+def test_the_kernel_falls_back_to_importing_scipy_signal():
+    # where scipy's _sosfilt extension file is not found, the kernel
+    # comes from scipy.signal, with the same band-passes and peaks
+    code = """
+        import hashlib, sys
+        from afscreen import qrs, synth
+
+        spec = synth.SynthSpec(rhythm_program=[(60.0, "NSR"),
+                                               (60.0, "AF")], seed=4,
+                               noise_snr_db=5.0)
+        record, _, _ = synth.synth_record(spec)
+        if FALLBACK:
+            qrs._kernel_spec = lambda: None
+        digest = hashlib.sha256()
+        for lo, hi in ((5.0, 15.0), (0.5, 40.0)):
+            bp, peak = qrs._bandpass(record.samples, record.fs, lo, hi)
+            digest.update(bp.tobytes() + repr(peak).encode())
+        for detect in (qrs.detect_reference, qrs.detect_test):
+            digest.update(detect(record).times.tobytes())
+        module = sys.modules["scipy.signal._sosfilt"]
+        print("scipy.signal" in sys.modules, qrs._kernel is module._sosfilt,
+              digest.hexdigest())
+        """
+    by_file = fresh_python(code.replace("FALLBACK", "False")).split()
+    fallback = fresh_python(code.replace("FALLBACK", "True")).split()
+    assert by_file[:2] == ["False", "True"]
+    assert fallback[:2] == ["True", "True"]
+    assert fallback[2] == by_file[2]
