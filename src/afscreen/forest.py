@@ -388,7 +388,7 @@ def _check_tree(node, levels: int) -> None:
 def load_model(data: bytes | str) -> ForestModel:
     try:
         payload = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON, bad UTF-8 or too many digits
         raise ParseError(f"malformed model file: {e}") from None
     except RecursionError:
         raise ParseError("malformed model file: nested too deeply") from None

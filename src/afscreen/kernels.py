@@ -7,8 +7,8 @@
 * ``trailing_max``: windowed maxima of |x| read at given indices only,
   the window cut at both ends: the reference detector's dominance test
   over its integration peaks, its band-passed peak and slope, and the
-  test detector's threshold. It reads the signal a block at a time by
-  slicing, so it never holds a full-length copy.
+  test detector's threshold. It works over the span of the given
+  indices; each caller passes one block of them.
 
 The window features are not kernels: ``features`` and ``quality``
 compute them for all of a night's windows at once.
@@ -22,25 +22,24 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Samples per block of trailing_max and of the filter, the integration
-# sweep and the candidate picks in qrs, which read it at call time. Two
-# detector threads contend for the GIL between blocks: on an 8 h night
-# at 128 Hz, the threaded pair took 0.16 s at 2^15 and 0.14 s at 2^16,
-# for about 1 MB more working memory per detector.
+# Samples per block of the filter, the integration sweep and the
+# candidate picks in qrs, which read it at call time; each block's
+# trailing_max calls work over about this many samples. Two detector
+# threads contend for the GIL between blocks: on an 8 h night at
+# 128 Hz, the threaded pair took 0.16 s at 2^15 and 0.14 s at 2^16, for
+# about 1 MB more working memory per detector.
 _BLOCK = 1 << 16
 
 
 def trailing_max(x, at, n):
     """max(|x[i-n+1 .. i]|) for each index i of the ascending array `at`,
     the window cut at both ends: i may lie past the last sample while
-    its window holds one. x is read only as slices x[lo:hi].
+    its window holds one. x is read only as the slice x[lo:hi].
 
-    The indices are answered a block at a time: those within _BLOCK
-    samples of the block's first index, from the samples of the block
-    and the n-1 before it (its halo), and 0 past the last sample, which
-    no |x| falls below. The work is two buffers of at most _BLOCK + n - 1
-    samples each (about 0.5 MB for float64 at the detectors' n),
-    allocated once per call and reused by every block. In a block,
+    The work is two buffers over the span of `at`, from the window of
+    its first index to its last, at most at[-1] - at[0] + n samples;
+    past the last sample they hold 0, which no |x| falls below. Each
+    caller passes one block of indices, so the buffers stay small.
     log2(n) doubling passes turn each sample into the maximum of the p
     samples ending there, p the largest power of two <= n, and the
     answer at i is max(m[i], m[i-(n-p)]), whose windows together cover
@@ -48,34 +47,27 @@ def trailing_max(x, at, n):
     full-length windowed maximum read at `at`, bit for bit.
     """
     n = int(n)
+    # out comes before the work buffers: allocated after them, it kept a
+    # pool worker's heap from shrinking back after some nights
     out = np.empty(at.shape[0], x.dtype)
     if at.shape[0] == 0:
         return out
     p = 1 << (n.bit_length() - 1)
-    shift = n - p
-    size = min(_BLOCK + n - 1, int(at[-1]) + 1)
-    work = np.empty(size, x.dtype), np.empty(size, x.dtype)
-    k = 0
-    while k < at.shape[0]:
-        first = int(at[k])
-        k_end = k + int(np.searchsorted(at[k:], first + _BLOCK))
-        lo = max(first - n + 1, 0)
-        hi = int(at[k_end - 1]) + 1
-        m, t = work[0][:hi - lo], work[1][:hi - lo]
-        end = min(hi, x.shape[0])
-        np.abs(x[lo:end], out=m[:end - lo])
-        m[end - lo:] = 0
-        w = 1
-        while w < p and w < m.shape[0]:
-            t[:w] = m[:w]
-            np.maximum(m[w:], m[:-w], out=t[w:])
-            m, t = t, m
-            w *= 2
-        idx = at[k:k_end] - lo
-        # the clip matters only where a window reaches before sample 0
-        np.maximum(m[idx], m[np.maximum(idx - shift, 0)], out=out[k:k_end])
-        k = k_end
-    return out
+    lo = max(int(at[0]) - n + 1, 0)
+    hi = int(at[-1]) + 1
+    m, t = np.empty(hi - lo, x.dtype), np.empty(hi - lo, x.dtype)
+    end = min(hi, x.shape[0])
+    np.abs(x[lo:end], out=m[:end - lo])
+    m[end - lo:] = 0
+    w = 1
+    while w < p and w < m.shape[0]:
+        t[:w] = m[:w]
+        np.maximum(m[w:], m[:-w], out=t[w:])
+        m, t = t, m
+        w *= 2
+    idx = at - lo
+    # the clip matters only where a window reaches before sample 0
+    return np.maximum(m[idx], m[np.maximum(idx - (n - p), 0)], out=out)
 
 
 def refractory_pick(idx, min_gap):

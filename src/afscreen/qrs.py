@@ -42,13 +42,14 @@ one buffer and filters it forward, then backward, in place, with the
 filter state carried from block to block. The reference detector never
 holds its integrated signal whole: _integrate sweeps forward over the
 band-pass through the derivative, its square, a running sum and the
-trailing means, and keeps only the candidates with their heights and
-slopes, the maximum and the first 2 s. Its fiducials are refined a
-block of beats at a time. Every windowed maximum, in the dominance
-test and for the band-passed peak and the slope, is a
-kernels.trailing_max call. The test detector's envelope is one
-_trailing_mean call, worked out in place over its squared band-pass,
-and its candidates are picked and weighed a block at a time.
+trailing means, and keeps only the candidates with their heights,
+slopes and band-passed peaks, the maximum and the first 2 s. Its
+fiducials are refined a block of beats at a time. Every windowed
+maximum, in the dominance test and for the band-passed peak and the
+slope, is a kernels.trailing_max call over one block of candidates.
+The test detector's envelope is one _trailing_mean call, worked out in
+place over its squared band-pass, and its candidates are picked and
+weighed a block at a time.
 
 scipy.signal is not imported. _butter_bandpass designs each band-pass
 in numpy, bit for bit with scipy.signal.butter, and sosfiltfilt runs
@@ -276,10 +277,11 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
 
     mwi is the trailing mean over n_mwi samples of the squared
     derivative of bp, shortened at the start. Returns (cand, mwi[cand],
-    slope, max(mwi), mwi[:n_learn]): cand the dominant local maxima of
-    mwi, _dominant(mwi, _local_maxima(mwi), h), and slope[k] the
-    maximum |derivative| over [cand[k] - n_mwi, cand[k]], the window cut
-    at sample 0. mwi is never held whole.
+    slope, peakf, max(mwi), mwi[:n_learn]): cand the dominant local
+    maxima of mwi, _dominant(mwi, _local_maxima(mwi), h), and slope[k]
+    and peakf[k] the maximum |derivative| and |bp| over
+    [cand[k] - n_mwi, cand[k]], the window cut at sample 0. mwi is never
+    held whole.
 
     The sweep takes kernels._BLOCK samples at a time through the
     derivative, its square, a running sum seeded with the carried total,
@@ -288,9 +290,9 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
     candidate is decided once the max(h, 1) samples after it are in;
     the last block decides the rest. The derivative and the means are
     kept from max(h, 1, n_mwi) samples before the first undecided one,
-    so every window that _local_maxima, _dominant and the slopes read
-    there is whole or cut where the record is. Buffers are allocated
-    once per call.
+    so every window that _local_maxima, _dominant, the slopes and the
+    band-passed peaks read there is whole or cut where the record is.
+    Buffers are allocated once per call.
     """
     size = bp.shape[0]
     block = kernels._BLOCK
@@ -303,7 +305,7 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
     deriv, means = work
     cs = np.zeros(n_mwi + block)
     learn = np.empty(n_learn)
-    cands, peaks, slopes = [], [], []
+    cands, peaks, slopes, peakfs = [], [], [], []
     top = -np.inf
     dec = w_lo = 0
     for lo in range(0, size, block):
@@ -338,6 +340,7 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
         peaks.append(x[cand])
         slopes.append(kernels.trailing_max(deriv[:hi - w_lo], cand,
                                            n_mwi + 1))
+        peakfs.append(kernels.trailing_max(bp[w_lo:hi], cand, n_mwi + 1))
         cands.append(cand + w_lo)
 
         # the halos for the next block
@@ -347,7 +350,7 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
         work[:, :hi - keep] = work[:, keep - w_lo:hi - w_lo]
         w_lo = keep
     return (np.concatenate(cands), np.concatenate(peaks),
-            np.concatenate(slopes), top, learn)
+            np.concatenate(slopes), np.concatenate(peakfs), top, learn)
 
 
 def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
@@ -401,11 +404,10 @@ def detect_reference(record: EcgRecord) -> RPeakSeries:
     # Only the integration peak that dominates its half-refractory
     # neighbourhood is weighed; a ripple maximum beside it is not. Each
     # candidate carries the steepest local slope (for the T-wave test)
-    # and, below, the band-passed peak that produced it, both over the
-    # trailing integration window.
-    cand, peaki, slope, top, mwi_learn = _integrate(bp, fs, n_mwi,
-                                                    n_ref // 2, n_learn)
-    peakf = kernels.trailing_max(bp, cand, n_mwi + 1)
+    # and the band-passed peak that produced it, both over the trailing
+    # integration window.
+    cand, peaki, slope, peakf, top, mwi_learn = _integrate(
+        bp, fs, n_mwi, n_ref // 2, n_learn)
 
     abs_learn = np.abs(bp[:n_learn])
     spki = float(np.max(mwi_learn))

@@ -459,30 +459,34 @@ def encode_212(samples: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def _token(text: str, kind: type, what: str, token: str | None = None):
+    """text, a WFDB header number or the number part of token, read as
+    kind. A ValueError is a malformed token; a value that is not
+    finite, or an int too large for a float, a non-finite one."""
+    token = text if token is None else token
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ParseError(f"malformed {what} {token!r}") from None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParseError(f"non-finite {what} {token!r}")
+    return value
+
+
 def _parse_gain_token(token: str) -> tuple[float, int | None]:
     # gain[(baseline)][/units]
     text = token.split("/", 1)[0]
     baseline = None
     if "(" in text:
-        gtext, rest = text.split("(", 1)
+        text, rest = text.split("(", 1)
         if not rest.endswith(")"):
             raise ParseError(f"malformed gain token {token!r}")
-        baseline = _int_token(rest[:-1], "baseline")
-        text = gtext
-    try:
-        gain = float(text)
-    except ValueError:
-        raise ParseError(f"malformed gain token {token!r}") from None
-    if not math.isfinite(gain):
-        raise ParseError(f"non-finite gain token {token!r}")
-    return gain, baseline
-
-
-def _int_token(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"malformed {what} {token!r}") from None
+        baseline = _token(rest[:-1], int, "baseline")
+    return _token(text, float, "gain token", token), baseline
 
 
 def parse_wfdb(header_text: str, dat_bytes: bytes,
@@ -492,8 +496,9 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     Supports signal formats 212 and 16 with interleaved channels.
     ``channel`` follows the EDF selection rules against the signal
     description column; None selects the only signal of a single-signal
-    record and defaults to the "ECG" substring otherwise. A non-finite
-    gain, or a gain that makes any sample non-finite, is a ParseError.
+    record and defaults to the "ECG" substring otherwise. A malformed or
+    non-finite header number (an int too large for a float is one), or a
+    gain that makes any sample non-finite, is a ParseError.
     """
     lines = [ln for ln in header_text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
@@ -503,16 +508,13 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     if len(head) < 2:
         raise ParseError(f"malformed WFDB record line {lines[0]!r}")
     record_name = head[0]
-    n_sig = _int_token(head[1], "signal count")
+    n_sig = _token(head[1], int, "signal count")
     fs = 250.0
     if len(head) >= 3:
-        try:
-            fs = float(head[2].split("/", 1)[0])
-        except ValueError:
-            raise ParseError(f"malformed sampling rate {head[2]!r}") from None
+        fs = _token(head[2].split("/", 1)[0], float, "sampling rate", head[2])
     n_samples = None
     if len(head) >= 4:
-        n_samples = _int_token(head[3], "sample count")
+        n_samples = _token(head[3], int, "sample count")
 
     if n_sig < 1 or len(lines) < 1 + n_sig:
         raise ParseError(
@@ -528,13 +530,11 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
             raise ParseError(f"malformed signal line {lines[1 + i]!r}")
         # the format's leading ASCII digits; a skew, offset or other
         # suffix may follow
-        digits = re.match(r"[0-9]*", toks[1]).group()
-        if not digits:
-            raise ParseError(f"malformed format token {toks[1]!r}")
-        formats.append(int(digits))
+        formats.append(_token(re.match(r"[0-9]*", toks[1]).group(), int,
+                              "format token", toks[1]))
         gain, baseline = _parse_gain_token(toks[2]) if len(toks) > 2 \
             else (0.0, None)
-        adc_zero = _int_token(toks[4], "ADC zero") if len(toks) > 4 else 0
+        adc_zero = _token(toks[4], int, "ADC zero") if len(toks) > 4 else 0
         if gain == 0.0:
             gain = 200.0
         if baseline is None:
@@ -565,10 +565,9 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     n_frames = flat.shape[0] // n_sig
     if n_samples is not None:
         if n_frames < n_samples:
-            bytes_per_sample = 1.5 if fmt == 212 else 2
             raise TruncationError(
-                int(n_samples * n_sig * bytes_per_sample), len(dat_bytes),
-                what="WFDB payload")
+                n_samples * n_sig * (3 if fmt == 212 else 4) // 2,
+                len(dat_bytes), what="WFDB payload")
         n_frames = n_samples
     if n_frames < 1:
         raise TruncationError(n_sig * (3 if fmt == 212 else 2),

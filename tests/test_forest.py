@@ -653,6 +653,8 @@ def test_load_rejects_garbage():
         load_model(b"{not json")
     with pytest.raises(ParseError):
         load_model(b"[1, 2, 3]")
+    with pytest.raises(ParseError):
+        load_model(b'{"seed": 1' + b"0" * 4400 + b"}")
 
 
 def test_load_rejects_unknown_version():

@@ -311,7 +311,8 @@ def oracle_integrate(bp, fs, n_mwi, h, n_learn):
     cand = oracle_dominant(mwi, oracle_local_maxima(mwi), h)
     slope = full_length_trailing_max(full_derivative(bp, fs), cand,
                                      n_mwi + 1)
-    return cand, mwi[cand], slope, float(np.max(mwi)), mwi[:n_learn]
+    peakf = full_length_trailing_max(bp, cand, n_mwi + 1)
+    return cand, mwi[cand], slope, peakf, float(np.max(mwi)), mwi[:n_learn]
 
 
 def edge_record(fs=128.0):
@@ -647,7 +648,7 @@ def test_slope_matches_full_derivative(monkeypatch, n):
     deriv = full_derivative(bp, fs)
     for block in (1, 7, 64, kernels._BLOCK):
         monkeypatch.setattr(kernels, "_BLOCK", block)
-        cand, _, got, _, _ = qrs._integrate(bp, fs, n, 0, 1)
+        cand, _, got, _, _, _ = qrs._integrate(bp, fs, n, 0, 1)
         want = full_length_trailing_max(deriv, cand, n + 1)
         assert cand.shape[0] > 100
         assert got.dtype == want.dtype

@@ -104,6 +104,31 @@ def test_only_the_pipeline_imports_the_detectors():
                 and node.attr == "TYPE_CHECKING")] == []
 
 
+def test_header_numbers_are_read_by_one_reader():
+    # Every WFDB header number goes through record_io._token and every
+    # EDF one through record_io._numeric_field, which turn each way a
+    # number can fail to read into a ParseError; the parsers themselves
+    # convert no number and catch no ValueError.
+    tree = ast.parse(Path(afscreen.__file__).with_name("record_io.py")
+                     .read_text(encoding="utf-8"))
+    parsers = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("parse_wfdb", "_parse_gain_token",
+                                 "parse_edf")}
+    assert len(parsers) == 3
+    found = []
+    for name, func in parsers.items():
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("int", "float")):
+                found.append((name, node.func.id, node.lineno))
+            elif (isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and "ValueError" in {n.id for n in ast.walk(node.type)
+                                       if isinstance(n, ast.Name)}):
+                found.append((name, "except ValueError", node.lineno))
+    assert found == []
+
+
 def fresh_python(code: str, cwd: Path | None = None) -> str:
     """The standard output of code run in a fresh interpreter that
     imports afscreen from this source tree, without AFSCREEN_ settings."""

@@ -402,7 +402,8 @@ WFDB_HEADER = ("rec 2 128 4\n"
                "rec.dat 212 100 12 0 0 0 0 Resp\n")
 TOKEN = (st.sampled_from(["0", "1", "2", "-1", "212", "16", "0x", "1e9",
                           "nan", "inf", "200(", "200(x)", "(3)", "/mV",
-                          "128/0", "\u00b2", "\u0661", "#"])
+                          "128/0", "\u00b2", "\u0661", "#", "9" * 400,
+                          "200(" + "9" * 400 + ")", "1" + "0" * 4400])
          | st.text(max_size=6))
 
 
@@ -438,6 +439,7 @@ ENTRY_KINDS = {
     "missing": ("rr", "m.csv", "FileNotFoundError"),
     "non_increasing": ("rr", "o.csv", "OrderingError"),
     "nan_gain": ("wfdb", "g.hea", "ParseError"),
+    "huge_baseline": ("wfdb", "b.hea", "ParseError"),
 }
 BAD_FILES = {
     "u.csv": bytes(range(256)),
@@ -445,6 +447,9 @@ BAD_FILES = {
     # a minute at 128 Hz: long enough for the detectors to run
     "g.hea": b"g 1 128 7680\ng.dat 16 nan 16 0 0 0 0 ECG\n",
     "g.dat": np.zeros(7680, dtype="<i2").tobytes(),
+    "b.hea": b"b 1 128 7680\nb.dat 16 200(" + b"9" * 400
+             + b") 16 0 0 0 0 ECG\n",
+    "b.dat": np.zeros(7680, dtype="<i2").tobytes(),
 }
 STUMP = ForestModel(trees=[{"leaf": [1, 0]}], n_estimators=1, max_depth=1,
                     seed=0)
