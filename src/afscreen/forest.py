@@ -14,15 +14,15 @@ Training data is three aligned arrays: X, the (n, 9) feature matrix;
 y, the labels (1 = AF, 0 = nonAF); and groups, each window's patient
 id. label_windows makes one recording's X and y.
 
-Each tree bootstraps from an RNG stream keyed by (seed, tree_index),
-and each of its nodes draws features from a stream keyed by (seed,
-tree_index, position), where the root is position 1 and node p has
-children 2p and 2p + 1. So training is deterministic, a forest of n
-trees is the first n trees of any larger forest, and a depth-d tree is
-the top d levels of any deeper tree with the same data, seed and index.
-Cross-validation folds group by patient so no patient spans a fold
-boundary; each fold fits one forest and scores every grid point from
-its first trees, cut at the point's depth.
+Tree t bootstraps from an RNG stream keyed by (seed, t), and its node at
+heap position p (the root is 1, and p has children 2p and 2p + 1) draws
+features from a stream keyed by (seed, t, p). So training is
+deterministic, the first n trees of a forest are the n-tree forest, and
+a depth-d tree is the top d levels of a deeper one. A fit grows all its
+trees a level at a time, with one split search per level and no
+recursion. Cross-validation folds group by patient; each fold fits one
+forest and scores every grid point from its first trees, cut at the
+point's depth.
 
 Models serialize to versioned JSON carrying a checksum of the declared
 feature order; loading against a different feature declaration fails,
@@ -57,9 +57,9 @@ DEFAULT_CV_FOLDS = 5
 DEFAULT_SEED = 0
 # brackets the defaults: tree counts {10, 20, 50} x depths {2, 3, 5}
 DEFAULT_GRID = tuple((n, d) for n in (10, 20, 50) for d in (2, 3, 5))
-# The deepest tree train fits and load_model accepts. Fitting, checking
-# and voting recurse once per level, so this keeps every model far
-# inside Python's recursion limit wherever it is called from.
+# The deepest tree train fits and load_model accepts. Checking and
+# voting recurse once per level, so this keeps every model far inside
+# Python's recursion limit wherever it is called from.
 MAX_DEPTH_LIMIT = 32
 
 
@@ -95,77 +95,83 @@ def label_windows(times: np.ndarray, bsqi: np.ndarray,
     return X, y, int(keep.shape[0] - np.count_nonzero(keep))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                feats: np.ndarray):
-    """First (feature, threshold) minimizing the weighted Gini impurity.
-
-    All boundaries of the drawn features are scored in one pass. Ties
-    go to the first drawn feature, then to its lowest boundary.
-    """
-    n = idx.shape[0]
-    vals = X[np.ix_(idx, feats)]
-    order = np.argsort(vals, axis=0, kind="mergesort")
-    sv = np.take_along_axis(vals, order, axis=0)
-    cum1 = np.cumsum(y[idx][order], axis=0)
-    # boundary b puts sorted rows 0..b left; integer counts, so every
-    # float below is the correctly rounded value of the same expression
-    l1 = cum1[:-1]
-    r1 = cum1[-1] - l1
-    nl = np.arange(1, n, dtype=np.int64)[:, None]
-    nr = n - nl
-    l0 = nl - l1
-    r0 = nr - r1
+def _best_splits(code: np.ndarray, values: np.ndarray, rows: np.ndarray,
+                 node: np.ndarray, feats: np.ndarray):
+    """Each node i's first (feature, threshold) minimizing the weighted
+    Gini impurity of rows[node == i] over features feats[i] (-1 if none
+    splits it or feats[i] is -1), by one sort of (node, draw, value, label)
+    keys; ties go to the first drawn feature, then the lowest boundary.
+    code[f, r] = 2 * v + y[r] for the first v with values[v, f] = X[r, f]."""
+    (m, k), n = feats.shape, code.shape[1]
+    rows, node = rows[(feats[:, 0] >= 0)[node]], node[(feats[:, 0] >= 0)[node]]
+    span = 2 * n  # the codes of one segment, node * k + draw
+    dtype = np.int32 if span * m * k < 2 ** 31 else np.int64
+    seg = np.arange(m * k, dtype=dtype).reshape(m, k).T
+    key = np.sort((span * seg).take(node, axis=1) + code.take(
+        (n * feats.T).take(node, axis=1) + rows), axis=None)
+    edge = np.searchsorted(key, np.arange(m * k + 1, dtype=dtype) * span)
+    # AF rows before each sorted row, widened so Gini's products fit
+    cum = np.concatenate(([0], (key & 1).cumsum(dtype=dtype)), dtype=np.int64)
+    # boundary b splits segment s before sorted row b, the first of a run
+    # of equal values but not of the segment
+    b = np.flatnonzero((key >> 1)[1:] != (key >> 1)[:-1]) + 1
+    b = b[b > edge[key[b] // span]]
+    s = key[b] // span
+    nl, l1 = b - edge[s], cum[b] - cum[edge][s]
+    nr, r1 = np.diff(edge)[s] - nl, np.diff(cum[edge])[s] - l1
+    l0, r0 = nl - l1, nr - r1
+    # integer counts, so every float is the same however nodes batch
     g = (nl * (1.0 - (l0 * l0 + l1 * l1) / (nl * nl))
-         + nr * (1.0 - (r0 * r0 + r1 * r1) / (nr * nr))) / n
-    g = np.where(sv[:-1] < sv[1:], g, np.inf)
-    k = int(np.argmin(g.T))
-    j, b = divmod(k, n - 1)
-    if g[b, j] == np.inf:
-        return None
-    thr = 0.5 * (sv[b, j] + sv[b + 1, j])
-    if thr >= sv[b + 1, j]:
-        # adjacent floats can round the midpoint up; keep the threshold
-        # strictly below the right value
-        thr = sv[b, j]
-    return int(feats[j]), float(thr)
+         + nr * (1.0 - (r0 * r0 + r1 * r1) / (nr * nr))) / (nl + nr)
+    i, low = s // k, np.full(m, np.inf)
+    np.minimum.at(low, i, g)
+    hit = np.flatnonzero(g == low[i])
+    hit = hit[np.diff(i[hit], prepend=-1) != 0]  # each node's first
+    b, i, f = b[hit], i[hit], feats[i[hit], s[hit] % k]
+    lo, hi = values[(key[[b - 1, b]] >> 1) % n, f]
+    thr = 0.5 * (lo + hi)
+    best_f, best_thr = np.full(m, -1), np.zeros(m)
+    # adjacent floats can round the midpoint up to the right value
+    best_f[i], best_thr[i] = f, np.where(thr >= hi, lo, thr)
+    return best_f, best_thr
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, levels: int,
-          key: tuple[int, int], pos: int, counts: bool):
-    """The subtree at heap position pos, with at most levels split
-    levels, grown on rows idx; key is the tree's (seed, index). With
-    counts, split nodes keep their class counts under "n", so a tree cut
-    there votes as if the node were a leaf."""
-    c1 = int(y[idx].sum())
-    c0 = idx.shape[0] - c1
-    if levels == 0 or idx.shape[0] < 2 or c0 == 0 or c1 == 0:
-        return {"leaf": [c0, c1]}
-    feats = np.random.default_rng((*key, pos)).choice(
-        X.shape[1], size=math.isqrt(X.shape[1]), replace=False)
-    best = _best_split(X, y, idx, feats)
-    if best is None:
-        return {"leaf": [c0, c1]}
-    f, thr = best
-    mask = X[idx, f] <= thr
-    node = {
-        "f": f,
-        "thr": thr,
-        "l": _grow(X, y, idx[mask], levels - 1, key, 2 * pos, counts),
-        "r": _grow(X, y, idx[~mask], levels - 1, key, 2 * pos + 1, counts),
-    }
-    if counts:
-        node["n"] = [c0, c1]
-    return node
-
-
-def _fit_tree(X: np.ndarray, y: np.ndarray, seed: int, t: int,
-              max_depth: int, counts: bool = False):
-    """Tree t of a forest: grown on its bootstrap of the rows of X."""
-    n = X.shape[0]
-    boot = np.random.default_rng((seed, t)).integers(0, n, size=n)
-    # the root is position 1: SeedSequence pads its entropy with zeros,
-    # so position 0 would share the bootstrap's stream
-    return _grow(X, y, boot, max_depth, (seed, t), 1, counts)
+def _fit_trees(X: np.ndarray, y: np.ndarray, seed: int, depths,
+               counts: bool = False) -> list:
+    """Trees 0, 1, ... of a forest, tree t grown on its bootstrap of the
+    rows of X to depths[t] split levels, one level of all trees at a time.
+    With counts, split nodes keep their class counts under "n", so a tree
+    cut there votes as if the node were a leaf."""
+    (n, n_feat), k = X.shape, math.isqrt(X.shape[1])
+    values = np.sort(X, axis=0)
+    code = np.array([2 * np.searchsorted(v, x) + y
+                     for v, x in zip(values.T, X.T)], dtype=np.int32)
+    # open nodes: (dict, tree, heap position). The root is position 1, as
+    # 0 would share the bootstrap's stream: SeedSequence pads with zeros.
+    roots = nodes = [({}, t, 1) for t in range(len(depths))]
+    rows = np.array([np.random.default_rng((seed, t)).integers(0, n, size=n)
+                     for t in range(len(depths))], dtype=np.int64).ravel()
+    node = np.repeat(np.arange(len(depths)), n)  # each row's open node
+    while nodes:  # c: the [nonAF, AF] rows of each open node
+        c = np.bincount(2 * node + y[rows], minlength=2 * len(nodes))
+        c = c.reshape(-1, 2).tolist()
+        # a node above its tree's depth with both classes draws features
+        feats = np.array([
+            np.random.default_rng((seed, t, pos)).choice(n_feat, k, False)
+            if pos.bit_length() <= depths[t] and min(c[i]) > 0
+            else [-1] * k for i, (_, t, pos) in enumerate(nodes)])
+        f, thr = _best_splits(code, values, rows, node, feats)
+        grown = []
+        for (d, t, pos), fi, ti, ci in zip(nodes, f.tolist(), thr.tolist(), c):
+            if fi < 0:
+                d["leaf"] = ci
+                continue
+            d.update(f=fi, thr=ti, l={}, r={}, **{"n": ci} if counts else {})
+            grown += [(d["l"], t, 2 * pos), (d["r"], t, 2 * pos + 1)]
+        rows, node = rows[(f >= 0)[node]], node[(f >= 0)[node]]
+        right = X[rows, f[node]] > thr[node]
+        node, nodes = 2 * (np.cumsum(f >= 0) - 1)[node] + right, grown
+    return [d for d, _, _ in roots]
 
 
 def _check_hyperparameters(n_estimators: int, max_depth: int) -> None:
@@ -212,10 +218,8 @@ def train(X: np.ndarray, y: np.ndarray,
         raise DegenerateModelError(
             "training data holds a single class; both AF and nonAF "
             "windows are required")
-    trees = [_fit_tree(X, y, seed, t, max_depth)
-             for t in range(n_estimators)]
-    return ForestModel(trees=trees, n_estimators=n_estimators,
-                       max_depth=max_depth, seed=seed)
+    return ForestModel(_fit_trees(X, y, seed, [max_depth] * n_estimators),
+                       n_estimators, max_depth, seed)
 
 
 def _add_votes(node, X: np.ndarray, rows: np.ndarray, level: int,
@@ -299,9 +303,8 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
     X, y = _training_data(X, y)
     folds = fold_of[patient_of]
 
-    n_trees = max((n_est for n_est, _ in grid), default=0)
     depth_of_tree = [max(d for n_est, d in grid if n_est > t)
-                     for t in range(n_trees)]
+                     for t in range(max((n for n, _ in grid), default=0))]
     depths = sorted({depth for _, depth in grid})
     aucs: dict[tuple[int, int], list[float]] = {
         (n_est, depth): [] for n_est, depth in grid}
@@ -310,15 +313,12 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
         va = ~tr
         if not va.any() or y[tr].min() == y[tr].max():
             continue
-        X_tr, y_tr = X[tr], y[tr]
         X_va, y_va = X[va], y[va].tolist()
-        rows_va = np.arange(len(y_va))
         # votes[t, i]: tree t cut at depths[i], on each validation row
-        votes = np.zeros((n_trees, len(depths), len(y_va)), dtype=np.int64)
-        for t in range(n_trees):
-            tree = _fit_tree(X_tr, y_tr, seed, t, depth_of_tree[t],
-                             counts=True)
-            _add_votes(tree, X_va, rows_va, 0, depths, votes[t])
+        trees = _fit_trees(X[tr], y[tr], seed, depth_of_tree, counts=True)
+        votes = np.zeros((len(trees), len(depths), len(y_va)), dtype=np.int64)
+        for t, tree in enumerate(trees):
+            _add_votes(tree, X_va, np.arange(len(y_va)), 0, depths, votes[t])
         votes = np.cumsum(votes, axis=0)
         for n_est, depth in aucs:
             # the division predict_proba_many makes for n_est trees

@@ -459,6 +459,14 @@ def encode_212(samples: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def _quote(token: str) -> str:
+    """repr(token) for an error message; past 40 characters the token is
+    cut and its length given, so one field cannot fill a ledger row."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def _token(text: str, kind: type, what: str, token: str | None = None):
     """text, a WFDB header number or the number part of token, read as
     kind. A ValueError is a malformed token; a value that is not
@@ -467,13 +475,13 @@ def _token(text: str, kind: type, what: str, token: str | None = None):
     try:
         value = kind(text)
     except ValueError:
-        raise ParseError(f"malformed {what} {token!r}") from None
+        raise ParseError(f"malformed {what} {_quote(token)}") from None
     try:
         finite = math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise ParseError(f"non-finite {what} {token!r}")
+        raise ParseError(f"non-finite {what} {_quote(token)}")
     return value
 
 
@@ -484,7 +492,7 @@ def _parse_gain_token(token: str) -> tuple[float, int | None]:
     if "(" in text:
         text, rest = text.split("(", 1)
         if not rest.endswith(")"):
-            raise ParseError(f"malformed gain token {token!r}")
+            raise ParseError(f"malformed gain token {_quote(token)}")
         baseline = _token(rest[:-1], int, "baseline")
     return _token(text, float, "gain token", token), baseline
 
@@ -506,7 +514,7 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
         raise ParseError("empty WFDB header")
     head = lines[0].split()
     if len(head) < 2:
-        raise ParseError(f"malformed WFDB record line {lines[0]!r}")
+        raise ParseError(f"malformed WFDB record line {_quote(lines[0])}")
     record_name = head[0]
     n_sig = _token(head[1], int, "signal count")
     fs = 250.0
@@ -527,7 +535,8 @@ def parse_wfdb(header_text: str, dat_bytes: bytes,
     for i in range(n_sig):
         toks = lines[1 + i].split()
         if len(toks) < 2:
-            raise ParseError(f"malformed signal line {lines[1 + i]!r}")
+            raise ParseError(
+                f"malformed signal line {_quote(lines[1 + i])}")
         # the format's leading ASCII digits; a skew, offset or other
         # suffix may follow
         formats.append(_token(re.match(r"[0-9]*", toks[1]).group(), int,
@@ -647,9 +656,9 @@ def _raise_first_broken_rule(stamps: list[str], labels: list[str]) -> None:
             t = float(stamp)
         except ValueError:
             raise ParseError(
-                f"non-numeric beat time {stamp!r} {where}") from None
+                f"non-numeric beat time {_quote(stamp)} {where}") from None
         if not math.isfinite(t):
-            raise ParseError(f"non-finite beat time {stamp!r} {where}")
+            raise ParseError(f"non-finite beat time {_quote(stamp)} {where}")
         if t <= previous:
             raise OrderingError(f"beat time {t} {where} does not increase "
                                 f"past {previous}", row=row)

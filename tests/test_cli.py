@@ -500,6 +500,40 @@ def test_bad_wfdb_header_lands_in_both_ledgers(cohort, tmp_path):
     assert body[2] == "pbad,error,,ParseError: malformed ADC zero '0x'"
 
 
+@pytest.mark.parametrize("files, logged", [
+    # a 5000-digit WFDB format token, past Python's int digit limit
+    ({"p.hea": "p 1 200 2\np.dat " + "9" * 5000 + " 200 11 0 0 0 0 ECG\n",
+      "p.dat": "\0\0\0"},
+     f"malformed format token {'9' * 40!r}... (5000 characters)"),
+    # a 10 kB RR beat-time stamp
+    ({"p.hea": "9" * 10_000 + "\n1.0\n"},
+     f"non-finite beat time {'9' * 40!r}... (10000 characters) at row 1"),
+])
+def test_long_tokens_are_cut_in_both_ledgers(cohort, tmp_path, files,
+                                             logged):
+    # an error quotes the first 40 characters of a token and its length,
+    # so one field of a file cannot fill a ledger row
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    fmt = "wfdb" if "p.dat" in files else "rr"
+    (tmp_path / "m.csv").write_text(
+        f"path,format,patient_id\n{cohort / 'a0.csv'},rr,a0\n"
+        f"p.hea,{fmt},pbad\n")
+    code = main(["predict", "--manifest", str(tmp_path / "m.csv"),
+                 "--model", str(cohort / "model.json"),
+                 "--out-dir", str(tmp_path / "out"), *SMALL])
+    assert code == 0
+    errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+    assert errors[1:] == [f"pbad,ParseError: {logged}"]
+    code = main(["qc", "--manifest", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "qc.csv"), *SMALL])
+    assert code == 0
+    body = [r for r in (tmp_path / "qc.csv").read_text().split("\n")
+            if r and not r.startswith("#")]
+    assert body[2] == f"pbad,error,,ParseError: {logged}"
+    assert len(errors[1]) < 120 and len(body[2]) < 120
+
+
 def test_qc_and_predict_agree_on_a_night_with_no_window(cohort, tmp_path):
     # 50 beats clear --min-peaks 10 but fill no 60-beat window
     times = [0.8 * (i + 1) for i in range(50)]

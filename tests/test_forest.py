@@ -300,15 +300,56 @@ def split_cases():
            np.array([1, 2, 3]))
 
 
+def sort_codes(X, y):
+    """The (code, values) pair _fit_trees hands _best_splits: code[f, r]
+    is 2 * v + y[r], where X[r, f] = values[v, f] is the v-th smallest
+    value of column f."""
+    values = np.sort(X, axis=0)
+    code = np.array([2 * np.searchsorted(v, x) + y
+                     for v, x in zip(values.T, X.T)], dtype=np.int32)
+    return code, values
+
+
+def best_split(X, y, idx, feats):
+    """_best_splits on one node: the rows idx and the features feats."""
+    f, thr = forest._best_splits(*sort_codes(X, y), idx,
+                                 np.zeros(len(idx), dtype=np.int64),
+                                 feats[None, :])
+    return None if f[0] < 0 else (int(f[0]), float(thr[0]))
+
+
 def test_best_split_matches_boundary_loop():
     outcomes = set()
     for X, y, idx, feats in split_cases():
-        got = forest._best_split(X, y, idx, feats)
+        got = best_split(X, y, idx, feats)
         assert got == best_split_oracle(X, y, idx, feats)
-        if got is not None:
-            assert type(got[0]) is int and type(got[1]) is float
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spacing", [1, 1000])
+def test_one_level_search_splits_every_node_as_alone(spacing):
+    # every case of split_cases stacked as its own node of one call, its
+    # rows offset into one matrix; spaced node ids leave most nodes
+    # empty and take the key past 32 bits
+    cases = list(split_cases())
+    offsets = np.cumsum([0] + [len(X) for X, *_ in cases])
+    X = np.concatenate([X for X, *_ in cases])
+    y = np.concatenate([y for _, y, *_ in cases])
+    rows = np.concatenate([idx + offsets[i]
+                           for i, (_, _, idx, _) in enumerate(cases)])
+    node = np.repeat(np.arange(len(cases)) * spacing,
+                     [len(idx) for *_, idx, _ in cases])
+    feats = np.full((len(cases) * spacing, 3), -1)
+    feats[::spacing] = [feats for *_, feats in cases]
+    code, values = sort_codes(X, y)
+    assert (2 * len(X) * feats.size < 2 ** 31) == (spacing == 1)
+    f, thr = forest._best_splits(code, values, rows, node, feats)
+    assert (f[np.arange(len(f)) % spacing != 0] == -1).all()
+    for i, (X, y, idx, feats) in enumerate(cases):
+        got = None if f[i * spacing] < 0 else (int(f[i * spacing]),
+                                               float(thr[i * spacing]))
+        assert got == best_split_oracle(X, y, idx, feats)
 
 
 def test_best_split_ties_pick_first_feature_then_lowest_boundary():
@@ -319,7 +360,7 @@ def test_best_split_ties_pick_first_feature_then_lowest_boundary():
     idx = np.arange(4)
     for feats in ([6, 2, 0], [2, 6, 0], [0, 6, 2]):
         feats = np.array(feats)
-        got = forest._best_split(X, y, idx, feats)
+        got = best_split(X, y, idx, feats)
         assert got == best_split_oracle(X, y, idx, feats)
         assert got == (int(feats[feats != 0][0]), 0.5)
 
@@ -332,8 +373,129 @@ def test_best_split_keeps_threshold_below_adjacent_float():
     X[:, 5] = [lo, lo, hi, hi]
     y = np.array([0, 0, 1, 1])
     feats = np.array([5, 0, 1])
-    got = forest._best_split(X, y, np.arange(4), feats)
+    got = best_split(X, y, np.arange(4), feats)
     assert got == best_split_oracle(X, y, np.arange(4), feats) == (5, lo)
+
+
+# ---------------------------------------------------------------------------
+# level-by-level growth against the recursive grower it replaced
+
+
+def node_split_oracle(X, y, idx, feats):
+    """The per-node split search the level search replaced."""
+    n = idx.shape[0]
+    vals = X[np.ix_(idx, feats)]
+    order = np.argsort(vals, axis=0, kind="mergesort")
+    sv = np.take_along_axis(vals, order, axis=0)
+    cum1 = np.cumsum(y[idx][order], axis=0)
+    l1 = cum1[:-1]
+    r1 = cum1[-1] - l1
+    nl = np.arange(1, n, dtype=np.int64)[:, None]
+    nr = n - nl
+    l0 = nl - l1
+    r0 = nr - r1
+    g = (nl * (1.0 - (l0 * l0 + l1 * l1) / (nl * nl))
+         + nr * (1.0 - (r0 * r0 + r1 * r1) / (nr * nr))) / n
+    g = np.where(sv[:-1] < sv[1:], g, np.inf)
+    j, b = divmod(int(np.argmin(g.T)), n - 1)
+    if g[b, j] == np.inf:
+        return None
+    thr = 0.5 * (sv[b, j] + sv[b + 1, j])
+    if thr >= sv[b + 1, j]:
+        thr = sv[b, j]
+    return int(feats[j]), float(thr)
+
+
+def grow_oracle(X, y, idx, levels, key, pos, counts):
+    """The subtree at heap position pos, grown one node at a time."""
+    c1 = int(y[idx].sum())
+    c0 = idx.shape[0] - c1
+    if levels == 0 or idx.shape[0] < 2 or c0 == 0 or c1 == 0:
+        return {"leaf": [c0, c1]}
+    feats = np.random.default_rng((*key, pos)).choice(
+        X.shape[1], size=math.isqrt(X.shape[1]), replace=False)
+    best = node_split_oracle(X, y, idx, feats)
+    if best is None:
+        return {"leaf": [c0, c1]}
+    f, thr = best
+    mask = X[idx, f] <= thr
+    node = {"f": f, "thr": thr,
+            "l": grow_oracle(X, y, idx[mask], levels - 1, key, 2 * pos,
+                             counts),
+            "r": grow_oracle(X, y, idx[~mask], levels - 1, key,
+                             2 * pos + 1, counts)}
+    if counts:
+        node["n"] = [c0, c1]
+    return node
+
+
+def fit_tree_oracle(X, y, seed, t, max_depth, counts=False):
+    boot = np.random.default_rng((seed, t)).integers(0, X.shape[0],
+                                                      size=X.shape[0])
+    return grow_oracle(X, y, boot, max_depth, (seed, t), 1, counts)
+
+
+def tie_heavy_set(seed, n=120):
+    """Few distinct values per column, a constant column, two equal
+    columns and a column of two adjacent floats whose midpoint rounds
+    up; groups for 5-fold CV."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, 9)).astype(np.float64)
+    X[:, 4] = 7.0
+    X[:, 6] = X[:, 2]
+    lo = np.nextafter(1.0, 2.0)
+    X[:, 5] = np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, 2.0))
+    y = ((X[:, 0] + X[:, 1] + (X[:, 5] > lo) + rng.integers(0, 3, n)) > 4)
+    return X, y.astype(np.int64), np.arange(n) % 7
+
+
+def thresholds(node):
+    if "leaf" in node:
+        return set()
+    return {node["thr"]} | thresholds(node["l"]) | thresholds(node["r"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_and_cv_trees_match_the_recursive_grower(seed, monkeypatch):
+    X, y, groups = tie_heavy_set(seed)
+    fits = []
+    fit_trees = forest._fit_trees
+
+    def recorded(*args, **kwargs):
+        fits.append((args, kwargs, fit_trees(*args, **kwargs)))
+        return fits[-1][2]
+    monkeypatch.setattr(forest, "_fit_trees", recorded)
+    # the CV forest's trees take depths 8, 5 and 1; train's all 4
+    cross_validate(X, y, groups, grid=((3, 8), (6, 5), (12, 1)), seed=seed)
+    model = train(X, y, n_estimators=12, max_depth=4, seed=seed)
+    assert model.trees == fits[-1][2]
+    assert len(fits) == 6
+    for (X_fit, y_fit, fit_seed, depths), kwargs, trees in fits:
+        assert sorted(set(depths)) in ([1, 5, 8], [4])
+        # as JSON text, so key order and int or float types count too
+        assert json.dumps(trees) == json.dumps([
+            fit_tree_oracle(X_fit, y_fit, fit_seed, t, depth, **kwargs)
+            for t, depth in enumerate(depths)])
+    # the sets reach the adjacent-float threshold, and the mixed depths
+    # within one fit and the CV counts
+    assert any(np.nextafter(1.0, 2.0) in thresholds(tree)
+               for *_, trees in fits for tree in trees)
+    assert fits[0][1] == {"counts": True} and "n" in fits[0][2][0]
+    assert fits[-1][1] == {} and "n" not in fits[-1][2][0]
+
+
+@pytest.mark.parametrize("depths", [[1, 2, 3, 4, 5, 6, 7, 8],
+                                    [8, 1, 7, 2, 6, 3, 5, 4] * 2])
+@pytest.mark.parametrize("counts", [False, True])
+def test_mixed_depths_match_the_recursive_grower(depths, counts):
+    for seed in range(3):
+        X, y, _ = tie_heavy_set(seed + 10, n=60)
+        # bootstraps repeat rows
+        assert len(np.unique(np.random.default_rng((seed, 0)).integers(
+            0, 60, size=60))) < 60
+        assert forest._fit_trees(X, y, seed, depths, counts) == [
+            fit_tree_oracle(X, y, seed, t, depth, counts)
+            for t, depth in enumerate(depths)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +617,11 @@ def test_cv_rejects_non_positive_grid_point():
         cross_validate(*separable_set(), grid=((10, 2), (0, 2)))
 
 
+def test_cv_over_an_empty_grid_fits_no_tree():
+    with pytest.raises(ConfigurationError, match="no grid point"):
+        cross_validate(*separable_set(), grid=())
+
+
 def noisy_set(seed=5, n_patients=5, per_patient=14):
     """Overlapping classes on a 0.1 grid, so validation AUROCs differ
     between grid points; patient "solo" holds AF windows only."""
@@ -559,21 +726,24 @@ def test_shallower_trees_are_the_cut_of_deeper_ones(seed):
     assert cut(deep[0], 2) != deep[0]
 
 
-def counting_best_split(monkeypatch):
+def counting_split_searches(monkeypatch):
+    """A list that gains an entry for each node that searches a split:
+    each draws its features from a (seed, tree, position) stream."""
     calls = []
-    best_split = forest._best_split
+    default_rng = np.random.default_rng
 
-    def counted(*args):
-        calls.append(1)
-        return best_split(*args)
-    monkeypatch.setattr(forest, "_best_split", counted)
+    def counted(key):
+        if isinstance(key, tuple) and len(key) == 3:
+            calls.append(1)
+        return default_rng(key)
+    monkeypatch.setattr(np.random, "default_rng", counted)
     return calls
 
 
 def test_cv_grows_no_more_nodes_than_per_point_fits(monkeypatch):
     data = noisy_set()
     grid = ((50, 1), (1, 8))
-    calls = counting_best_split(monkeypatch)
+    calls = counting_split_searches(monkeypatch)
     result = cross_validate(*data, grid=grid, k=5, seed=0)
     one_forest = len(calls)
     calls.clear()

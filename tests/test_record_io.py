@@ -434,6 +434,24 @@ def test_parse_wfdb_corrupt_gain_is_parse_error(gain, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("p 1 200 2\np.dat {} 200 11 0 0 0 0 ECG\n", "malformed format token"),
+    ("p 1 200 2\np.dat 212 {} 11 0 0 0 0 ECG\n", "malformed gain token"),
+    ("p 1 {} 2\np.dat 212 200 11 0 0 0 0 ECG\n", "malformed sampling rate"),
+    ("{}\n", "malformed WFDB record line"),
+    ("p 1 200 2\n{}\n", "malformed signal line"),
+])
+@pytest.mark.parametrize("token, quoted", [
+    ("x" * 40, repr("x" * 40)),
+    ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+])
+def test_wfdb_errors_quote_at_most_40_characters(header, message, token,
+                                                 quoted):
+    with pytest.raises(ParseError) as err:
+        parse_wfdb(header.format(token), encode_212([1, 2]))
+    assert str(err.value) == f"{message} {quoted}"
+
+
 @pytest.mark.parametrize("line, token", [
     ("p.dat 212 200 11 0x 0 0 0 ECG", "'0x'"),
     ("p.dat 212 200(x) 11 0 0 0 0 ECG", "'x'"),

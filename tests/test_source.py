@@ -70,6 +70,24 @@ def test_every_public_definition_is_used_in_the_package_or_benchmark():
         ("pipeline", "process_patient")]
 
 
+def test_no_forest_function_that_fits_a_tree_recurses():
+    # Trees grow a level of every tree at a time, in a loop. The tree
+    # walkers that check a loaded model and count its votes are the only
+    # functions in forest.py, nested ones included, that call themselves,
+    # so a fit that goes back to one call per node fails here.
+    tree = ast.parse(Path(afscreen.__file__).with_name("forest.py")
+                     .read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    recursive = sorted(
+        func.name for func in functions
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == func.name for node in ast.walk(func)))
+    assert {"_fit_trees", "_best_splits", "train",
+            "cross_validate"} <= {func.name for func in functions}
+    assert recursive == ["_add_votes", "_check_tree"]
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """The afscreen modules a module imports, by bare name."""
     names = set()

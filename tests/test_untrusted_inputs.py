@@ -204,11 +204,12 @@ def oracle_parse_rr_csv(text: str):
         try:
             t = float(parts[0])
         except ValueError:
-            raise ParseError(
-                f"non-numeric beat time {parts[0]!r} at row {row}") from None
+            raise ParseError(f"non-numeric beat time "
+                             f"{record_io._quote(parts[0])} at row {row}"
+                             ) from None
         if not math.isfinite(t):
-            raise ParseError(
-                f"non-finite beat time {parts[0]!r} at row {row}")
+            raise ParseError(f"non-finite beat time "
+                             f"{record_io._quote(parts[0])} at row {row}")
         if times and t <= times[-1]:
             raise OrderingError(
                 f"beat time {t} at row {row} does not increase past "
