@@ -95,13 +95,13 @@ def _cosen_rows(rr: np.ndarray, mean_rr: np.ndarray, r: float) -> list:
 def _lorenz_rows(rr: np.ndarray) -> np.ndarray:
     k = rr.shape[0]
     nb = LORENZ_NBINS
-    dr = np.diff(rr, axis=1)
-    ix = np.floor((dr[:, 1:] + LORENZ_HALF_EXTENT_MS)
-                  / LORENZ_BIN_MS).astype(np.int64)
-    iy = np.floor((dr[:, :-1] + LORENZ_HALF_EXTENT_MS)
-                  / LORENZ_BIN_MS).astype(np.int64)
-    np.clip(ix, 0, nb - 1, out=ix)
-    np.clip(iy, 0, nb - 1, out=iy)
+    # each RR difference's bin on either axis, clipped to the border
+    # bins before the cast; fmax sends a NaN difference (from two
+    # infinite intervals, a window feature_matrix refuses) to bin 0
+    b = np.floor((np.diff(rr, axis=1) + LORENZ_HALF_EXTENT_MS)
+                 / LORENZ_BIN_MS)
+    b = np.fmin(np.fmax(b, 0, out=b), nb - 1, out=b).astype(np.int64)
+    ix, iy = b[:, 1:], b[:, :-1]
     key = np.arange(k)[:, None] * (nb * nb) + ix * nb + iy
     hist = np.bincount(key.ravel(), minlength=k * nb * nb).reshape(k, nb, nb)
     o = _ORIGIN_BIN
@@ -127,7 +127,9 @@ def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
     rr is an (n, 59) matrix of RR intervals in ms, bsqi the n windows'
     quality scores; r is COSEn's tolerance in the units of rr. Rows are
     computed 32 windows at a time, so the working memory does not grow
-    with n.
+    with n. Intervals so extreme that a feature is not finite (a mean
+    past the float range, say) give no row: the first such window
+    raises ContractViolationError, with no floating-point warning.
     """
     rr = np.ascontiguousarray(rr, dtype=np.float64)
     if rr.ndim != 2 or rr.shape[1] != N_RR:
@@ -141,17 +143,31 @@ def feature_matrix(rr: np.ndarray, bsqi, r: float = COSEN_R_MS
             f"expected {rr.shape[0]} bsqi values, got shape {bsqi.shape}")
     out = np.empty((rr.shape[0], len(FEATURE_NAMES)))
     out[:, 0] = bsqi
-    for lo in range(0, rr.shape[0], _CHUNK):
-        chunk = rr[lo:lo + _CHUNK]
-        rows = out[lo:lo + _CHUNK]
-        mean_rr = np.mean(chunk, axis=1)
-        rows[:, 1] = _cosen_rows(chunk, mean_rr, r)
-        rows[:, 2:6] = _lorenz_rows(chunk)
-        rows[:, 6] = mean_rr
-        rows[:, 7] = np.min(chunk, axis=1)
-        # the median of 59 values is the sorted middle
-        rows[:, 8] = 60000.0 / np.sort(chunk, axis=1)[:, (N_RR - 1) // 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rr.shape[0], _CHUNK):
+            chunk = rr[lo:lo + _CHUNK]
+            rows = out[lo:lo + _CHUNK]
+            mean_rr = np.mean(chunk, axis=1)
+            rows[:, 1] = _cosen_rows(chunk, mean_rr, r)
+            rows[:, 2:6] = _lorenz_rows(chunk)
+            rows[:, 6] = mean_rr
+            rows[:, 7] = np.min(chunk, axis=1)
+            # the median of 59 values is the sorted middle
+            rows[:, 8] = 60000.0 / np.sort(chunk, axis=1)[:, (N_RR - 1) // 2]
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        names = [n for n, ok in zip(FEATURE_NAMES, finite[i]) if not ok]
+        raise ContractViolationError(
+            f"window {i} has non-finite features: {', '.join(names)}")
     return out
+
+
+def window_rr_ms(times: np.ndarray) -> np.ndarray:
+    """The RR intervals in ms of windows of beat times, one row each; an
+    interval past the float range is inf, which feature_matrix refuses."""
+    with np.errstate(over="ignore"):
+        return np.diff(times, axis=1) * 1000.0
 
 
 def featurize(rr: np.ndarray, bsqi, min_bsqi: float = BSQI_THRESHOLD

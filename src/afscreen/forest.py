@@ -46,7 +46,8 @@ from .errors import (
     DegenerateModelError,
     ParseError,
 )
-from .features import FEATURE_NAMES, feature_order_checksum, featurize
+from .features import (FEATURE_NAMES, feature_order_checksum, featurize,
+                       window_rr_ms)
 from .record_io import RhythmAnnotations
 
 MODEL_FORMAT_VERSION = 1
@@ -90,8 +91,7 @@ def label_windows(times: np.ndarray, bsqi: np.ndarray,
                   for t0, t1 in zip(t_start[keep].tolist(),
                                     t_end[keep].tolist())],
                  dtype=np.int64)
-    X = featurize(np.diff(times[keep], axis=1) * 1000.0, bsqi[keep],
-                  min_bsqi)
+    X = featurize(window_rr_ms(times[keep]), bsqi[keep], min_bsqi)
     return X, y, int(keep.shape[0] - np.count_nonzero(keep))
 
 
@@ -129,10 +129,12 @@ def _best_splits(code: np.ndarray, values: np.ndarray, rows: np.ndarray,
     hit = hit[np.diff(i[hit], prepend=-1) != 0]  # each node's first
     b, i, f = b[hit], i[hit], feats[i[hit], s[hit] % k]
     lo, hi = values[(key[[b - 1, b]] >> 1) % n, f]
-    thr = 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (lo + hi)
     best_f, best_thr = np.full(m, -1), np.zeros(m)
-    # adjacent floats can round the midpoint up to the right value
-    best_f[i], best_thr[i] = f, np.where(thr >= hi, lo, thr)
+    # adjacent floats can round the midpoint up to the right value, and
+    # a sum past the float range makes it +-inf
+    best_f[i], best_thr[i] = f, np.where((thr >= hi) | (thr < lo), lo, thr)
     return best_f, best_thr
 
 

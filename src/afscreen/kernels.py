@@ -22,7 +22,7 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Samples per block of the filter, the integration sweep and the
+# Samples per block of the filter, the trailing means and the
 # candidate picks in qrs, which read it at call time; each block's
 # trailing_max calls work over about this many samples. Two detector
 # threads contend for the GIL between blocks: on an 8 h night at

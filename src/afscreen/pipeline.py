@@ -48,7 +48,7 @@ import numpy as np
 from . import quality
 from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
-from .features import FEATURE_NAMES, featurize
+from .features import FEATURE_NAMES, featurize, window_rr_ms
 from .forest import ForestModel, label_windows, predict_proba_many
 from .qrs import detect_reference, detect_test
 from .quality import ACCEPTED, RecordingQC
@@ -337,8 +337,8 @@ def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
     times, bsqi, included, qc = _analyze(ref, test, config)
     proba = afb = prominent = None
     if qc.status == ACCEPTED:
-        X = featurize(np.diff(times[included], axis=1) * 1000.0,
-                      bsqi[included], config.bsqi_threshold)
+        X = featurize(window_rr_ms(times[included]), bsqi[included],
+                      config.bsqi_threshold)
         proba = predict_proba_many(model, X)
         afb = 100.0 * int(np.count_nonzero(proba > AF_PROBA)) / len(proba)
         prominent = afb >= config.afb_threshold_pct

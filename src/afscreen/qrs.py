@@ -41,15 +41,16 @@ with the full-length forms. sosfiltfilt writes the odd extension into
 one buffer and filters it forward, then backward, in place, with the
 filter state carried from block to block. The reference detector never
 holds its integrated signal whole: _integrate sweeps forward over the
-band-pass through the derivative, its square, a running sum and the
-trailing means, and keeps only the candidates with their heights,
-slopes and band-passed peaks, the maximum and the first 2 s. Its
-fiducials are refined a block of beats at a time. Every windowed
-maximum, in the dominance test and for the band-passed peak and the
-slope, is a kernels.trailing_max call over one block of candidates.
-The test detector's envelope is one _trailing_mean call, worked out in
-place over its squared band-pass, and its candidates are picked and
-weighed a block at a time.
+band-pass through the derivative and its square, and keeps only the
+candidates with their heights, slopes and band-passed peaks, the
+maximum and the first 2 s. Both detectors' trailing means come from
+one step, _carried_mean: a running sum continued over one block,
+carried from block to block, and that block's means. The test
+detector's means overwrite its squared band-pass. Each block picks the
+local maxima in the range it decides. Every windowed maximum, in the
+dominance test and for the band-passed peak and the slope, is a
+kernels.trailing_max call over one block of candidates. The fiducials
+of all accepted beats are refined in one pass.
 
 scipy.signal is not imported. _butter_bandpass designs each band-pass
 in numpy, bit for bit with scipy.signal.butter, and sosfiltfilt runs
@@ -112,12 +113,17 @@ def _samples_for(duration_s: float, fs: float) -> int:
     return int(math.ceil(duration_s * fs - 1e-9))
 
 
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    # Interior local maxima; the first sample of a plateau wins.
-    if x.shape[0] < 3:
+def _local_maxima(x: np.ndarray, lo: int = 0, hi: int | None = None
+                  ) -> np.ndarray:
+    # Interior local maxima in [lo, hi), all of x by default, read from
+    # x[lo-1 .. hi]; the first sample of a plateau wins.
+    lo = max(lo, 1)
+    hi = x.shape[0] - 1 if hi is None else min(hi, x.shape[0] - 1)
+    if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    return (np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
-            ).astype(np.int64)
+    c = x[lo:hi]
+    return (np.flatnonzero((c > x[lo - 1:hi - 1]) & (c >= x[lo + 1:hi + 1]))
+            + lo).astype(np.int64)
 
 
 def _dominant(x: np.ndarray, cand: np.ndarray, h: int) -> np.ndarray:
@@ -271,6 +277,25 @@ def _derivative(bp: np.ndarray, fs: float, lo: int, out: np.ndarray,
     np.multiply(fs / 8.0, d, out=d)
 
 
+def _carried_mean(cs: np.ndarray, lo: int, n: int, out: np.ndarray) -> None:
+    # The means over [i-n+1, i], shortened at the start, for the block
+    # of samples i in [lo, lo + len(out)), into out. cs holds n + k
+    # values: the running sums S through samples lo-n .. lo-1, 0 before
+    # sample 0, then the block's k samples. The sum goes on over the
+    # block in place, from the carried total; cumsum adds in sequence,
+    # so S is the whole-record running sum bit for bit. Each mean is
+    # (S[i] - S[i-n]) / min(i + 1, n), and the last n sums then move to
+    # the front of cs for the next block.
+    k = out.shape[0]
+    run = cs[n - 1:n + k]
+    np.cumsum(run, out=run)
+    np.subtract(cs[n:n + k], cs[:k], out=out)
+    short = min(max(n - lo, 0), k)
+    out[:short] /= np.arange(lo + 1, lo + short + 1)
+    out[short:] /= n
+    cs[:n] = cs[k:k + n]
+
+
 def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
                n_learn: int):
     """The integrated signal's candidates, in one forward sweep over bp.
@@ -284,23 +309,20 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
     held whole.
 
     The sweep takes kernels._BLOCK samples at a time through the
-    derivative, its square, a running sum seeded with the carried total,
-    and the means. cumsum adds in sequence, so the sums, and the means
-    taken from them, are those of the full-length forms bit for bit. A
-    candidate is decided once the max(h, 1) samples after it are in;
-    the last block decides the rest. The derivative and the means are
-    kept from max(h, 1, n_mwi) samples before the first undecided one,
-    so every window that _local_maxima, _dominant, the slopes and the
-    band-passed peaks read there is whole or cut where the record is.
-    Buffers are allocated once per call.
+    derivative, its square and _carried_mean. A candidate is decided
+    once the max(h, 1) samples after it are in; the last block decides
+    the rest. The derivative and the means are kept from
+    max(h, 1, n_mwi) samples before the first undecided one, so every
+    window that _local_maxima, _dominant, the slopes and the band-passed
+    peaks read there is whole or cut where the record is. Buffers are
+    allocated once per call.
     """
     size = bp.shape[0]
     block = kernels._BLOCK
     look = max(h, 1)
     back = max(look, n_mwi)
-    # The rows of work hold the derivative and the means over [w_lo, hi),
-    # cs the running sum over [lo - n_mwi, hi); cs[n_mwi - 1] is the sum
-    # before sample lo, 0 before sample 0.
+    # The rows of work hold the derivative and the means over [w_lo, hi);
+    # cs is _carried_mean's, the block's squares after the carried sums.
     work = np.empty((2, back + look + block))
     deriv, means = work
     cs = np.zeros(n_mwi + block)
@@ -310,42 +332,27 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
     dec = w_lo = 0
     for lo in range(0, size, block):
         hi = min(lo + block, size)
-        k = hi - lo
         d = deriv[lo - w_lo:hi - w_lo]
-        run = cs[n_mwi - 1:n_mwi + k]
-        _derivative(bp, fs, lo, d, run[1:])
-        np.multiply(d, d, out=run[1:])
-        np.cumsum(run, out=run)
+        sq = cs[n_mwi:n_mwi + hi - lo]
+        _derivative(bp, fs, lo, d, sq)
+        np.multiply(d, d, out=sq)
         m = means[lo - w_lo:hi - w_lo]
-        full = max(lo, n_mwi)
-        if full < hi:
-            # csum[i] - csum[i - n_mwi] over i in [full, hi)
-            np.subtract(cs[full - lo + n_mwi:k + n_mwi], cs[full - lo:k],
-                        out=m[full - lo:])
-            m[full - lo:] /= n_mwi
-        if lo < n_mwi:
-            short = min(hi, n_mwi)
-            np.divide(cs[n_mwi:short - lo + n_mwi],
-                      np.arange(lo + 1, short + 1), out=m[:short - lo])
+        _carried_mean(cs, lo, n_mwi, m)
         if lo < n_learn:
             learn[lo:min(hi, n_learn)] = m[:min(hi, n_learn) - lo]
         top = max(top, float(m.max()))
 
         end = size if hi == size else max(hi - look, dec)
         x = means[:hi - w_lo]
-        cand = _local_maxima(x)
-        cand = cand[np.searchsorted(cand, dec - w_lo):
-                    np.searchsorted(cand, end - w_lo)]
-        cand = _dominant(x, cand, h)
+        cand = _dominant(x, _local_maxima(x, dec - w_lo, end - w_lo), h)
         peaks.append(x[cand])
         slopes.append(kernels.trailing_max(deriv[:hi - w_lo], cand,
                                            n_mwi + 1))
         peakfs.append(kernels.trailing_max(bp[w_lo:hi], cand, n_mwi + 1))
         cands.append(cand + w_lo)
 
-        # the halos for the next block
+        # the halo for the next block
         dec = end
-        cs[:n_mwi] = cs[k:k + n_mwi]
         keep = max(dec - back, 0)
         work[:, :hi - keep] = work[:, keep - w_lo:hi - w_lo]
         w_lo = keep
@@ -354,39 +361,31 @@ def _integrate(bp: np.ndarray, fs: float, n_mwi: int, h: int,
 
 
 def _trailing_mean(x: np.ndarray, n: int) -> np.ndarray:
-    # Mean over [i-n+1, i], shortened at the start; needs len(x) >= n.
-    # Overwrites x with its running sum, then with the means, a block at
-    # a time from the end, and returns x.
-    csum = np.cumsum(x, out=x)
-    for hi in range(x.shape[0], n, -kernels._BLOCK):
-        lo = max(hi - kernels._BLOCK, n)
-        # the later means are written; csum[lo-n:hi-n] is still whole
-        np.subtract(csum[lo:hi], csum[lo - n:hi - n], out=x[lo:hi])
-        x[lo:hi] /= n
-    x[:n] = csum[:n] / np.arange(1, n + 1)
+    # Mean over [i-n+1, i], shortened at the start: _carried_mean a
+    # block at a time, written over x, which is returned.
+    cs = np.zeros(n + kernels._BLOCK)
+    for lo in range(0, x.shape[0], kernels._BLOCK):
+        block = x[lo:lo + kernels._BLOCK]
+        cs[n:n + block.shape[0]] = block
+        _carried_mean(cs, lo, n, block)
     return x
 
 
 def _fiducials(bp: np.ndarray, beats: np.ndarray, n_mwi: int,
                n_refine: int) -> np.ndarray:
     # For each beat index c: the band-passed maximum over [c-n_mwi, c],
-    # then the maximum within +-n_refine of that. Window indices are
-    # clipped to the record, which repeats an edge sample but never
-    # moves the first of tied maxima to another sample. The beats go a
-    # block at a time, so the windows' indices and values take about
-    # kernels._BLOCK elements.
-    out = np.empty_like(beats)
-    last = bp.shape[0] - 1
-    step = max(kernels._BLOCK // (n_mwi + 1), 1)
-    for lo in range(0, beats.shape[0], step):
-        c = beats[lo:lo + step]
-        rows = np.arange(c.shape[0])
-        idx = np.clip(c[:, None] + np.arange(-n_mwi, 1), 0, last)
-        prelim = idx[rows, bp[idx].argmax(axis=1)]
-        idx = np.clip(prelim[:, None] + np.arange(-n_refine, n_refine + 1),
-                      0, last)
-        out[lo:lo + step] = idx[rows, bp[idx].argmax(axis=1)]
-    return out
+    # then the maximum within +-n_refine of that, every beat in one
+    # pass. Window indices are clipped to the record, which repeats an
+    # edge sample but never moves the first of tied maxima to another
+    # sample.
+    rows = np.arange(beats.shape[0])
+
+    def first_max(c, lo, hi):
+        idx = c[:, None] + np.arange(lo, hi + 1)
+        np.clip(idx, 0, bp.shape[0] - 1, out=idx)
+        return idx[rows, bp[idx].argmax(axis=1)]
+
+    return first_max(first_max(beats, -n_mwi, 0), -n_refine, n_refine)
 
 
 def detect_reference(record: EcgRecord) -> RPeakSeries:
@@ -457,12 +456,10 @@ def detect_test(record: EcgRecord) -> RPeakSeries:
     # candidate in the first n_trail samples is weighed against the
     # maximum over those samples, not over a window cut at sample 0,
     # which there holds only the band-pass start transient. The local
-    # maxima are picked and weighed a block at a time, each block's
-    # slice reaching one sample past either end.
+    # maxima are picked and weighed a block at a time.
     kept = []
     for lo in range(0, env.shape[0], kernels._BLOCK):
-        start = max(lo - 1, 0)
-        cand = _local_maxima(env[start:lo + kernels._BLOCK + 1]) + start
+        cand = _local_maxima(env, lo, lo + kernels._BLOCK)
         threshold = TEST_THRESHOLD_FRACTION * kernels.trailing_max(
             env, np.maximum(cand, n_trail - 1), n_trail)
         kept.append(cand[env[cand] > np.maximum(threshold, floor)])

@@ -367,7 +367,9 @@ def write_edf(record: EcgRecord) -> bytes:
     are quantized, so a parse/write cycle of the produced bytes
     reproduces the sample payload bit-exactly. Header timestamps are
     fixed placeholders; output depends only on the record. A header
-    field that is not ASCII or too wide raises ConfigurationError.
+    field that is not ASCII or too wide, or a range too wide for
+    parse_edf to calibrate back to finite samples, raises
+    ConfigurationError before anything is encoded.
     """
     samples = record.samples
     lo = float(samples.min())
@@ -378,6 +380,15 @@ def write_edf(record: EcgRecord) -> bytes:
     # Quantize against the values the parser will read back, not the raw
     # extrema, so digital payloads are stable across write/parse cycles.
     pmin, pmax = _edf_bound(lo, -1.0), _edf_bound(hi, 1.0)
+    drange = EDF_DIGITAL_MAX - EDF_DIGITAL_MIN
+    prange = pmax - pmin
+    # parse_edf's calibration at the two digital ends, in Python floats,
+    # which overflow to inf without a warning; every sample lies between
+    ends = [d * prange / drange + pmin for d in (0.0, float(drange))]
+    if not all(map(math.isfinite, ends)):
+        raise ConfigurationError(
+            f"physical range [{lo!r}, {hi!r}] is too wide for EDF: its "
+            f"calibration overflows")
 
     spr = None
     for k in range(1, 61):
@@ -395,8 +406,6 @@ def write_edf(record: EcgRecord) -> bytes:
     padded = np.concatenate(
         [samples, np.full(n_records * spr - samples.shape[0], samples[-1])])
 
-    drange = EDF_DIGITAL_MAX - EDF_DIGITAL_MIN
-    prange = pmax - pmin
     digital = np.rint((padded - pmin) * drange / prange) + EDF_DIGITAL_MIN
     digital = np.clip(digital, EDF_DIGITAL_MIN, EDF_DIGITAL_MAX)
     payload = digital.astype("<i2").tobytes()

@@ -1,12 +1,15 @@
 """Nine RR features: entropy, Lorenz-plot census, and simple statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afscreen import features
-from afscreen.errors import ContractViolationError
+from afscreen.errors import AfscreenError, ContractViolationError
 from afscreen.features import FEATURE_NAMES, feature_matrix, featurize
 
 COSEN = FEATURE_NAMES.index("cosen")
@@ -383,3 +386,54 @@ def test_batched_features_match_per_window_oracle(kind, n):
     assert got.shape == (n, len(FEATURE_NAMES))
     np.testing.assert_array_equal(got.view(np.int64),
                                   want.reshape(n, 9).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# extreme intervals: finite rows or a refusal, and no warning
+
+
+def test_window_of_overflowing_intervals_is_refused_by_number():
+    # 59 intervals of 1e307 ms sum past the float range: avnn is inf
+    # and COSEn -inf, so the second window is refused by its number
+    rr = np.full((3, 59), 800.0)
+    rr[1] = 1e307
+    message = "^window 1 has non-finite features: cosen, avnn$"
+    with pytest.raises(ContractViolationError, match=message):
+        feature_matrix(rr, np.ones(3))
+
+
+def test_window_rr_ms_overflow_is_refused_without_a_warning():
+    # beats 2.6e305 s apart are 2.6e308 ms apart: every interval is inf
+    times = 1.7e308 * np.linspace(-1.0, 1.0, 60)[None, :]
+    rr = features.window_rr_ms(times)
+    assert np.isposinf(rr).all()
+    with pytest.raises(ContractViolationError, match="avnn, minrr"):
+        featurize(rr, [1.0])
+
+
+def test_differences_past_the_int_range_clip_to_the_border_bins():
+    # 1e300 ms intervals between 800 ms ones: their differences bin far
+    # past int64, and land in the border bins as any out-of-range one
+    rr = np.full(59, 800.0)
+    rr[10::20] = 1e300
+    row = one_row(rr)
+    assert np.isfinite(row).all()
+    assert tuple(row[LORENZ]) == oracle_lorenz(rr.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.floats(min_value=0.0, exclude_min=True),
+                         min_size=59, max_size=59),
+                min_size=1, max_size=3))
+def test_feature_matrix_on_any_positive_intervals(rows):
+    # every positive float, subnormals and inf included: finite rows or
+    # an AfscreenError, and no floating-point warning either way
+    rr = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = feature_matrix(rr, np.ones(rr.shape[0]))
+        except AfscreenError:
+            return
+    assert out.shape == (rr.shape[0], len(FEATURE_NAMES))
+    assert np.isfinite(out).all()

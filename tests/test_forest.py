@@ -377,6 +377,19 @@ def test_best_split_keeps_threshold_below_adjacent_float():
     assert got == best_split_oracle(X, y, np.arange(4), feats) == (5, lo)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_split_midpoint_past_the_float_range_falls_back_to_lo(sign):
+    # every feature alternates between two values whose sum overflows:
+    # the midpoint is +-inf, silently, and each split stores the lower
+    # value, which sends its rows left
+    lo, hi = sorted([sign * 1e308, sign * np.finfo(np.float64).max])
+    y = np.arange(40) % 2
+    X = np.where(y[:, None] == 1, hi, lo) * np.ones((40, 9))
+    model = train(X, y, n_estimators=5, max_depth=2, seed=0)
+    assert {tree["thr"] for tree in model.trees} == {lo}
+    assert np.array_equal(predict_proba_many(model, X), y.astype(float))
+
+
 # ---------------------------------------------------------------------------
 # level-by-level growth against the recursive grower it replaced
 
@@ -603,6 +616,36 @@ def test_cv_skips_single_class_validation_folds():
     n_est, depth, auc, folds_used = result.rows[0]
     assert folds_used == 4
     assert auc is not None
+
+
+def test_cv_skips_a_fold_that_trains_on_one_class(monkeypatch):
+    # One patient holds every AF window. The fold that validates on it
+    # trains on nonAF alone, so it fits no tree and scores no grid
+    # point; every other fold validates on nonAF alone, so no grid point
+    # gets an AUROC.
+    rng = np.random.default_rng(4)
+    X = np.array([af_vector(rng) for _ in range(6)]
+                 + [nsr_vector(rng) for _ in range(30)])
+    y = np.array([1] * 6 + [0] * 30)
+    groups = np.array(["af"] * 6 + [f"p{i % 5}" for i in range(30)])
+    fitted, scored = [], []
+    fit_trees, auroc = forest._fit_trees, stats.auroc
+
+    def spy_fit(X, y, *args, **kwargs):
+        fitted.append(sorted(set(y.tolist())))
+        return fit_trees(X, y, *args, **kwargs)
+
+    def spy_auroc(scores):
+        scores = list(scores)
+        scored.append({label for _, label in scores})
+        return auroc(scores)
+
+    monkeypatch.setattr(forest, "_fit_trees", spy_fit)
+    monkeypatch.setattr(stats, "auroc", spy_auroc)
+    with pytest.raises(ConfigurationError, match="no grid point"):
+        cross_validate(X, y, groups, grid=((5, 2), (10, 3)), k=5, seed=0)
+    assert fitted == [[0, 1]] * 4
+    assert scored == [{0}] * 8
 
 
 @pytest.mark.parametrize("k", [1, 0, -2])

@@ -295,6 +295,36 @@ def test_write_edf_rejects_cells_it_cannot_encode(patient_id, message):
         write_edf(rec)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e305, 1e305), (0.0, 1e304),
+                                    (-1.7976931348623157e308, 0.0),
+                                    (1e308, 1.7976931348623157e308)])
+def test_write_edf_refuses_a_range_it_cannot_calibrate(lo, hi):
+    # parse_edf multiplies by the physical range before it divides by
+    # the digital one, so these overflow on reading; they are refused
+    # before any sample is encoded, without a warning
+    rec = EcgRecord(patient_id="wide", samples=np.repeat([lo, hi], 128),
+                    fs=128.0)
+    with pytest.raises(ConfigurationError, match="too wide for EDF"):
+        write_edf(rec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+       st.sampled_from([1.0, -1.0]), st.booleans())
+def test_write_edf_writes_only_what_parse_edf_reads(scale, sign, offset):
+    # around the largest range that still calibrates: a record is
+    # refused, or written as a file that parses to finite samples
+    x = sign * scale * np.sin(np.arange(256) / 7.0)
+    if offset:
+        x = np.abs(x)
+    rec = EcgRecord(patient_id="edge", samples=x, fs=128.0)
+    try:
+        data = write_edf(rec)
+    except ConfigurationError:
+        return
+    assert np.isfinite(parse_edf(data).samples).all()
+
+
 # ---------------------------------------------------------------------------
 # WFDB
 # ---------------------------------------------------------------------------

@@ -88,6 +88,29 @@ def test_no_forest_function_that_fits_a_tree_recurses():
     assert recursive == ["_add_votes", "_check_tree"]
 
 
+def test_qrs_writes_one_running_sum_and_refines_fiducials_in_one_pass():
+    # Both detectors' trailing means come from _carried_mean, the one
+    # function in qrs that calls np.cumsum, so a second running-sum rule
+    # fails here; _fiducials refines every beat at once, with no loop
+    # and no comprehension.
+    tree = ast.parse(Path(afscreen.__file__).with_name("qrs.py")
+                     .read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    cumsum = sorted(
+        name for name, func in functions.items() for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "cumsum")
+    assert cumsum == ["_carried_mean"]
+    callers = sorted(
+        name for name, func in functions.items() for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_carried_mean")
+    assert callers == ["_integrate", "_trailing_mean"]
+    loops = [type(node).__name__ for node in ast.walk(functions["_fiducials"])
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """The afscreen modules a module imports, by bare name."""
     names = set()

@@ -6,10 +6,15 @@ cohort manifest or as the cohort CSV that evaluate reads. A cohort that
 mixes good
 recordings with bad ones reports each patient once, as a result or as
 an error-ledger row. parse_rr_csv also matches a row-by-row oracle on
-any text: the same times and episodes, or the same error."""
+any text: the same times and episodes, or the same error. Inputs at the
+ends of the float range give the same, with warnings as errors."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afscreen import record_io
+import afscreen
+from afscreen import record_io, synth
 from afscreen.cli import main
 from afscreen.errors import (AfscreenError, ConfigurationError, OrderingError,
                              ParseError)
@@ -497,3 +503,96 @@ def test_mixed_manifest_reports_each_patient_once(rows):
 def test_mixed_manifest_on_two_workers():
     check_partition([(kind, 130) for kind in sorted(ENTRY_KINDS)] * 2,
                     workers=2)
+
+
+def extreme_manifest(d: Path) -> list[str]:
+    """Write into d a manifest, m.csv, of inputs at the ends of the float
+    range, each labelled for train, and a one-split model.json; return
+    the patient ids."""
+    beats = np.arange(1, 1301)
+    rr_times = {
+        "rr_huge_gap": 1e304 * beats,
+        "rr_tiny_gap": 1e-300 * beats,
+        "rr_top": 1.7e308 - 1e295 * beats[::-1],
+        "rr_bottom": -1.7e308 + 1e295 * beats,
+        # 2.6e305 s apart: the intervals overflow in ms
+        "rr_span": 1.7e308 * np.linspace(-1.0, 1.0, 1300),
+    }
+    rows = ["path,format,patient_id,annotations"]
+    for pid, times in rr_times.items():
+        labels = ["AF" if i // 300 % 2 else "N" for i in range(len(times))]
+        (d / f"{pid}.csv").write_text("".join(
+            f"{t!r},{label}\n" for t, label in zip(times.tolist(), labels)))
+        rows.append(f"{pid}.csv,rr,{pid},")
+    spec = synth.SynthSpec(rhythm_program=[(60.0, "NSR"), (60.0, "AF")],
+                           seed=2, noise_snr_db=20.0)
+    record, peaks, annotations = synth.synth_record(spec, "s")
+    (d / "s.csv").write_text(write_rr_csv(peaks, annotations))
+    # the physical range fields of a single-signal EDF
+    edf = bytearray(write_edf(record))
+    for pid, (lo, hi) in {"edf_float_max": ("-1.7e308", "1.7e308"),
+                          "edf_huge": ("-1e303", "1e303"),
+                          "edf_min_normal": ("-3e-308", "3e-308")}.items():
+        edf[360:376] = (lo.ljust(8) + hi.ljust(8)).encode()
+        (d / f"{pid}.edf").write_bytes(bytes(edf))
+        rows.append(f"{pid}.edf,edf,{pid},s.csv")
+    digital = np.round(record.samples * 200.0).astype("<i2")
+    for pid, gain in {"wfdb_gain_tiny": "1e-300",
+                      "wfdb_gain_huge": "1e300"}.items():
+        (d / f"{pid}.dat").write_bytes(digital.tobytes())
+        (d / f"{pid}.hea").write_text(
+            f"{pid} 1 {record.fs:g} {digital.shape[0]}\n"
+            f"{pid}.dat 16 {gain} 16 0 0 0 0 ECG\n")
+        rows.append(f"{pid}.hea,wfdb,{pid},s.csv")
+    (d / "m.csv").write_text("\n".join(rows) + "\n")
+    (d / "model.json").write_bytes(save_model(ForestModel(
+        trees=[{"f": 6, "thr": 700.0, "l": {"leaf": [0, 1]},
+                "r": {"leaf": [1, 0]}}],
+        n_estimators=1, max_depth=1, seed=0)))
+    return [row.split(",")[2] for row in rows[1:]]
+
+
+def table_rows(path: Path) -> list[dict]:
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def test_commands_on_extreme_inputs_with_warnings_as_errors(tmp_path):
+    # predict and qc give every entry a result or a ledger row, and train
+    # trains or refuses in one line, in a fresh interpreter where any
+    # floating-point warning is an error
+    pids = extreme_manifest(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("AFSCREEN_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(afscreen.__file__).parent.parent),
+        os.environ.get("PYTHONPATH")]))
+    small = ["--min-peaks", "50", "--workers", "1"]
+    runs = {
+        "predict": ["--model", "model.json", "--out-dir", "out", *small],
+        "qc": ["--out", "qc.csv", *small],
+        "train": ["--out", "trained.json", "--grid", "5x2"],
+    }
+    done = {}
+    for command, args in runs.items():
+        done[command] = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "afscreen.cli", command,
+             "--manifest", "m.csv", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+    for command in ("predict", "qc"):
+        assert done[command].returncode == 0, done[command].stderr
+        assert "Warning" not in done[command].stderr
+    results = table_rows(tmp_path / "out" / "cohort.csv")
+    errors = table_rows(tmp_path / "out" / "errors.csv")
+    assert sorted(r["patient_id"] for r in results + errors) == sorted(pids)
+    assert {r["patient_id"] for r in errors} >= {
+        "edf_float_max", "rr_huge_gap", "rr_span"}
+    assert all(r["status"] != "accepted" or r["afb"] for r in results)
+    qc = table_rows(tmp_path / "qc.csv")
+    assert sorted(r["patient_id"] for r in qc) == sorted(pids)
+    train = done["train"]
+    assert train.returncode in (0, 2), train.stderr
+    if train.returncode == 2:
+        assert train.stderr.startswith("error:")
+        assert len(train.stderr.splitlines()) == 1
