@@ -420,7 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ectopy-k", type=int, default=SynthSpec.ectopy_k)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("qc", help="run quality control only")
+    p = sub.add_parser("qc", help="run quality control only", description=(
+        "Quality-gate each recording without classifying it. Accepted is "
+        "the quality gate's verdict: features are not computed."))
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="QC ledger CSV path")
     p.add_argument("--dump-detector",

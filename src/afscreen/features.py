@@ -26,9 +26,9 @@ One implementation computes all nine: feature_matrix takes n windows
 as an (n, 59) RR matrix plus their bsqi and returns an (n, 9) matrix.
 It works through fixed chunks of 32 windows, so its temporaries, the
 largest of which are the (32, 58, 58) COSEn comparisons, do not grow
-with the recording's length. featurize is the batched entry point of
-the pipeline: it gates the windows on bsqi and width, then calls
-feature_matrix.
+with the recording's length. featurize, the pipeline's batched entry
+point, is feature_matrix of the RR intervals of (n, 60) beat times; it
+checks no bsqi, as pipeline._analyze alone decides inclusion.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError
-from .quality import BSQI_THRESHOLD, WINDOW_BEATS
+from .quality import WINDOW_BEATS
 
 COSEN_R_MS = 30.0
 LORENZ_BIN_MS = 40.0
@@ -170,23 +170,6 @@ def window_rr_ms(times: np.ndarray) -> np.ndarray:
         return np.diff(times, axis=1) * 1000.0
 
 
-def featurize(rr: np.ndarray, bsqi, min_bsqi: float = BSQI_THRESHOLD
-              ) -> np.ndarray:
-    """feature_matrix of quality-gated windows, one row per RR row.
-
-    Every window must pass the bsqi gate and hold 60 beats; the first
-    that does not raises.
-    """
-    bsqi = np.asarray(bsqi, dtype=np.float64)
-    if np.shape(rr)[0] == 0 == bsqi.shape[0]:
-        # no windows: nothing to gate, whatever their width
-        return np.empty((0, len(FEATURE_NAMES)))
-    low = bsqi < min_bsqi
-    # a window fails on its width before a later one on bsqi
-    if low.any() and (low[0] or np.shape(rr)[1:] == (N_RR,)):
-        i = int(np.argmax(low))
-        raise ContractViolationError(
-            f"window {i} has bsqi {bsqi[i]:.3f} below the {min_bsqi} "
-            f"gate; featurize only included windows")
-    return feature_matrix(rr, bsqi)
-
+def featurize(times: np.ndarray, bsqi) -> np.ndarray:
+    """feature_matrix of windows of beat times, one row per window."""
+    return feature_matrix(window_rr_ms(times), bsqi)

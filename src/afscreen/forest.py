@@ -21,8 +21,8 @@ deterministic, the first n trees of a forest are the n-tree forest, and
 a depth-d tree is the top d levels of a deeper one. A fit grows all its
 trees a level at a time, with one split search per level and no
 recursion. Cross-validation folds group by patient; each fold fits one
-forest and scores every grid point from its first trees, cut at the
-point's depth.
+forest, reading its first trees' votes at each grid point's depth as
+its validation rows go down the trees with the training rows.
 
 Models serialize to versioned JSON carrying a checksum of the declared
 feature order; loading against a different feature declaration fails,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quality, stats
+from . import stats
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -46,8 +46,7 @@ from .errors import (
     DegenerateModelError,
     ParseError,
 )
-from .features import (FEATURE_NAMES, feature_order_checksum, featurize,
-                       window_rr_ms)
+from .features import FEATURE_NAMES, feature_order_checksum, featurize
 from .record_io import RhythmAnnotations
 
 MODEL_FORMAT_VERSION = 1
@@ -74,9 +73,8 @@ class ForestModel:
 
 def label_windows(times: np.ndarray, bsqi: np.ndarray,
                   annotations: RhythmAnnotations,
-                  min_bsqi: float = quality.BSQI_THRESHOLD,
                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Features and rhythm labels of quality-gated windows.
+    """Features and rhythm labels of windows.
 
     times holds one window of beat times per row, bsqi their scores. A
     window is AF (1) iff at least half of its time span lies inside AF
@@ -91,7 +89,7 @@ def label_windows(times: np.ndarray, bsqi: np.ndarray,
                   for t0, t1 in zip(t_start[keep].tolist(),
                                     t_end[keep].tolist())],
                  dtype=np.int64)
-    X = featurize(window_rr_ms(times[keep]), bsqi[keep], min_bsqi)
+    X = featurize(times[keep], bsqi[keep])
     return X, y, int(keep.shape[0] - np.count_nonzero(keep))
 
 
@@ -138,12 +136,19 @@ def _best_splits(code: np.ndarray, values: np.ndarray, rows: np.ndarray,
     return best_f, best_thr
 
 
-def _fit_trees(X: np.ndarray, y: np.ndarray, seed: int, depths,
-               counts: bool = False) -> list:
-    """Trees 0, 1, ... of a forest, tree t grown on its bootstrap of the
-    rows of X to depths[t] split levels, one level of all trees at a time.
-    With counts, split nodes keep their class counts under "n", so a tree
-    cut there votes as if the node were a leaf."""
+def _descend(X, rows, node, f, thr) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in split nodes (f >= 0) and their children: left iff x <= thr."""
+    split = f >= 0
+    rows, node = rows[split[node]], node[split[node]]
+    left = X[rows, f[node]] <= thr[node]
+    return rows, 2 * (np.cumsum(split) - 1)[node] + ~left
+
+
+def _fit_trees(X, y, seed: int, depths, X_va) -> tuple[list, np.ndarray]:
+    """Trees 0, 1, ... of a forest, tree t grown on its bootstrap of X's rows
+    to depths[t] levels, a level of all trees at a time, and votes[l, t, i]:
+    True iff row i of X_va reaches, at most l levels down tree t, a node
+    with more AF than nonAF rows, the vote of tree t cut at depth l."""
     (n, n_feat), k = X.shape, math.isqrt(X.shape[1])
     values = np.sort(X, axis=0)
     code = np.array([2 * np.searchsorted(v, x) + y
@@ -154,8 +159,14 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, seed: int, depths,
     rows = np.array([np.random.default_rng((seed, t)).integers(0, n, size=n)
                      for t in range(len(depths))], dtype=np.int64).ravel()
     node = np.repeat(np.arange(len(depths)), n)  # each row's open node
+    va_node, va_rows = np.indices((len(depths), len(X_va))).reshape(2, -1)
+    votes = np.zeros((max([0, *depths]) + 1, len(depths), len(X_va)), bool)
+    level = 0
     while nodes:  # c: the [nonAF, AF] rows of each open node
         c = np.bincount(2 * node + y[rows], minlength=2 * len(nodes))
+        tree = np.array([t for _, t, _ in nodes])
+        # a row's vote holds at this level and below, until it moves on
+        votes[level:, tree[va_node], va_rows] = (c[1::2] > c[::2])[va_node]
         c = c.reshape(-1, 2).tolist()
         # a node above its tree's depth with both classes draws features
         feats = np.array([
@@ -168,12 +179,12 @@ def _fit_trees(X: np.ndarray, y: np.ndarray, seed: int, depths,
             if fi < 0:
                 d["leaf"] = ci
                 continue
-            d.update(f=fi, thr=ti, l={}, r={}, **{"n": ci} if counts else {})
+            d.update(f=fi, thr=ti, l={}, r={})
             grown += [(d["l"], t, 2 * pos), (d["r"], t, 2 * pos + 1)]
-        rows, node = rows[(f >= 0)[node]], node[(f >= 0)[node]]
-        right = X[rows, f[node]] > thr[node]
-        node, nodes = 2 * (np.cumsum(f >= 0) - 1)[node] + right, grown
-    return [d for d, _, _ in roots]
+        rows, node = _descend(X, rows, node, f, thr)
+        va_rows, va_node = _descend(X_va, va_rows, va_node, f, thr)
+        nodes, level = grown, level + 1
+    return [d for d, _, _ in roots], votes
 
 
 def _check_hyperparameters(n_estimators: int, max_depth: int) -> None:
@@ -220,33 +231,20 @@ def train(X: np.ndarray, y: np.ndarray,
         raise DegenerateModelError(
             "training data holds a single class; both AF and nonAF "
             "windows are required")
-    return ForestModel(_fit_trees(X, y, seed, [max_depth] * n_estimators),
-                       n_estimators, max_depth, seed)
+    trees, _ = _fit_trees(X, y, seed, [max_depth] * n_estimators, X[:0])
+    return ForestModel(trees, n_estimators, max_depth, seed)
 
 
-def _add_votes(node, X: np.ndarray, rows: np.ndarray, level: int,
-               depths: list[int], out: np.ndarray) -> None:
-    """Add to out[i, rows] the AF votes on X[rows] of the tree under
-    node, cut at depths[i] levels.
-
-    node sits at level, and depths ascend from level or beyond. A split
-    node at a cut votes the class counts it keeps under "n", like a leaf.
-    """
+def _add_votes(node, X, rows: np.ndarray, out: np.ndarray) -> None:
+    """Add 1 to out[rows] where the tree under node votes AF on X[rows]."""
     if "leaf" in node:
         c0, c1 = node["leaf"]
         if c1 > c0:
-            out[:, rows] += 1
+            out[rows] += 1
         return
-    if depths[0] == level:
-        c0, c1 = node["n"]
-        if c1 > c0:
-            out[0, rows] += 1
-        depths, out = depths[1:], out[1:]
-        if not depths:
-            return
     left = X[rows, node["f"]] <= node["thr"]
-    _add_votes(node["l"], X, rows[left], level + 1, depths, out)
-    _add_votes(node["r"], X, rows[~left], level + 1, depths, out)
+    _add_votes(node["l"], X, rows[left], out)
+    _add_votes(node["r"], X, rows[~left], out)
 
 
 def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -256,12 +254,11 @@ def predict_proba_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"expected (n, {len(FEATURE_NAMES)}) feature matrix, "
             f"got {X.shape}")
-    votes = np.zeros((1, X.shape[0]), dtype=np.int64)
+    votes = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
     for tree in model.trees:
-        # no tree is deeper than max_depth, so the cut there is the tree
-        _add_votes(tree, X, rows, 0, [model.max_depth], votes)
-    return votes[0] / len(model.trees)
+        _add_votes(tree, X, rows, votes)
+    return votes / len(model.trees)
 
 
 @dataclass
@@ -284,9 +281,10 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
 
     Each fold fits one forest. Its tree t grows to the deepest depth of
     the grid points with more than t trees, and a point of n trees and
-    depth d is scored from the first n trees, each cut at depth d: the
-    trees train would fit for that point, since tree t depends only on
-    (data, seed, t) and a shallower tree is the top of a deeper one.
+    depth d is scored from the first n trees' votes at depth d, read
+    during the fit: the votes of the trees train would fit for that
+    point, since tree t depends only on (data, seed, t) and a shallower
+    tree is the top of a deeper one.
     """
     if k < 2:
         raise ConfigurationError(f"grouped CV needs at least 2 folds, got {k}")
@@ -315,16 +313,13 @@ def cross_validate(X: np.ndarray, y: np.ndarray, groups,
         va = ~tr
         if not va.any() or y[tr].min() == y[tr].max():
             continue
-        X_va, y_va = X[va], y[va].tolist()
-        # votes[t, i]: tree t cut at depths[i], on each validation row
-        trees = _fit_trees(X[tr], y[tr], seed, depth_of_tree, counts=True)
-        votes = np.zeros((len(trees), len(depths), len(y_va)), dtype=np.int64)
-        for t, tree in enumerate(trees):
-            _add_votes(tree, X_va, np.arange(len(y_va)), 0, depths, votes[t])
-        votes = np.cumsum(votes, axis=0)
+        y_va = y[va].tolist()
+        _, votes = _fit_trees(X[tr], y[tr], seed, depth_of_tree, X[va])
+        # votes[i, t]: AF votes of trees 0..t cut at depths[i], each row
+        votes = np.cumsum(votes[depths], axis=1, dtype=np.int64)
         for n_est, depth in aucs:
             # the division predict_proba_many makes for n_est trees
-            proba = votes[n_est - 1, depths.index(depth)] / n_est
+            proba = votes[depths.index(depth), n_est - 1] / n_est
             auc, _ = stats.auroc(list(zip(proba.tolist(), y_va)))
             if auc is not None:
                 aucs[n_est, depth].append(auc)
@@ -363,10 +358,10 @@ def _check_tree(node, levels: int) -> None:
     if not isinstance(node, dict):
         raise ParseError("tree node is not an object")
     if "leaf" in node:
-        counts = node["leaf"]
-        if (not isinstance(counts, list) or len(counts) != 2
-                or not all(isinstance(c, int) and c >= 0 for c in counts)):
-            raise ParseError(f"malformed leaf counts {counts!r}")
+        leaf = node["leaf"]
+        if (not isinstance(leaf, list) or len(leaf) != 2
+                or not all(isinstance(c, int) and c >= 0 for c in leaf)):
+            raise ParseError(f"malformed leaf counts {leaf!r}")
         return
     if levels == 0:
         raise ParseError("tree is deeper than the model's max_depth")

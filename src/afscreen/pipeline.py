@@ -13,8 +13,9 @@ read-only record, so the peaks are the same either way. The process
 that runs an entry chooses: a process that multiprocessing started,
 such as a pool worker, runs the detectors one after the other, and any
 other process takes the second thread.
-The included windows of an accepted recording are featurized as one
-matrix and scored by one forest call. A PatientResult keeps the window
+_analyze alone decides inclusion: an accepted recording's included
+windows are featurized as one matrix and scored by one forest call, and
+train labels its included windows. A PatientResult keeps the window
 arrays; result_to_dict and cohort_csv derive the rows they write.
 The AF burden (afb) is the percentage of *included* windows classified
 AF; excluded recordings carry no afb. A patient is flagged prominent-AF
@@ -48,7 +49,7 @@ import numpy as np
 from . import quality
 from .errors import (AfscreenError, ConfigurationError,
                      ContractViolationError, ParseError)
-from .features import FEATURE_NAMES, featurize, window_rr_ms
+from .features import FEATURE_NAMES, featurize
 from .forest import ForestModel, label_windows, predict_proba_many
 from .qrs import detect_reference, detect_test
 from .quality import ACCEPTED, RecordingQC
@@ -292,12 +293,11 @@ def _load(entry: ManifestEntry, config: PipelineConfig,
             _, annotations = parse_rr_csv(_read_text(source))
         elif entry.fmt != "rr":
             raise ConfigurationError(
-                f"patient {entry.patient_id}: training needs rhythm "
-                f"annotations, but the manifest row names none")
+                "training needs rhythm annotations, but the manifest row "
+                "names none")
         if annotations is None:
             raise ConfigurationError(
-                f"patient {entry.patient_id}: {source or entry.path} has "
-                f"no rhythm column")
+                f"{source or entry.path} has no rhythm column")
     if entry.fmt == "rr":
         return ref, None, annotations
     if entry.fmt == "edf":
@@ -337,8 +337,7 @@ def _classify(patient_id: str, ref: RPeakSeries, test: RPeakSeries | None,
     times, bsqi, included, qc = _analyze(ref, test, config)
     proba = afb = prominent = None
     if qc.status == ACCEPTED:
-        X = featurize(window_rr_ms(times[included]), bsqi[included],
-                      config.bsqi_threshold)
+        X = featurize(times[included], bsqi[included])
         proba = predict_proba_many(model, X)
         afb = 100.0 * int(np.count_nonzero(proba > AF_PROBA)) / len(proba)
         prominent = afb >= config.afb_threshold_pct
@@ -445,7 +444,8 @@ def _qc_entry(entry: ManifestEntry, config: PipelineConfig,
 def qc_cohort(entries: list[ManifestEntry], config: PipelineConfig,
               workers: int | None = None, dump: str | None = None,
               ) -> tuple[list[tuple], list[tuple]]:
-    """Quality-gate every manifest entry without classifying it.
+    """Quality-gate every manifest entry without classifying it:
+    accepted is the gate's verdict, as features are not computed.
 
     Returns (pid, (qc, peaks)) for each recording, where peaks are the
     RPeakSeries of the detector named by dump (REFERENCE or TEST;
@@ -468,17 +468,22 @@ def collect_training_windows(entries: list[ManifestEntry],
     annotations sidecar named in the manifest.
     Returns (X, y, groups), the features, labels (1 = AF) and patient
     ids of the windows in manifest order, plus the count of windows
-    skipped for lying outside their recording's annotated span.
+    skipped for lying outside their recording's annotated span. The
+    first entry that fails raises, its message led by "patient <id>: ".
     """
     Xs = [np.empty((0, len(FEATURE_NAMES)))]
     ys = [np.empty(0, dtype=np.int64)]
     groups: list[str] = []
     skipped_total = 0
     for entry in entries:
-        ref, test, annotations = _load(entry, config, rhythm=True)
-        times, bsqi, included, _ = _analyze(ref, test, config)
-        X, y, skipped = label_windows(times[included], bsqi[included],
-                                      annotations, config.bsqi_threshold)
+        try:
+            ref, test, annotations = _load(entry, config, rhythm=True)
+            times, bsqi, included, _ = _analyze(ref, test, config)
+            X, y, skipped = label_windows(times[included], bsqi[included],
+                                          annotations)
+        except AfscreenError as e:
+            e.args = (f"patient {entry.patient_id}: {e}",)
+            raise
         Xs.append(X)
         ys.append(y)
         groups += [entry.patient_id] * len(y)

@@ -111,6 +111,25 @@ def test_train_rejects_fewer_than_two_folds(cohort, tmp_path, capsys, folds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beats,message", [
+    # intervals of 1e307 ms: no finite mean
+    ([f"{1e304 * i!r},N" for i in range(1, 121)],
+     "window 0 has non-finite features: cosen, avnn"),
+    (["0.0,N", "abc,N"], "non-numeric beat time 'abc' at row 2")])
+def test_train_names_the_entry_that_stops_it(cohort, tmp_path, capsys,
+                                             beats, message):
+    (tmp_path / "bad.csv").write_text("\n".join(beats) + "\n")
+    (tmp_path / "m.csv").write_text(
+        f"path,format,patient_id\n{cohort / 'tr0.csv'},rr,tr0\n"
+        f"bad.csv,rr,bad\n")
+    out = tmp_path / "m.json"
+    code = main(["train", "--manifest", str(tmp_path / "m.csv"),
+                 "--out", str(out), "--grid", "5x2"])
+    assert code == 2
+    assert one_error_line(capsys).startswith(f"error: patient bad: {message}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

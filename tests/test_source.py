@@ -88,6 +88,56 @@ def test_no_forest_function_that_fits_a_tree_recurses():
     assert recursive == ["_add_votes", "_check_tree"]
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(afscreen.__file__).parent.glob("*.py")}
+
+
+def test_window_inclusion_is_decided_once():
+    # pipeline._analyze alone compares bsqi with the threshold: the
+    # default threshold is read only as PipelineConfig's default, and no
+    # function takes a threshold of its own to check the windows again
+    trees = package_trees()
+    config = next(node for node in trees["pipeline"].body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "PipelineConfig")
+    default = next(node.value for node in config.body
+                   if isinstance(node, ast.AnnAssign)
+                   and node.target.id == "bsqi_threshold")
+    loads = [(name, node) for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "BSQI_THRESHOLD"
+                 and isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "BSQI_THRESHOLD")
+             or (isinstance(node, ast.alias)
+                 and node.name == "BSQI_THRESHOLD")]
+    assert loads == [("pipeline", default)]
+    assert [(name, node.lineno) for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and node.arg == "min_bsqi"] == []
+
+
+def test_cv_reads_its_cuts_from_the_fit():
+    # cross_validate takes each depth's votes from _fit_trees, which has
+    # no flag for a second tree form; the recursive vote walker serves
+    # predict_proba_many alone
+    trees = package_trees()
+    functions = {node.name: node for node in ast.walk(trees["forest"])
+                 if isinstance(node, ast.FunctionDef)}
+    args = functions["_fit_trees"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+        == ["X", "y", "seed", "depths", "X_va"]
+    callers = sorted(
+        (name, func.name) for name, tree in trees.items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_add_votes")
+    assert callers == [("forest", "_add_votes"), ("forest", "_add_votes"),
+                       ("forest", "predict_proba_many")]
+
+
 def test_qrs_writes_one_running_sum_and_refines_fiducials_in_one_pass():
     # Both detectors' trailing means come from _carried_mean, the one
     # function in qrs that calls np.cumsum, so a second running-sum rule
